@@ -12,8 +12,8 @@
 //!   against the caches its cold pass filled during set-up.
 //!
 //! A run repeats rounds of its workload back to back until the requested
-//! seconds are spent, and reports a round's time from each unit's
-//! fastest run. A traced run alternates
+//! seconds are spent and at least six rounds are done, and reports a
+//! round's time from each unit's fastest run. A traced run alternates
 //! untraced and traced rounds: the traced rounds record host-time spans
 //! around the benchmark's own calls into each layer ([`spans`]), and the
 //! untraced ones give the tracing overhead.
@@ -95,19 +95,23 @@ pub const PER_LAYER: [(&str, &str); 41] = [
     ("share.models.serving", "%"),
 ];
 
-/// Untraced runs repeat at least this many rounds.
-const MIN_ROUNDS: usize = 3;
+/// Untraced runs repeat at least this many rounds, so each unit's fastest
+/// time is a minimum over at least this many runs of it. A cold round
+/// takes seconds, so at the benchmark's `run_seconds` the cold workloads
+/// stop at exactly this count whatever the host's speed.
+const MIN_ROUNDS: usize = 6;
 /// Traced runs repeat at least this many traced (and as many untraced)
 /// rounds.
 const MIN_TRACED_ROUNDS: usize = 2;
-/// Set-up samples taken before the timed phase; `setup_s` is their
-/// median. A cold workload also sets up afresh, unsampled, before each
-/// later round.
-const SETUP_SAMPLES: usize = 5;
+/// Set-up samples a warm workload takes before its timed phase. A cold
+/// workload sets up afresh before each later round and samples that set-up
+/// instead, so its samples spread over the whole run.
+const WARM_SETUP_SAMPLES: usize = 5;
 /// A set-up sample after the first repeats the set-up until this much
-/// time has passed and takes the mean, so a set-up of microseconds is
-/// measured well above timer jitter.
-const MIN_SETUP_SAMPLE: Duration = Duration::from_millis(5);
+/// time has passed and takes the mean: a set-up of microseconds is
+/// measured well above timer jitter, and one of milliseconds is averaged
+/// over several repetitions.
+const MIN_SETUP_SAMPLE: Duration = Duration::from_millis(100);
 
 /// Which workload to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,27 +285,32 @@ pub fn run(cfg: &Config, started: Instant) -> Output {
 
 /// Runs `w` under `cfg` (tests pass workloads with injected faults).
 pub fn run_workload(cfg: &Config, w: &mut dyn Workload, started: Instant) -> Output {
-    let mut setups = Vec::new();
     w.setup();
-    setups.push(started.elapsed());
-    while setups.len() < SETUP_SAMPLES {
-        let t = Instant::now();
-        let mut n = 0;
-        while n == 0 || t.elapsed() < MIN_SETUP_SAMPLE {
-            w.setup();
-            n += 1;
+    let mut setups = vec![started.elapsed()];
+    if w.warm() {
+        while setups.len() < WARM_SETUP_SAMPLES {
+            setups.push(sample_setup(w));
         }
-        setups.push(t.elapsed() / n);
     }
     let tracer = Arc::new(Tracer::new());
     let (mut plain, mut traced): (Vec<Round>, Vec<Round>) = (Vec::new(), Vec::new());
     let mut timed = Duration::ZERO;
+    let mut peak_rss = 0.0;
     for i in 0usize.. {
         if i > 0 && !w.warm() {
-            w.setup();
+            setups.push(sample_setup(w));
         }
         let tracing = cfg.trace && i % 2 == 1;
         let round = w.round(tracing.then_some(&tracer));
+        if i == 0 {
+            // The peak of one set-up and one round, as a user who runs
+            // the workload once sees it, and before the fidelity check
+            // simulates anything of its own. Later rounds repeat the same
+            // work, but each cold `sweep` round's worker is a new thread
+            // whose allocations may land in another malloc arena, one
+            // that still holds what an earlier round freed.
+            peak_rss = peak_rss_mb();
+        }
         timed += round.wall;
         if tracing {
             traced.push(round);
@@ -356,7 +365,7 @@ pub fn run_workload(cfg: &Config, w: &mut dyn Workload, started: Instant) -> Out
         }
         per_layer(&plain, &traced, &spans, &mut lines)
     } else {
-        end_to_end(&plain, &setups, fid.mape_pct, &mut lines)
+        end_to_end(&plain, &setups, peak_rss, fid.mape_pct, &mut lines)
     };
     Output {
         correct: failed == 0 && attempted > 0,
@@ -365,6 +374,19 @@ pub fn run_workload(cfg: &Config, w: &mut dyn Workload, started: Instant) -> Out
         metrics,
         lines,
     }
+}
+
+/// One set-up sample: the mean time of set-ups repeated until
+/// [`MIN_SETUP_SAMPLE`] has passed. The last one is the state the next
+/// round runs on.
+fn sample_setup(w: &mut dyn Workload) -> Duration {
+    let t = Instant::now();
+    let mut n = 0;
+    while n == 0 || t.elapsed() < MIN_SETUP_SAMPLE {
+        w.setup();
+        n += 1;
+    }
+    t.elapsed() / n
 }
 
 /// Where a traced run writes its spans: inside the benchmark package,
@@ -387,6 +409,7 @@ fn digest_hash(lines: &[String]) -> u64 {
 fn end_to_end(
     rounds: &[Round],
     setups: &[Duration],
+    peak_rss_mb: f64,
     ref_error_pct: f64,
     lines: &mut Vec<String>,
 ) -> Vec<Metric> {
@@ -407,7 +430,9 @@ fn end_to_end(
         quantile(&setups, 0.5),
         quantile(&setups, 1.0)
     ));
-    let values = [wall_s, quantile(&setups, 0.5), peak_rss_mb(), ref_error_pct];
+    // The fastest set-up, for the reason `round_wall` takes each unit's
+    // fastest time.
+    let values = [wall_s, quantile(&setups, 0.0), peak_rss_mb, ref_error_pct];
     END_TO_END
         .iter()
         .zip(values)

@@ -1,7 +1,7 @@
 //! Command line of the STeP benchmark.
 //!
 //! ```text
-//! perfbench --workload <sweep|serve|replay> --seed <n> --seconds <s> --trace <0|1> [--size smoke]
+//! perfbench --workload <sweep|serve|replay> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! Prints the run's shape, a digest of the simulated results and the
@@ -12,8 +12,8 @@
 use std::time::Instant;
 use step_perfbench::{Config, Kind, Size, run};
 
-const USAGE: &str = "usage: perfbench --workload <sweep|serve|replay> --seed <n> --seconds <s> \
-                     --trace <0|1> [--size <full|smoke>]";
+const USAGE: &str =
+    "usage: perfbench --workload <sweep|serve|replay> --seed <n> --seconds <s> --trace <0|1>";
 
 fn parse(args: &[String]) -> Result<Config, String> {
     let mut cfg = Config {
@@ -44,13 +44,6 @@ fn parse(args: &[String]) -> Result<Config, String> {
                     "0" => false,
                     "1" => true,
                     _ => return Err(bad(&"must be 0 or 1")),
-                }
-            }
-            "--size" => {
-                cfg.size = match value.as_str() {
-                    "full" => Size::Full,
-                    "smoke" => Size::Smoke,
-                    _ => return Err(bad(&"must be full or smoke")),
                 }
             }
             _ => return Err(format!("unknown flag {flag}")),
