@@ -1,26 +1,26 @@
 //! End-to-end and per-layer benchmark of the STeP simulator.
 //!
-//! Three workloads, each run in its own process on one busy thread:
+//! Two workloads, each run in its own process on one busy thread:
 //!
 //! - [`sweep::Sweep`] — about 107 paper-figure points (Figs 8, 9/10,
-//!   12/13, 14/15/21) submitted as one batch to a one-worker
+//!   12/13, 14/15/21) submitted one at a time to a one-worker
 //!   `SweepService`, every point cold;
-//! - [`serving::Serve`] — a cold Mixtral serving simulation, one
-//!   unchunked and one chunked-prefill cell sharing a plan cache and a
-//!   report cache;
-//! - [`serving::Replay`] — the chunked cell re-served back to back
-//!   against the caches its cold pass filled during set-up.
+//! - [`serving::Replay`] — a chunked-prefill Mixtral serving cell
+//!   re-served back to back against the plan and report caches its cold
+//!   pass filled during set-up.
 //!
 //! A run repeats rounds of its workload back to back until the requested
-//! seconds are spent and at least six rounds are done, and reports a
-//! round's time from each unit's fastest run. A traced run alternates
-//! untraced and traced rounds: the traced rounds record host-time spans
-//! around the benchmark's own calls into each layer ([`spans`]), and the
-//! untraced ones give the tracing overhead.
+//! seconds are spent and at least [`MIN_ROUNDS`] rounds are done. Host
+//! time is probed between units and reported at a reference host speed
+//! ([`speed`]). A traced run alternates untraced and traced rounds: the
+//! traced rounds record host-time spans around the benchmark's own calls
+//! into each layer ([`spans`]), and the untraced ones give the tracing
+//! overhead.
 
 pub mod fidelity;
 pub mod serving;
 pub mod spans;
+pub mod speed;
 pub mod sweep;
 
 use spans::{Span, Tracer, layer_totals};
@@ -38,7 +38,8 @@ pub const END_TO_END: [(&str, &str); 4] = [
 
 /// The layers whose self time makes up a traced round, in table order.
 /// Each is a span name; `bench.round` is the round itself, so its self
-/// time is the benchmark's own loop.
+/// time is the benchmark's own loop. The round's `speed.probe` spans are
+/// left out, as probes are no part of a round's time.
 const LAYERS: [&str; 7] = [
     "bench.round",
     "bench.plan_cache",
@@ -95,22 +96,19 @@ pub const PER_LAYER: [(&str, &str); 41] = [
     ("share.models.serving", "%"),
 ];
 
-/// Untraced runs repeat at least this many rounds, so each unit's fastest
-/// time is a minimum over at least this many runs of it. A cold round
-/// takes seconds, so at the benchmark's `run_seconds` the cold workloads
-/// stop at exactly this count whatever the host's speed.
-const MIN_ROUNDS: usize = 6;
+/// Untraced runs repeat at least this many rounds, so that `wall_s` is a
+/// median of at least five rounds however fast the host runs.
+pub const MIN_ROUNDS: usize = 5;
 /// Traced runs repeat at least this many traced (and as many untraced)
 /// rounds.
 const MIN_TRACED_ROUNDS: usize = 2;
 /// Set-up samples a warm workload takes before its timed phase. A cold
 /// workload sets up afresh before each later round and samples that set-up
 /// instead, so its samples spread over the whole run.
-const WARM_SETUP_SAMPLES: usize = 5;
+const WARM_SETUP_SAMPLES: usize = 3;
 /// A set-up sample after the first repeats the set-up until this much
-/// time has passed and takes the mean: a set-up of microseconds is
-/// measured well above timer jitter, and one of milliseconds is averaged
-/// over several repetitions.
+/// time has passed and takes the mean: `sweep`'s set-up of milliseconds
+/// is averaged over several repetitions.
 const MIN_SETUP_SAMPLE: Duration = Duration::from_millis(100);
 
 /// Which workload to run.
@@ -118,9 +116,7 @@ const MIN_SETUP_SAMPLE: Duration = Duration::from_millis(100);
 pub enum Kind {
     /// The cold paper-figure sweep.
     Sweep,
-    /// Cold serving of two cells.
-    Serve,
-    /// Warm re-serving of the chunked cell.
+    /// Warm re-serving of a chunked serving cell.
     Replay,
 }
 
@@ -129,7 +125,6 @@ impl Kind {
     pub fn parse(s: &str) -> Option<Kind> {
         match s {
             "sweep" => Some(Kind::Sweep),
-            "serve" => Some(Kind::Serve),
             "replay" => Some(Kind::Replay),
             _ => None,
         }
@@ -139,7 +134,6 @@ impl Kind {
     pub fn name(self) -> &'static str {
         match self {
             Kind::Sweep => "sweep",
-            Kind::Serve => "serve",
             Kind::Replay => "replay",
         }
     }
@@ -175,14 +169,14 @@ pub type Counters = BTreeMap<&'static str, f64>;
 /// What one round did.
 #[derive(Debug, Default)]
 pub struct Round {
-    /// Host time of the round's timed part.
+    /// Host time of the round's units, speed probes excluded.
     pub wall: Duration,
-    /// Units run (points, jobs or passes), checks included.
+    /// The same at the reference host speed ([`speed::Clock::scaled`]).
+    pub scaled: Duration,
+    /// Units run (points or passes), checks included.
     pub attempted: u64,
     /// Units that errored or failed a check.
     pub failed: u64,
-    /// Host time of each unit, ms, in the same order every round.
-    pub unit_ms: Vec<f64>,
     /// Layer counts observed in the round.
     pub counters: Counters,
 }
@@ -272,7 +266,6 @@ impl Output {
 fn workload(cfg: &Config) -> Box<dyn Workload> {
     match cfg.kind {
         Kind::Sweep => Box::new(sweep::Sweep::new(cfg.seed, cfg.size)),
-        Kind::Serve => Box::new(serving::Serve::new(cfg.seed, cfg.size)),
         Kind::Replay => Box::new(serving::Replay::new(cfg.seed, cfg.size)),
     }
 }
@@ -286,7 +279,8 @@ pub fn run(cfg: &Config, started: Instant) -> Output {
 /// Runs `w` under `cfg` (tests pass workloads with injected faults).
 pub fn run_workload(cfg: &Config, w: &mut dyn Workload, started: Instant) -> Output {
     w.setup();
-    let mut setups = vec![started.elapsed()];
+    let first = started.elapsed();
+    let mut setups = vec![speed::scale(first, speed::probe())];
     if w.warm() {
         while setups.len() < WARM_SETUP_SAMPLES {
             setups.push(sample_setup(w));
@@ -376,17 +370,19 @@ pub fn run_workload(cfg: &Config, w: &mut dyn Workload, started: Instant) -> Out
     }
 }
 
-/// One set-up sample: the mean time of set-ups repeated until
-/// [`MIN_SETUP_SAMPLE`] has passed. The last one is the state the next
-/// round runs on.
+/// One set-up sample at the reference host speed: the mean time of
+/// set-ups repeated until [`MIN_SETUP_SAMPLE`] has passed, between two
+/// speed probes. The last set-up is the state the next round runs on.
 fn sample_setup(w: &mut dyn Workload) -> Duration {
+    let mut clock = speed::Clock::start(None);
     let t = Instant::now();
     let mut n = 0;
     while n == 0 || t.elapsed() < MIN_SETUP_SAMPLE {
         w.setup();
         n += 1;
     }
-    t.elapsed() / n
+    clock.lap();
+    clock.scaled() / n
 }
 
 /// Where a traced run writes its spans: inside the benchmark package,
@@ -414,25 +410,40 @@ fn end_to_end(
     lines: &mut Vec<String>,
 ) -> Vec<Metric> {
     let walls: Vec<f64> = rounds.iter().map(|r| r.wall.as_secs_f64()).collect();
+    let scaled: Vec<f64> = rounds.iter().map(|r| r.scaled.as_secs_f64()).collect();
     let setups: Vec<f64> = setups.iter().map(Duration::as_secs_f64).collect();
-    let wall_s = round_wall(rounds);
     lines.push(format!(
-        "timed rounds n={} wall min {:.4} median {:.4} max {:.4} s, wall_s from unit minima {wall_s:.4} s",
+        "timed rounds n={}: host time min {:.4} median {:.4} max {:.4} s; \
+         at reference speed min {:.4} median {:.4} max {:.4} s",
         walls.len(),
         quantile(&walls, 0.0),
         quantile(&walls, 0.5),
-        quantile(&walls, 1.0)
+        quantile(&walls, 1.0),
+        quantile(&scaled, 0.0),
+        quantile(&scaled, 0.5),
+        quantile(&scaled, 1.0)
     ));
     lines.push(format!(
-        "setup samples n={} min {:.6} median {:.6} max {:.6} s",
+        "rounds at reference speed, s: {}",
+        scaled
+            .iter()
+            .map(|s| format!("{s:.4}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    ));
+    lines.push(format!(
+        "setup samples n={} at reference speed min {:.6} median {:.6} max {:.6} s",
         setups.len(),
         quantile(&setups, 0.0),
         quantile(&setups, 0.5),
         quantile(&setups, 1.0)
     ));
-    // The fastest set-up, for the reason `round_wall` takes each unit's
-    // fastest time.
-    let values = [wall_s, quantile(&setups, 0.0), peak_rss_mb, ref_error_pct];
+    let values = [
+        quantile(&scaled, 0.5),
+        quantile(&setups, 0.5),
+        peak_rss_mb,
+        ref_error_pct,
+    ];
     END_TO_END
         .iter()
         .zip(values)
@@ -465,15 +476,16 @@ fn per_layer(
         .filter(|s| s.parent.is_some_and(|p| spans[p].name == "models.serving"))
         .map(Span::duration)
         .sum();
-    // Host time per `ServeJob::run_memo` call: a warm pass on `replay`,
-    // a cold cell on `serve`.
+    // Host time per `ServeJob::run_memo` call: a warm `replay` pass.
     let calls_ms: Vec<f64> = spans
         .iter()
         .filter(|s| s.name == "models.serving")
         .map(|s| s.duration().as_secs_f64() * 1e3)
         .collect();
-    let traced_walls: Vec<f64> = traced.iter().map(|r| r.wall.as_secs_f64()).collect();
-    let plain_walls: Vec<f64> = plain.iter().map(|r| r.wall.as_secs_f64()).collect();
+    // Traced against untraced rounds at the reference speed, so a shift
+    // of host speed between them does not read as tracing overhead.
+    let traced_walls: Vec<f64> = traced.iter().map(|r| r.scaled.as_secs_f64()).collect();
+    let plain_walls: Vec<f64> = plain.iter().map(|r| r.scaled.as_secs_f64()).collect();
     let traced_wall: Duration = traced.iter().map(|r| r.wall).sum();
     let overhead_s = quantile(&traced_walls, 0.5) - quantile(&plain_walls, 0.5);
     let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
@@ -593,7 +605,8 @@ fn per_layer(
             .join(", ")
     ));
     lines.push(format!(
-        "tracing overhead: {:.3} ms per round ({:.2}%), traced median {:.4} s vs untraced {:.4} s",
+        "tracing overhead: {:.3} ms per round ({:.2}%), traced median {:.4} s vs untraced {:.4} s \
+         at reference speed",
         values["trace.overhead_ms"],
         values["trace.overhead_pct"],
         quantile(&traced_walls, 0.5),
@@ -607,28 +620,6 @@ fn per_layer(
             unit,
         })
         .collect()
-}
-
-/// Host time of one round, seconds: the sum over units of each unit's
-/// fastest time across rounds, plus the least time a round spent
-/// outside its units. Host speed here flips between a fast and a slow
-/// phase every few seconds; a unit's fastest run is its time in the fast
-/// phase, which is steady from run to run where any median sways with
-/// the mix of phases a run happened to meet.
-fn round_wall(rounds: &[Round]) -> f64 {
-    let units = rounds.first().map_or(0, |r| r.unit_ms.len());
-    let fastest = |i: usize| {
-        rounds
-            .iter()
-            .map(|r| r.unit_ms[i])
-            .fold(f64::INFINITY, f64::min)
-    };
-    let per_unit: f64 = (0..units).map(fastest).sum::<f64>() / 1e3;
-    let outside = rounds
-        .iter()
-        .map(|r| r.wall.as_secs_f64() - r.unit_ms.iter().sum::<f64>() / 1e3)
-        .fold(f64::INFINITY, f64::min);
-    per_unit + outside
 }
 
 /// The `q` quantile of `xs` by linear interpolation between closest
@@ -679,23 +670,6 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), 4.0);
         assert!((quantile(&xs, 0.9) - 3.7).abs() < 1e-12);
         assert_eq!(quantile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn round_wall_takes_each_units_fastest_time() {
-        let round = |wall_ms: u64, units: Vec<f64>| Round {
-            wall: Duration::from_millis(wall_ms),
-            unit_ms: units,
-            ..Round::default()
-        };
-        // Unit 0 is slowed in round 1 and unit 1 in round 2: every round
-        // is slow, but each unit has a fast run.
-        let rounds = [
-            round(31, vec![10.0, 20.0]),
-            round(51, vec![30.0, 20.0]),
-            round(51, vec![10.0, 40.0]),
-        ];
-        assert!((round_wall(&rounds) - 0.031).abs() < 1e-9);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Command line of the STeP benchmark.
 //!
 //! ```text
-//! perfbench --workload <sweep|serve|replay> --seed <n> --seconds <s> --trace <0|1>
+//! perfbench --workload <sweep|replay> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! Prints the run's shape, a digest of the simulated results and the
@@ -10,10 +10,10 @@
 //! end-to-end metrics, or with `--trace 1` the per-layer ones.
 
 use std::time::Instant;
-use step_perfbench::{Config, Kind, Size, run};
+use step_perfbench::{Config, Kind, Size, run, speed};
 
 const USAGE: &str =
-    "usage: perfbench --workload <sweep|serve|replay> --seed <n> --seconds <s> --trace <0|1>";
+    "usage: perfbench --workload <sweep|replay> --seed <n> --seconds <s> --trace <0|1>";
 
 fn parse(args: &[String]) -> Result<Config, String> {
     let mut cfg = Config {
@@ -63,6 +63,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    match speed::pin_to_current_cpu() {
+        Some(cpu) => println!("pinned to cpu {cpu}"),
+        None => println!("not pinned to a cpu"),
+    }
     let out = run(&cfg, started);
     for line in &out.lines {
         println!("{line}");

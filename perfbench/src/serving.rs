@@ -1,11 +1,11 @@
-//! The `serve` and `replay` workloads: Mixtral-8x7B served under
-//! continuous batching through `ServeJob::run_memo`, with the plan and
-//! report caches owned by the benchmark, as a service worker owns them.
+//! The `replay` workload: Mixtral-8x7B served under continuous batching
+//! through `ServeJob::run_memo`, with the plan and report caches owned by
+//! the benchmark, as a service worker owns them.
 
 use crate::spans::Tracer;
+use crate::speed::Clock;
 use crate::{Counters, Round, Size, Workload};
 use std::sync::Arc;
-use std::time::Instant;
 use step_bench::PlanCache;
 use step_core::{Graph, Result};
 use step_models::ModelConfig;
@@ -46,22 +46,19 @@ fn trace(size: Size) -> RequestTrace {
     })
 }
 
-/// One serving cell: Mixtral-8x7B under `static_schedule(32)`, 4 slots,
-/// a 64-token budget, prefill chunked at `chunk`. The seed feeds the
+/// The serving cell: Mixtral-8x7B under `static_schedule(32)`, 4 slots,
+/// a 64-token budget, prefill chunked at 16 tokens. The seed feeds the
 /// per-iteration MoE routing samples.
-fn job(seed: u64, size: Size, chunk: Option<u32>) -> ServeJob {
+fn job(seed: u64, size: Size) -> ServeJob {
     ServeJob {
-        label: format!(
-            "serve chunk {}",
-            chunk.map_or("none".into(), |c| c.to_string())
-        ),
+        label: "serve chunk 16".into(),
         model: ModelConfig::mixtral_8x7b(),
         variant: E2eVariant::static_schedule("Static (Perf-matched)", 32),
         trace: trace(size),
         cfg: ServeCfg {
             slots: 4,
             token_budget: 64,
-            prefill_chunk: chunk,
+            prefill_chunk: Some(16),
             skew: 0.8,
             seed,
             threads: 1,
@@ -158,98 +155,6 @@ fn digest_line(label: &str, r: &ServeReport) -> String {
     )
 }
 
-/// The `serve` workload: both cells cold on fresh caches every round.
-pub struct Serve {
-    seed: u64,
-    size: Size,
-    jobs: Vec<ServeJob>,
-    caches: Option<Caches>,
-    first: Option<Vec<String>>,
-}
-
-impl Serve {
-    /// The workload for `seed` at `size`.
-    pub fn new(seed: u64, size: Size) -> Serve {
-        Serve {
-            seed,
-            size,
-            jobs: Vec::new(),
-            caches: None,
-            first: None,
-        }
-    }
-}
-
-impl Workload for Serve {
-    fn setup(&mut self) {
-        self.jobs = [None, Some(16)]
-            .into_iter()
-            .map(|chunk| job(self.seed, self.size, chunk))
-            .collect();
-        self.caches = Some(Caches::new());
-    }
-
-    fn round(&mut self, tracer: Option<&Arc<Tracer>>) -> Round {
-        let caches = self.caches.take().expect("round after set-up");
-        let start = Instant::now();
-        let round_span = tracer.map(|t| t.span("bench.round", None));
-        let mut unit_ms = Vec::with_capacity(self.jobs.len());
-        let mut results = Vec::with_capacity(self.jobs.len());
-        for (i, job) in self.jobs.iter().enumerate() {
-            let t = Instant::now();
-            results.push(caches.run(job, tracer, i as u64));
-            unit_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        }
-        drop(round_span);
-        let wall = start.elapsed();
-
-        let mut counters = Counters::new();
-        let mut failed = 0;
-        let mut lines = Vec::new();
-        for (job, r) in self.jobs.iter().zip(&results) {
-            let ok = match r {
-                Ok(r) => {
-                    count_job(&mut counters, r);
-                    lines.push(digest_line(&job.label, r));
-                    let requests = r.report_cache.hits + r.report_cache.misses;
-                    !r.truncated && requests == 2 * r.iterations.len() as u64
-                }
-                Err(e) => {
-                    eprintln!("failed: {}: {e}", job.label);
-                    lines.push(format!("digest job {} | failed", job.label));
-                    false
-                }
-            };
-            failed += u64::from(!ok);
-        }
-        let stats = caches.reports.stats();
-        counters.insert("sim.report_cache.hits", stats.hits as f64);
-        counters.insert("sim.report_cache.misses", stats.misses as f64);
-        counters.insert("sim.report_cache.entries", caches.reports.len() as f64);
-        counters.insert("bench.plan_cache.entries", caches.plans.len() as f64);
-        drop(caches);
-        match &self.first {
-            None => self.first = Some(lines),
-            Some(first) if *first != lines => {
-                eprintln!("failed: serving results differ from the first round");
-                failed = self.jobs.len() as u64;
-            }
-            Some(_) => {}
-        }
-        Round {
-            wall,
-            attempted: self.jobs.len() as u64,
-            failed,
-            unit_ms,
-            counters,
-        }
-    }
-
-    fn digest(&self) -> Vec<String> {
-        self.first.clone().unwrap_or_default()
-    }
-}
-
 /// The `replay` workload: the chunked cell re-served back to back
 /// against the caches its cold pass filled during set-up. Every QKV and
 /// MoE request hits, so the engine runs attention only.
@@ -286,10 +191,13 @@ impl Replay {
 
 impl Workload for Replay {
     fn setup(&mut self) {
-        let job = job(self.seed, self.size, Some(16));
+        let job = job(self.seed, self.size);
         let caches = Caches::new();
         let cold = caches.run(&job, None, 0);
-        let ok = matches!(&cold, Ok(r) if !r.truncated);
+        // The cold pass drains, and every iteration asks the report cache
+        // for its QKV and its MoE report.
+        let ok = matches!(&cold, Ok(r) if !r.truncated
+            && r.report_cache.hits + r.report_cache.misses == 2 * r.iterations.len() as u64);
         if !ok {
             eprintln!("failed: cold pass of {}", job.label);
         }
@@ -313,17 +221,14 @@ impl Workload for Replay {
             panic!("round after set-up");
         };
         let before = caches.reports.stats();
-        let mut unit_ms = Vec::with_capacity(self.passes);
         let mut results = Vec::with_capacity(self.passes);
-        let start = Instant::now();
         let round_span = tracer.map(|t| t.span("bench.round", None));
+        let mut clock = Clock::start(tracer);
         for i in 0..self.passes {
-            let t = Instant::now();
             results.push(caches.run(job, tracer, i as u64));
-            unit_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            clock.lap();
         }
         drop(round_span);
-        let wall = start.elapsed();
 
         let mut counters = Counters::new();
         let mut failed = 0;
@@ -346,10 +251,10 @@ impl Workload for Replay {
         counters.insert("sim.report_cache.entries", caches.reports.len() as f64);
         counters.insert("bench.plan_cache.entries", caches.plans.len() as f64);
         Round {
-            wall,
+            wall: clock.raw(),
+            scaled: clock.scaled(),
             attempted: self.passes as u64,
             failed,
-            unit_ms,
             counters,
         }
     }

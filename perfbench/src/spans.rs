@@ -3,7 +3,7 @@
 //! is built from.
 //!
 //! A span carries its name, start, end, parent and the id of the unit
-//! (sweep point, serving job or replay pass) it belongs to. Spans nest
+//! (sweep point or replay pass) it belongs to. Spans nest
 //! on one open-span stack: every traced call is made from the
 //! benchmark thread, or from a worker while the benchmark thread waits
 //! on it, so the stack always reflects the caller chain.

@@ -1,12 +1,14 @@
-//! The `sweep` workload: the paper-figure points submitted as one batch
+//! The `sweep` workload: the paper-figure points submitted one at a time
 //! to a one-worker `SweepService`, every point built, frozen and run
-//! once on a fresh service.
+//! once on a fresh service. The host's speed is probed between points,
+//! while the worker waits for the next one.
 
 use crate::fidelity::{self, TileCycles};
 use crate::spans::Tracer;
+use crate::speed::Clock;
 use crate::{Counters, Round, Size, Workload, derive_seed};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use step_bench::{PointResult, SimPoint, SweepService, SweepUnit, UnitFailure};
 use step_core::{Graph, Result, StepError};
 use step_models::ModelConfig;
@@ -249,43 +251,45 @@ impl Sweep {
     }
 }
 
-/// Runs the units one at a time: each point's plan is checked out on
-/// this thread first, so the worker's `wall_ms` covers the run alone.
-fn run_traced(
+type UnitResult = std::result::Result<PointResult, UnitFailure>;
+
+/// Submits one unit and waits for its result.
+fn submit(svc: &SweepService, unit: SweepUnit) -> UnitResult {
+    svc.submit(vec![unit])
+        .next()
+        .expect("a stream yields one result per unit")
+}
+
+/// [`submit`] under spans: the point's plan is checked out on this
+/// thread first, so the worker's `wall_ms` covers the run alone.
+fn submit_traced(
     svc: &SweepService,
-    units: Vec<SweepUnit>,
+    mut unit: SweepUnit,
+    id: u64,
     tracer: &Arc<Tracer>,
-) -> Vec<std::result::Result<PointResult, UnitFailure>> {
-    let _round = tracer.span("bench.round", None);
-    let mut results = Vec::with_capacity(units.len());
-    for (i, mut unit) in units.into_iter().enumerate() {
-        let id = Some(i as u64);
-        if let SweepUnit::Sim(p) = &mut unit {
-            let mut inner = std::mem::replace(&mut p.build, Box::new(|| unreachable!()));
-            let t = tracer.clone();
-            p.build = Box::new(move || {
-                let _s = t.span("models.build", id);
-                inner()
-            });
-            let misses = svc.cache().stats().misses;
-            let mut s = tracer.span("sim.plan", id);
-            // A failed checkout fails the unit on the worker too.
-            let _ = svc.cache().checkout(p.builder, &p.cfg, &mut p.build);
-            if svc.cache().stats().misses == misses {
-                s.rename("bench.plan_cache");
-            }
+) -> UnitResult {
+    let id = Some(id);
+    if let SweepUnit::Sim(p) = &mut unit {
+        let mut inner = std::mem::replace(&mut p.build, Box::new(|| unreachable!()));
+        let t = tracer.clone();
+        p.build = Box::new(move || {
+            let _s = t.span("models.build", id);
+            inner()
+        });
+        let misses = svc.cache().stats().misses;
+        let mut s = tracer.span("sim.plan", id);
+        // A failed checkout fails the unit on the worker too.
+        let _ = svc.cache().checkout(p.builder, &p.cfg, &mut p.build);
+        if svc.cache().stats().misses == misses {
+            s.rename("bench.plan_cache");
         }
-        let _s = tracer.span("bench.service", id);
-        let r = svc
-            .submit(vec![unit])
-            .next()
-            .expect("a stream yields one result per unit");
-        if let Ok(pr) = &r {
-            tracer.record_child("sim.run", id, Duration::from_secs_f64(pr.wall_ms / 1e3));
-        }
-        results.push(r);
     }
-    results
+    let _s = tracer.span("bench.service", id);
+    let r = submit(svc, unit);
+    if let Ok(pr) = &r {
+        tracer.record_child("sim.run", id, Duration::from_secs_f64(pr.wall_ms / 1e3));
+    }
+    r
 }
 
 /// A report minus the host-side run-state counters, which record how a
@@ -322,12 +326,17 @@ impl Workload for Sweep {
     fn round(&mut self, tracer: Option<&Arc<Tracer>>) -> Round {
         let svc = self.service.take().expect("round after set-up");
         let units = std::mem::take(&mut self.units);
-        let start = Instant::now();
-        let results: Vec<_> = match tracer {
-            Some(t) => run_traced(&svc, units, t),
-            None => svc.submit(units).collect(),
-        };
-        let wall = start.elapsed();
+        let round_span = tracer.map(|t| t.span("bench.round", None));
+        let mut clock = Clock::start(tracer);
+        let mut results = Vec::with_capacity(units.len());
+        for (i, unit) in units.into_iter().enumerate() {
+            results.push(match tracer {
+                Some(t) => submit_traced(&svc, unit, i as u64, t),
+                None => submit(&svc, unit),
+            });
+            clock.lap();
+        }
+        drop(round_span);
         let entries = svc.cache().len();
         drop(svc);
 
@@ -335,15 +344,9 @@ impl Workload for Sweep {
         let mut rows = vec![None; self.points.len()];
         let mut reports: Vec<Option<SimReport>> = vec![None; self.points.len()];
         let mut counters = Counters::new();
-        let mut unit_ms = vec![0.0; self.points.len()];
         for (i, r) in results.into_iter().enumerate() {
             let report = match r {
-                Ok(PointResult {
-                    report, wall_ms, ..
-                }) => {
-                    unit_ms[i] = wall_ms;
-                    report
-                }
+                Ok(PointResult { report, .. }) => report,
                 Err(e) => {
                     eprintln!("failed: {e}");
                     bad[i] = true;
@@ -398,10 +401,10 @@ impl Workload for Sweep {
             }
         }
         Round {
-            wall,
+            wall: clock.raw(),
+            scaled: clock.scaled(),
             attempted: self.points.len() as u64,
             failed: bad.iter().filter(|&&b| b).count() as u64,
-            unit_ms,
             counters,
         }
     }

@@ -7,7 +7,7 @@ use std::time::Instant;
 use step_perfbench::serving::Replay;
 use step_perfbench::sweep::{Sweep, failing_point, points};
 use step_perfbench::{
-    Config, END_TO_END, Kind, Output, PER_LAYER, Size, Workload, run, run_workload,
+    Config, END_TO_END, Kind, MIN_ROUNDS, Output, PER_LAYER, Size, Workload, run, run_workload,
 };
 
 /// A parsed JSON value — just enough to read `BENCHMARK.json` and the
@@ -193,7 +193,7 @@ fn digest_lines(out: &Output) -> Vec<&String> {
 
 #[test]
 fn smoke_runs_print_every_metric_with_no_failures_and_one_digest() {
-    for kind in [Kind::Sweep, Kind::Serve, Kind::Replay] {
+    for kind in [Kind::Sweep, Kind::Replay] {
         let plain = run(&config(kind, false), Instant::now());
         check_result(&plain, &END_TO_END);
         for (name, value) in [("wall_s", 0.0), ("setup_s", 0.0), ("peak_rss_mb", 0.0)] {
@@ -247,7 +247,7 @@ fn benchmark_json_lists_exactly_the_printed_metrics() {
         .iter()
         .map(|w| w.get("name").str())
         .collect();
-    assert_eq!(workloads, ["sweep", "serve", "replay"]);
+    assert_eq!(workloads, ["sweep", "replay"]);
     for w in workloads {
         assert!(Kind::parse(w).is_some(), "{w}");
     }
@@ -279,7 +279,7 @@ fn an_erroring_sweep_point_fails_its_unit_without_aborting_the_run() {
     let mut sweep = Sweep::with_extra(4, Size::Smoke, vec![failing_point("injected")]);
     let out = run_workload(&config(Kind::Sweep, false), &mut sweep, Instant::now());
     assert!(!out.correct);
-    assert_eq!(out.failed, 6, "one failure per round, six rounds");
+    assert_eq!(out.failed, MIN_ROUNDS as u64, "one failure per round");
     assert!(
         out.lines
             .iter()
@@ -293,6 +293,7 @@ fn the_command_rejects_bad_flags_without_printing_a_result() {
     let run = ["--seed", "1", "--seconds", "0", "--trace", "0"];
     for bad in [
         &["--workload", "nope"][..],
+        &["--workload", "serve"],
         &["--workload", "replay", "--size", "smoke"],
         &["--workload", "replay", "--trace", "2"],
         &["--workload"],
