@@ -1,6 +1,5 @@
 //! Experiment harness regenerating every table and figure of the STeP
-//! paper's evaluation (see DESIGN.md's per-experiment index and
-//! EXPERIMENTS.md for the recorded results).
+//! paper's evaluation.
 //!
 //! Each `fig*` binary is a thin wrapper over a function in
 //! [`experiments`] that returns structured rows; rows are printed as

@@ -23,10 +23,12 @@
 //!   park a sticky `Failed` slot that the next request retakes, and
 //!   panics resolve to typed errors instead of stranding waiters;
 //! - a `std::thread` worker pool (no external deps, per the workspace
-//!   convention). Each worker keeps a private `plan.id() →`[`RunPool`]
-//!   map, so once a worker has run a plan, its later points on that plan
-//!   reset parked run state in place — steady-state sweep points are
-//!   allocation-free (`SimReport::run_allocs == 0`);
+//!   convention). Each worker keeps one private [`RunPool`]: a point on
+//!   the plan the worker ran last resets the parked run state in place
+//!   — steady-state sweep points are allocation-free
+//!   (`SimReport::run_allocs == 0`) — and a point on another plan
+//!   rebuilds it, so a worker holds one run state however many plans a
+//!   sweep touches;
 //! - in-order result streaming: [`SweepService::submit`] returns a
 //!   [`ResultStream`] that yields results in **submission order**
 //!   regardless of completion order, by reassembling the workers'
@@ -45,7 +47,11 @@
 //! the miss (and, once built, the build), and every other request —
 //! including waiters coalesced behind an in-flight build — is a hit. A
 //! warm cache therefore always shows `builds == distinct keys` and zero
-//! further builds on rerun, whatever the worker count.
+//! further builds on rerun, whatever the worker count. Each request is
+//! counted once, when it resolves: a returned plan, or the error of the
+//! build it coalesced onto, is a hit; taking the build claim is a miss —
+//! also for a waiter that wakes to a *newer* failed slot and retakes the
+//! claim — so `misses == builds + failures` under any interleaving.
 //!
 //! # Failure semantics
 //!
@@ -180,23 +186,19 @@ impl PlanCache {
             sim: cfg.fingerprint(),
         };
         let mut slots = lock(&self.slots);
-        // `counted` keeps the counters request-scoped: one hit or miss
-        // per call, however many condvar wakeups or failed-build
-        // retakes happen in between.
-        let mut counted = false;
+        // Hit or miss is decided where the request resolves — one count
+        // per call, however many condvar wakeups happen first. A waiter
+        // that wakes to a *newer* failed slot goes on to take the claim
+        // itself, and that claim is its miss.
         let my_epoch = loop {
             match slots.get(&key) {
                 Some(Slot::Ready(plan)) => {
-                    if !counted {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(plan.clone());
                 }
                 Some(&Slot::Building { epoch }) => {
-                    if !counted {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        counted = true;
-                    }
+                    #[cfg(test)]
+                    tests::signal_wait();
                     // Sleep until *this* build resolves (epoch match —
                     // a later retake must not re-capture us)…
                     while matches!(slots.get(&key), Some(Slot::Building { epoch: e }) if *e == epoch)
@@ -204,19 +206,19 @@ impl PlanCache {
                         slots = wait(&self.ready, slots);
                     }
                     // …then propagate its failure to every coalesced
-                    // waiter, or re-dispatch on the new slot state.
+                    // waiter (a hit on that build's outcome), or
+                    // re-dispatch on the new slot state.
                     if let Some(Slot::Failed { error, epoch: e }) = slots.get(&key)
                         && *e == epoch
                     {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
                         return Err(error.clone());
                     }
                 }
                 Some(Slot::Failed { .. }) | None => {
                     // Fresh key, or a failure left by a resolved build:
                     // take the claim (a retry counts as a new miss).
-                    if !counted {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.misses.fetch_add(1, Ordering::Relaxed);
                     let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
                     slots.insert(key, Slot::Building { epoch });
                     break epoch;
@@ -697,11 +699,12 @@ impl Iterator for ResultStream {
 }
 
 fn worker_loop(inner: &ServiceInner) {
-    // Per-worker pools: after a worker's first run of a plan, its later
-    // runs of that plan reset the parked state in place (alloc-free).
+    // One pool per worker: a run of the plan the worker ran last resets
+    // the parked state in place (alloc-free); a run of any other plan
+    // rebuilds it, so the worker parks one run state, not one per plan.
     // A panicking run never parks state (pools park on success only),
     // so surviving a caught panic cannot corrupt later runs.
-    let mut pools: HashMap<u64, RunPool> = HashMap::new();
+    let mut pool = RunPool::new();
     loop {
         let task = {
             let mut q = lock(&inner.queue);
@@ -723,7 +726,7 @@ fn worker_loop(inner: &ServiceInner) {
         // the worker keeps serving the queue.
         let unit = task.unit;
         let report = catch_unwind(AssertUnwindSafe(|| {
-            run_unit(&inner.cache, &inner.reports, unit, &mut pools)
+            run_unit(&inner.cache, &inner.reports, unit, &mut pool)
         }))
         .unwrap_or_else(|p| Err(UnitError::Panicked(panic_message(p.as_ref()))));
         // A dropped stream just discards results; the worker lives on.
@@ -764,14 +767,13 @@ fn run_unit(
     cache: &PlanCache,
     reports: &ReportCache,
     unit: SweepUnit,
-    pools: &mut HashMap<u64, RunPool>,
+    pool: &mut RunPool,
 ) -> std::result::Result<UnitReport, UnitError> {
     match unit {
         SweepUnit::Sim(mut point) => {
             let plan = cache
                 .checkout(point.builder, &point.cfg, &mut point.build)
                 .map_err(classify_build)?;
-            let pool = pools.entry(plan.id()).or_default();
             let report = match &point.binding {
                 Some(binding) => plan.pooled_run_bound(binding, pool),
                 None => plan.pooled_run(pool),
@@ -807,8 +809,25 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use step_core::graph::GraphBuilder;
     use step_core::ops::LinearLoadCfg;
+
+    thread_local! {
+        /// Set by a test on the thread whose checkout should announce
+        /// that it is about to sleep on an in-flight build.
+        static WAIT_PROBE: RefCell<Option<mpsc::Sender<()>>> = const { RefCell::new(None) };
+    }
+
+    /// Test seam: signals, under the slots lock, that this thread's
+    /// checkout is about to sleep on an in-flight build.
+    pub(super) fn signal_wait() {
+        WAIT_PROBE.with(|probe| {
+            if let Some(tx) = &*probe.borrow() {
+                let _ = tx.send(());
+            }
+        });
+    }
 
     /// A tiny off-chip load/store graph whose traffic scales with
     /// `tiles` — distinct `tiles` values are distinct plans.
@@ -1115,7 +1134,54 @@ mod tests {
         );
         assert_eq!(stats.failures, FAILURES);
         assert_eq!(stats.builds, 1);
-        assert!(stats.misses >= 1 && stats.misses <= FAILURES + 1);
+        assert_eq!(stats.misses, stats.builds + stats.failures);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A checkout that sleeps on one build and wakes to a *newer*
+    /// failure — the build it waited on failed, then a later checkout
+    /// retook the key and failed too — takes the claim itself, so it
+    /// counts a miss, not a hit, and `misses == builds + failures`
+    /// holds. The interleaving is forced with a channel: the waiter
+    /// signals under the slots lock just before it sleeps, and the test,
+    /// playing both earlier claimants, can take the lock to rewrite the
+    /// slot only once the waiter is asleep.
+    #[test]
+    fn waiter_woken_by_a_newer_failure_counts_its_own_claim_as_a_miss() {
+        let cache = PlanCache::new();
+        let cfg = SimConfig::default();
+        let key = PlanKey {
+            builder: 9,
+            sim: cfg.fingerprint(),
+        };
+        lock(&cache.slots).insert(key, Slot::Building { epoch: 1 });
+        cache.epoch.store(2, Ordering::Relaxed);
+        let (tx, asleep) = mpsc::channel();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                WAIT_PROBE.with(|probe| *probe.borrow_mut() = Some(tx));
+                cache.checkout(9, &cfg, &mut || tiny_graph(2))
+            });
+            asleep.recv().expect("the waiter signals before it sleeps");
+            lock(&cache.slots).insert(
+                key,
+                Slot::Failed {
+                    error: StepError::Config("retake failed".into()),
+                    epoch: 2,
+                },
+            );
+            cache.ready.notify_all();
+            let plan = waiter.join().expect("waiter thread");
+            assert!(plan.is_ok(), "the waiter retakes the claim and builds");
+        });
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 1,
+                builds: 1,
+                failures: 0
+            }
+        );
     }
 }

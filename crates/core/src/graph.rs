@@ -121,6 +121,29 @@ impl Graph {
         &self.edges[id.0 as usize]
     }
 
+    /// The one node carrying `label` ([`GraphBuilder::label_last`]).
+    /// Model builders label their rebindable `Source` nodes, so a driver
+    /// holding only a frozen plan can find its ports in the plan's graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StepError::Config`] if no node, or more than one,
+    /// carries the label.
+    pub fn node_labelled(&self, label: &str) -> Result<NodeId> {
+        let mut found = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.label == label);
+        match (found.next(), found.next()) {
+            (Some((i, _)), None) => Ok(NodeId(i as u32)),
+            (None, _) => Err(StepError::Config(format!("no node labelled `{label}`"))),
+            (Some(_), Some(_)) => Err(StepError::Config(format!(
+                "more than one node labelled `{label}`"
+            ))),
+        }
+    }
+
     /// Total compute bandwidth allocated across all compute nodes, in
     /// FLOPs/cycle (the "allocated compute" resource metric of §5.3).
     pub fn allocated_compute(&self) -> u64 {
@@ -1199,6 +1222,28 @@ mod tests {
         );
         g.source(tokens, StreamShape::fixed(&[n]), ElemKind::tile(rows, cols))
             .unwrap()
+    }
+
+    #[test]
+    fn node_labelled_finds_exactly_one_node() {
+        let mut g = GraphBuilder::new();
+        let a = tile_source(&mut g, 2, 1, 1);
+        g.label_last("in.a");
+        for _ in 0..2 {
+            tile_source(&mut g, 2, 1, 1);
+            g.label_last("twin");
+        }
+        let a_id = g.node_of(&a);
+        let graph = g.finish();
+        assert_eq!(graph.node_labelled("in.a").unwrap(), a_id);
+        assert!(matches!(
+            graph.node_labelled("missing"),
+            Err(StepError::Config(m)) if m.contains("no node labelled `missing`")
+        ));
+        assert!(matches!(
+            graph.node_labelled("twin"),
+            Err(StepError::Config(m)) if m.contains("more than one")
+        ));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! `t[unit][op] = max(deps ready, unit free) + II`, which is exact for
 //! this mapping — giving an independent, finer-grained reference to
 //! correlate the coarse simulator against (the paper reports Pearson
-//! r = 0.99; see EXPERIMENTS.md for ours).
+//! r = 0.99; `fig8` prints ours, and README "Substitutions" records
+//! it with the absolute error).
 
 use step_models::swiglu::SwigluCfg;
 use step_sim::HbmConfig;

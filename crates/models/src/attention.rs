@@ -118,11 +118,30 @@ mod layout {
 
 /// The rebindable `Source` nodes of an attention graph, for driving one
 /// [`step_sim::SimPlan`] across decode iterations.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttentionPorts {
     /// The per-request KV-tile-address stream (`attn.requests`): bind
     /// [`attention_request_tokens`] of the iteration's KV trace.
     pub requests: step_core::graph::NodeId,
+}
+
+/// Label of the [`AttentionPorts::requests`] source.
+const REQUESTS_LABEL: &str = "attn.requests";
+
+impl AttentionPorts {
+    /// Reads the ports back from an attention graph by their labels —
+    /// how a driver holding only a (possibly cached) frozen plan finds
+    /// them in [`step_sim::SimPlan::graph`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StepError::Config`] if the graph has no node (or more
+    /// than one) labelled `attn.requests`.
+    pub fn of(graph: &step_core::Graph) -> Result<AttentionPorts> {
+        Ok(AttentionPorts {
+            requests: graph.node_labelled(REQUESTS_LABEL)?,
+        })
+    }
 }
 
 /// The token stream played by the `attn.requests` source for `kv`:
@@ -196,7 +215,7 @@ pub fn build_attention(
         StreamShape::new(vec![Dim::fixed(batch), Dim::ragged(ragged)]),
         ElemKind::Addr,
     )?;
-    g.label_last("attn.requests");
+    g.label_last(REQUESTS_LABEL);
     let ports = AttentionPorts {
         requests: g.node_of(&requests),
     };

@@ -188,7 +188,7 @@ fn swiglu_core(
 
 /// The rebindable `Source` nodes of a MoE graph, for driving one
 /// [`step_sim::SimPlan`] across decode iterations.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoePorts {
     /// The router's selector stream (`moe.router`): bind
     /// [`moe_router_tokens`] of the iteration's re-sampled routing.
@@ -199,6 +199,27 @@ pub struct MoePorts {
     /// produced (decode tokens plus prefill chunks), so both sources
     /// rebind together with matching lengths.
     pub tokens: step_core::graph::NodeId,
+}
+
+/// Labels of the [`MoePorts`] sources.
+const ROUTER_LABEL: &str = "moe.router";
+const TOKENS_LABEL: &str = "moe.tokens";
+
+impl MoePorts {
+    /// Reads the ports back from a MoE graph by their labels — how a
+    /// driver holding only a (possibly cached) frozen plan finds them in
+    /// [`step_sim::SimPlan::graph`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StepError::Config`] if the graph has no node (or more
+    /// than one) labelled `moe.router` or `moe.tokens`.
+    pub fn of(graph: &step_core::Graph) -> Result<MoePorts> {
+        Ok(MoePorts {
+            router: graph.node_labelled(ROUTER_LABEL)?,
+            tokens: graph.node_labelled(TOKENS_LABEL)?,
+        })
+    }
 }
 
 /// The token stream played by the `moe.tokens` source for a batch of
@@ -285,14 +306,14 @@ pub fn build_moe(g: &mut GraphBuilder, cfg: &MoeCfg, trace: &RoutingTrace) -> Re
         StreamShape::fixed(&[batch, 1]),
         ElemKind::tile(1, h),
     )?;
-    g.label_last("moe.tokens");
+    g.label_last(TOKENS_LABEL);
     let sels: Vec<Selector> = trace
         .assignments
         .iter()
         .map(|experts| Selector::multi(experts))
         .collect();
     let sel = g.selector_source(sels, experts)?;
-    g.label_last("moe.router");
+    g.label_last(ROUTER_LABEL);
     let ports = MoePorts {
         router: g.node_of(&sel),
         tokens: g.node_of(&tokens),

@@ -78,10 +78,10 @@
 //! engine schedules a token *stream* and erasing the sampled order
 //! perturbs the phase's cycle count slightly.
 
-use crate::attention::{AttentionCfg, attention_graph_with_ports};
+use crate::attention::{AttentionCfg, AttentionPorts, attention_graph};
 use crate::config::ModelConfig;
 use crate::e2e::E2eVariant;
-use crate::moe::{MoeCfg, moe_graph_with_ports};
+use crate::moe::{MoeCfg, MoePorts, moe_graph};
 use crate::phases::{
     bind_attention, bind_moe, canonical_routing, debug_assert_steady, moe_sim_config,
     qkv_fingerprint, qkv_graph,
@@ -471,7 +471,7 @@ impl PlanSource for FreshPlans {
 }
 
 /// The attention plan's builder fingerprint: everything
-/// [`attention_graph_with_ports`] consumes for a serving run — the
+/// [`attention_graph`] consumes for a serving run — the
 /// model, the parallelization strategy, and the envelope KV trace the
 /// dispatch queues are provisioned for.
 pub fn attn_plan_fingerprint(model: &ModelConfig, variant: &E2eVariant, envelope: &KvTrace) -> u64 {
@@ -483,7 +483,7 @@ pub fn attn_plan_fingerprint(model: &ModelConfig, variant: &E2eVariant, envelope
 }
 
 /// The MoE plan's builder fingerprint: everything
-/// [`moe_graph_with_ports`] consumes for a serving run — the model, the
+/// [`moe_graph`] consumes for a serving run — the model, the
 /// tiling schedule (with optional time-share regions), and the
 /// build-time routing trace that sizes the batch.
 pub fn moe_plan_fingerprint(
@@ -635,50 +635,41 @@ pub fn run_serve_memo(
         return Err(StepError::Config("serving trace has no requests".into()));
     }
 
-    // One plan per phase against the admitted-set envelope. Graphs (and
-    // their binding ports) are built eagerly — they are cheap relative
-    // to plan freeze (partition + executor compilation), which is what
-    // the `PlanSource` elides on a cache hit.
+    // One plan per phase against the admitted-set envelope. The graphs
+    // are built only inside the `PlanSource` build closures, so a plan
+    // hit costs a fingerprint, not a graph build; the rebindable ports
+    // are then read by label from the graph of the plan actually handed
+    // back, cached or fresh.
     let attn_cfg = AttentionCfg::new(model.clone(), variant.attention);
     let envelope = envelope_kv(trace, cfg);
-    let (attn_graph, attn_ports) = attention_graph_with_ports(&attn_cfg, &envelope)?;
     let sim_cfg = SimConfig {
         threads: cfg.threads,
         ..SimConfig::default()
     };
-    let attn_plan = {
-        let mut graph = Some(attn_graph);
-        plans.plan(
-            attn_plan_fingerprint(model, variant, &envelope),
-            &sim_cfg,
-            &mut || Ok(graph.take().expect("build closure invoked at most once")),
-        )?
-    };
+    let attn_plan = plans.plan(
+        attn_plan_fingerprint(model, variant, &envelope),
+        &sim_cfg,
+        &mut || attention_graph(&attn_cfg, &envelope),
+    )?;
+    let attn_ports = AttentionPorts::of(attn_plan.graph())?;
     let mut moe_cfg = MoeCfg::new(model.clone(), variant.tiling);
     if let Some(r) = variant.moe_regions {
         moe_cfg = moe_cfg.with_regions(r);
     }
     let moe_build = moe_build_trace(model, cfg);
-    let (moe_graph, moe_ports) = moe_graph_with_ports(&moe_cfg, &moe_build)?;
+    let moe_fingerprint = moe_plan_fingerprint(model, variant, &moe_build);
     let moe_sim_cfg = SimConfig {
         threads: cfg.threads,
         ..moe_sim_config()
     };
-    let moe_plan = {
-        let mut graph = Some(moe_graph);
-        plans.plan(
-            moe_plan_fingerprint(model, variant, &moe_build),
-            &moe_sim_cfg,
-            &mut || Ok(graph.take().expect("build closure invoked at most once")),
-        )?
-    };
+    let moe_plan = plans.plan(moe_fingerprint, &moe_sim_cfg, &mut || {
+        moe_graph(&moe_cfg, &moe_build)
+    })?;
+    let moe_ports = MoePorts::of(moe_plan.graph())?;
     // The report-cache keys' plan halves: *content* keys (builder
     // fingerprint × config fingerprint, threads excluded), so replays
     // hit across plan rebuilds, shared plan caches, and thread counts.
-    let moe_report_key = plan_content_key(
-        moe_plan_fingerprint(model, variant, &moe_build),
-        &moe_sim_cfg,
-    );
+    let moe_report_key = plan_content_key(moe_fingerprint, &moe_sim_cfg);
     // `hbm_bytes_per_cycle` sums QKV + attention + MoE traffic, so the
     // utilization denominator must be a peak the three phases *share* —
     // taking any single phase's peak silently misreports the moment a

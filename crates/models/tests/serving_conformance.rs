@@ -16,15 +16,27 @@
 //!   state) and fresh per-iteration run state produce identical reports;
 //! - **Scheduling invariants**: admission never exceeds the slot
 //!   budget, per-iteration tokens never exceed the token budget, and
-//!   every admitted request completes (no starvation).
+//!   every admitted request completes (no starvation);
+//! - **Cached plans**: the driver reads its rebindable ports by label
+//!   from the graph of whatever plan its `PlanSource` hands back; for
+//!   every attention strategy, MoE tiling and time-share variant those
+//!   ports equal the builder's, and serving over cached plans equals
+//!   serving over fresh ones.
 
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::sync::Arc;
+use step_core::{Graph, Result};
 use step_models::ModelConfig;
-use step_models::attention::{AttentionCfg, attention_graph_with_ports};
+use step_models::attention::{
+    AttentionCfg, AttentionPorts, ParallelStrategy, attention_graph, attention_graph_with_ports,
+};
 use step_models::e2e::E2eVariant;
-use step_models::moe::{MoeCfg, moe_graph_with_ports};
+use step_models::moe::{MoeCfg, MoePorts, Tiling, moe_graph, moe_graph_with_ports};
 use step_models::phases::{bind_attention, bind_moe, moe_sim_config, qkv_graph};
 use step_models::serving::{
-    ServeCfg, ServeReport, envelope_kv, iteration_routing, moe_build_trace, run_serve,
+    PlanSource, ServeCfg, ServeReport, attn_plan_fingerprint, envelope_kv, iteration_routing,
+    moe_build_trace, moe_plan_fingerprint, run_serve, run_serve_with,
 };
 use step_sim::{SimConfig, SimPlan};
 use step_traces::{ArrivalConfig, ArrivalPattern, KvTrace, LenDist, RequestTrace, arrival_trace};
@@ -259,4 +271,125 @@ fn overload_honors_slots_budget_and_drains() {
     assert_eq!(r.outcomes.len(), 20);
     // Under overload the offered load exceeds the achieved goodput.
     assert!(r.offered_per_mcycle > r.goodput_per_mcycle);
+}
+
+/// A [`PlanSource`] that freezes each `(fingerprint, config)` once and
+/// hands the same plan back on every later request.
+#[derive(Default)]
+struct CachedPlans {
+    plans: RefCell<HashMap<(u64, u64), Arc<SimPlan>>>,
+    builds: Cell<u64>,
+}
+
+impl PlanSource for CachedPlans {
+    fn plan(
+        &self,
+        fingerprint: u64,
+        cfg: &SimConfig,
+        build: &mut dyn FnMut() -> Result<Graph>,
+    ) -> Result<Arc<SimPlan>> {
+        let key = (fingerprint, cfg.fingerprint());
+        if let Some(plan) = self.plans.borrow().get(&key) {
+            return Ok(plan.clone());
+        }
+        self.builds.set(self.builds.get() + 1);
+        let plan = Arc::new(SimPlan::new(build()?, cfg.clone())?);
+        self.plans.borrow_mut().insert(key, plan.clone());
+        Ok(plan)
+    }
+}
+
+/// Every variant axis the serving driver accepts: the three attention
+/// strategies, static and dynamic MoE tiling, and fully spatial or
+/// time-shared experts.
+fn all_variants() -> Vec<E2eVariant> {
+    let mut out = Vec::new();
+    for attention in [
+        ParallelStrategy::StaticCoarse { quota: 1 },
+        ParallelStrategy::StaticInterleaved,
+        ParallelStrategy::Dynamic,
+    ] {
+        for tiling in [Tiling::Static { tile: 4 }, Tiling::Dynamic] {
+            for moe_regions in [None, Some(2)] {
+                out.push(E2eVariant {
+                    name: format!("{attention} {tiling} {moe_regions:?}"),
+                    tiling,
+                    moe_regions,
+                    attention,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The ports the driver reads by label from a cached plan's graph are
+/// the ports the builder returned, for every variant — on the miss that
+/// builds the plan and on the hit that does not.
+#[test]
+fn ports_read_by_label_from_cached_plans_match_the_builders() {
+    let model = tiny_model();
+    let (tr, cfg) = (trace(8, 20_000.0, 9), serve_cfg());
+    let envelope = envelope_kv(&tr, &cfg);
+    let moe_build = moe_build_trace(&model, &cfg);
+    let plans = CachedPlans::default();
+    let variants = all_variants();
+    for v in &variants {
+        let attn_cfg = AttentionCfg::new(model.clone(), v.attention);
+        let (_, built) = attention_graph_with_ports(&attn_cfg, &envelope).unwrap();
+        let mut moe_cfg = MoeCfg::new(model.clone(), v.tiling);
+        if let Some(r) = v.moe_regions {
+            moe_cfg = moe_cfg.with_regions(r);
+        }
+        let (_, moe_built) = moe_graph_with_ports(&moe_cfg, &moe_build).unwrap();
+        for _ in 0..2 {
+            let plan = plans
+                .plan(
+                    attn_plan_fingerprint(&model, v, &envelope),
+                    &SimConfig::default(),
+                    &mut || attention_graph(&attn_cfg, &envelope),
+                )
+                .unwrap();
+            assert_eq!(
+                AttentionPorts::of(plan.graph()).unwrap(),
+                built,
+                "{}",
+                v.name
+            );
+            let plan = plans
+                .plan(
+                    moe_plan_fingerprint(&model, v, &moe_build),
+                    &moe_sim_config(),
+                    &mut || moe_graph(&moe_cfg, &moe_build),
+                )
+                .unwrap();
+            assert_eq!(MoePorts::of(plan.graph()).unwrap(), moe_built, "{}", v.name);
+        }
+    }
+    // One build per distinct attention strategy and MoE schedule: the
+    // second request of each was served from the cache.
+    assert_eq!(plans.builds.get(), 3 + 4);
+    // A graph without the labels is a typed error, not a panic.
+    let unlabelled = qkv_graph(&model, 4).unwrap();
+    assert!(AttentionPorts::of(&unlabelled).is_err());
+    assert!(MoePorts::of(&unlabelled).is_err());
+}
+
+/// Serving over cached plans — where every port comes from a plan the
+/// driver did not build in this run — equals serving over fresh plans,
+/// for every variant.
+#[test]
+fn serving_over_cached_plans_matches_fresh_plans() {
+    let model = tiny_model();
+    let (tr, cfg) = (trace(6, 20_000.0, 9), serve_cfg());
+    let plans = CachedPlans::default();
+    for v in &all_variants() {
+        let fresh = run_serve(&model, v, &tr, &cfg).unwrap();
+        let cold = run_serve_with(&model, v, &tr, &cfg, &plans).unwrap();
+        let builds = plans.builds.get();
+        let warm = run_serve_with(&model, v, &tr, &cfg, &plans).unwrap();
+        assert_eq!(plans.builds.get(), builds, "{}: warm run rebuilt", v.name);
+        assert_eq!(cold, fresh, "{}", v.name);
+        assert_eq!(warm, fresh, "{}", v.name);
+    }
 }

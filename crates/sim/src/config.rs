@@ -1,7 +1,7 @@
 //! Simulator configuration.
 
-/// Timing parameters of the HBM model (standing in for Ramulator 2.0; see
-//  DESIGN.md).
+/// Timing parameters of the HBM model, standing in for Ramulator 2.0
+/// (README "Substitutions").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HbmConfig {
     /// Peak data-bus bandwidth in bytes per cycle. The paper's experiments

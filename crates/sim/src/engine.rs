@@ -1092,28 +1092,37 @@ impl RunBinding {
     }
 
     /// The content identity of this binding for report-cache keys: a
-    /// seeded [`crate::Fingerprint`] folding every bound source's token
-    /// stream (in node-id order — `sources` is a `BTreeMap`, so
-    /// insertion order cannot leak in), every preload (address, shape,
-    /// and data bits), and the **deterministic** limits (cycle and round
-    /// deadlines change a run's outcome, so they are part of its
-    /// identity). The host-dependent limits — wall deadline and
-    /// cancellation — are deliberately *not* folded: they make the
+    /// seeded [`crate::Fingerprint`] folding every bound source's node
+    /// id and token stream (in node-id order — `sources` is a
+    /// `BTreeMap`, so insertion order cannot leak in), every preload
+    /// (address, shape, and data bits), and the **deterministic** limits
+    /// (cycle and round deadlines change a run's outcome, so they are
+    /// part of its identity). The host-dependent limits — wall deadline
+    /// and cancellation — are deliberately *not* folded: they make the
     /// outcome impure, which [`RunBinding::cache_safe`] reports so
     /// caches can bypass such bindings entirely.
     ///
+    /// Tokens fold structurally ([`crate::Fingerprint::push_token`]):
+    /// a tag per token and element variant, then the stop level, tile
+    /// rows, cols and phantom-or-dense value bits, selector targets,
+    /// buffer id and dims, address, bool, or tuple elements, with every
+    /// variable-length part length-prefixed. No token is formatted, so
+    /// a cache hit costs one pass over the binding's bytes.
+    ///
     /// Two bindings with equal fingerprints drive a given plan to
     /// bit-identical reports (minus the host-side `run_allocs` /
-    /// `pool_resets` bookkeeping); any single-token, ordering, or
+    /// `pool_resets` bookkeeping); any single-field, ordering, or
     /// preload perturbation changes the fingerprint
     /// (`crates/sim/tests/report_cache.rs` holds both directions over
-    /// seeded generators).
+    /// seeded generators and every element variant).
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new("RunBinding");
         fp.push_u64(self.sources.len() as u64);
         for (id, tokens) in &self.sources {
-            fp.push_debug(id).push_u64(tokens.len() as u64);
-            fp.push_debug(tokens);
+            fp.push_u32(id.0).push_u64(tokens.len() as u64);
+            for token in tokens {
+                fp.push_token(token);
+            }
         }
         fp.push_u64(self.preloads.len() as u64);
         for (base, rows, cols, data) in &self.preloads {
@@ -1125,8 +1134,9 @@ impl RunBinding {
                 fp.push_u64(u64::from(v.to_bits()));
             }
         }
-        fp.push_debug(&self.limits.deadline_cycles);
-        fp.push_debug(&self.limits.deadline_rounds);
+        for limit in [self.limits.deadline_cycles, self.limits.deadline_rounds] {
+            fp.push_bool(limit.is_some()).push_u64(limit.unwrap_or(0));
+        }
         fp.finish()
     }
 
@@ -1158,8 +1168,9 @@ struct RunState<N> {
 /// [`SimPlan::pooled_run_bound`].
 ///
 /// The pool remembers which plan its state belongs to; handing it to a
-/// different plan simply rebuilds (and re-parks) fresh state, so one
-/// pool can trail a sweep across plans. A run that fails mid-flight
+/// different plan releases that state and builds (and re-parks) fresh
+/// state, so one pool can trail a sweep across plans holding one run
+/// state at a time. A run that fails mid-flight
 /// drops its state instead of parking it — a poisoned half-run state
 /// must never leak into the next run.
 #[derive(Default)]
@@ -1460,12 +1471,15 @@ impl SimPlan {
         // must not cost the pool its buffers.
         self.validate_binding(binding)?;
         let ctrl = RunCtrl::new(&binding.limits);
-        let (mut state, reused) = match pool.state.take() {
-            Some(mut st) if pool.plan_id == self.id => {
+        // Another plan's parked state is released before the rebuild, so
+        // the new state can reuse its memory.
+        let parked = pool.state.take().filter(|_| pool.plan_id == self.id);
+        let (mut state, reused) = match parked {
+            Some(mut st) => {
                 self.reset_state(&mut st, binding);
                 (st, true)
             }
-            _ => (self.build_compiled_state(binding)?, false),
+            None => (self.build_compiled_state(binding)?, false),
         };
         self.drive(&mut state, &ctrl)?;
         let mut report = self.build_report(&mut state);

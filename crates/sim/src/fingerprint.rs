@@ -12,9 +12,17 @@
 //! Every `push_*` method is length- or width-prefixed where ambiguity is
 //! possible (`push_str`, `push_bytes`), so `"ab" + "c"` and `"a" + "bc"`
 //! fold differently.
+//!
+//! [`Fingerprint::push_token`] folds stream data — the per-run source
+//! streams that key the report cache — structurally: a tag per variant,
+//! then its fields, with every variable-length part length-prefixed.
+//! Nothing is formatted, so keying a binding costs a pass over its
+//! bytes rather than a `Debug` render of every token.
 
 use crate::config::SimConfig;
 use std::fmt::Write as _;
+use step_core::elem::Elem;
+use step_core::token::Token;
 
 /// An explicitly seeded FNV-1a accumulator for plan-cache keys.
 ///
@@ -65,6 +73,18 @@ impl Fingerprint {
         self
     }
 
+    /// Folds one `u32`.
+    pub fn push_u32(&mut self, x: u32) -> &mut Self {
+        self.fold(&x.to_le_bytes());
+        self
+    }
+
+    /// Folds one byte.
+    pub fn push_u8(&mut self, x: u8) -> &mut Self {
+        self.fold(&[x]);
+        self
+    }
+
     /// Folds one `bool`.
     pub fn push_bool(&mut self, x: bool) -> &mut Self {
         self.fold(&[x as u8]);
@@ -95,6 +115,68 @@ impl Fingerprint {
         self.push_str(&scratch);
         self.scratch = scratch;
         self
+    }
+
+    /// Folds one stream token: a variant tag, then the stop level or the
+    /// value's element ([`Fingerprint::push_elem`]). The encoding is
+    /// self-delimiting, so two token sequences fold the same bytes
+    /// exactly when they are equal field for field (dense tile values
+    /// by bit pattern).
+    pub fn push_token(&mut self, token: &Token) -> &mut Self {
+        match token {
+            Token::Val(e) => self.push_u8(0).push_elem(e),
+            Token::Stop(level) => self.push_u8(1).push_u8(*level),
+            Token::Done => self.push_u8(2),
+        }
+    }
+
+    /// Folds one stream element: a variant tag, then its fields. A tile
+    /// folds its rows, cols and a phantom-or-dense tag, then — if dense
+    /// — its length-prefixed value bits; a selector its length-prefixed
+    /// targets; a buffer reference its id and length-prefixed dims; a
+    /// tuple its length-prefixed elements.
+    pub fn push_elem(&mut self, elem: &Elem) -> &mut Self {
+        match elem {
+            Elem::Tile(t) => {
+                self.push_u8(0)
+                    .push_u64(t.rows() as u64)
+                    .push_u64(t.cols() as u64);
+                match t.values() {
+                    None => self.push_u8(0),
+                    Some(values) => {
+                        self.push_u8(1).push_u64(values.len() as u64);
+                        for v in values {
+                            self.push_u32(v.to_bits());
+                        }
+                        self
+                    }
+                }
+            }
+            Elem::Sel(s) => {
+                self.push_u8(1).push_u64(s.len() as u64);
+                for &target in s.targets() {
+                    self.push_u32(target);
+                }
+                self
+            }
+            Elem::Buf(b) => {
+                self.push_u8(2).push_u64(b.id).push_u64(b.dims.len() as u64);
+                for &d in &b.dims {
+                    self.push_u64(d);
+                }
+                self
+            }
+            Elem::Addr(a) => self.push_u8(3).push_u64(*a),
+            Elem::Bool(b) => self.push_u8(4).push_bool(*b),
+            Elem::Unit => self.push_u8(5),
+            Elem::Tuple(items) => {
+                self.push_u8(6).push_u64(items.len() as u64);
+                for item in items {
+                    self.push_elem(item);
+                }
+                self
+            }
+        }
     }
 
     /// The accumulated 64-bit fingerprint.

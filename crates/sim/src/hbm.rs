@@ -17,8 +17,8 @@
 //! arriving out of order in *host* execution order, which the
 //! conservative round-robin scheduler produces: a request stamped early
 //! in simulated time correctly uses leftover early capacity even when
-//! issued late. See DESIGN.md for the substitution argument versus
-//! Ramulator.
+//! issued late. The README's "Substitutions" section gives the
+//! argument for this model in place of Ramulator.
 
 use crate::config::HbmConfig;
 

@@ -30,7 +30,7 @@
 //!   shuttles token runs and freed-slot credit runs between them at
 //!   coordination barriers;
 //! - [`hbm::Hbm`] — a bank/row/bus DRAM timing model standing in for
-//!   Ramulator 2.0 (see DESIGN.md for the substitution argument). Sharded
+//!   Ramulator 2.0 (README "Substitutions" gives the argument). Sharded
 //!   runs issue [`hbm::HbmRequest`]s that the engine commits at each
 //!   barrier in `(time, node, seq)` order — a total order independent of
 //!   worker scheduling;

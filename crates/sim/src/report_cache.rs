@@ -62,9 +62,12 @@
 //! simulates; coalesced waiters share the result and count as hits), a
 //! failed run moves its slot to a sticky `Failed` state that wakes every
 //! coalesced waiter with the error, and the next request for the key
-//! retakes the claim (a new miss). `hits + misses` always equals the
-//! requests made; `canonical_hits` says how many hits came from the
-//! canonical layer. [`ReportCache::checked`]'s re-simulations change no
+//! retakes the claim (a new miss). A request is counted once, when it
+//! resolves: a replay, or a coalesced run's error, is a hit; taking the
+//! claim is a miss — also for a waiter that wakes to a *newer* failure
+//! and retakes the claim itself — so every engine run is a miss.
+//! `hits + misses` always equals the requests made; `canonical_hits`
+//! says how many hits came from the canonical layer. [`ReportCache::checked`]'s re-simulations change no
 //! counter — the stats are mode-independent.
 
 use crate::config::SimConfig;
@@ -354,17 +357,16 @@ impl ReportCache {
         }
         let key = (plan, binding.fingerprint());
         let mut slots = lock(&self.slots);
-        // `counted` keeps the counters request-scoped: one hit or miss
-        // per call, however many condvar wakeups happen in between.
-        let mut counted = false;
+        // Hit or miss is decided where the request resolves — one count
+        // per call, however many condvar wakeups happen first. A waiter
+        // that wakes to a *newer* failed slot goes on to take the claim
+        // itself, and that claim is its miss.
         let my_epoch = loop {
             match slots.get(&key) {
                 Some(Slot::Ready(report)) => {
                     let report = report.clone();
                     drop(slots);
-                    if !counted {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     self.check_exact(&report, run)?;
                     return Ok(Replay {
                         report,
@@ -372,10 +374,8 @@ impl ReportCache {
                     });
                 }
                 Some(&Slot::Building { epoch }) => {
-                    if !counted {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        counted = true;
-                    }
+                    #[cfg(test)]
+                    tests::signal_wait();
                     // Sleep until *this* run resolves (epoch match — a
                     // later retake must not re-capture us)…
                     while matches!(slots.get(&key), Some(Slot::Building { epoch: e }) if *e == epoch)
@@ -383,10 +383,12 @@ impl ReportCache {
                         slots = wait(&self.ready, slots);
                     }
                     // …then propagate its failure to every coalesced
-                    // waiter, or re-dispatch on the new slot state.
+                    // waiter (a hit on that run's outcome), or
+                    // re-dispatch on the new slot state.
                     if let Some(Slot::Failed { error, epoch: e }) = slots.get(&key)
                         && *e == epoch
                     {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
                         return Err(error.clone());
                     }
                 }
@@ -399,9 +401,7 @@ impl ReportCache {
                         && let Some(report) = lock(&self.canon).get(&(plan, c)).cloned()
                     {
                         drop(slots);
-                        if !counted {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                        }
+                        self.hits.fetch_add(1, Ordering::Relaxed);
                         self.canonical_hits.fetch_add(1, Ordering::Relaxed);
                         self.check_canonical(&report, run)?;
                         return Ok(Replay {
@@ -411,9 +411,7 @@ impl ReportCache {
                     }
                     // Fresh key, or a failure left by a resolved run:
                     // take the claim (a retry counts as a new miss).
-                    if !counted {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.misses.fetch_add(1, Ordering::Relaxed);
                     let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
                     slots.insert(key, Slot::Building { epoch });
                     break epoch;
@@ -528,5 +526,85 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::SimPlan;
+    use std::cell::RefCell;
+    use std::sync::mpsc;
+    use step_core::graph::GraphBuilder;
+    use step_core::ops::LinearLoadCfg;
+
+    thread_local! {
+        /// Set by a test on the thread whose request should announce
+        /// that it is about to sleep on an in-flight run.
+        static WAIT_PROBE: RefCell<Option<mpsc::Sender<()>>> = const { RefCell::new(None) };
+    }
+
+    /// Test seam: signals, under the slots lock, that this thread's
+    /// request is about to sleep on an in-flight run.
+    pub(super) fn signal_wait() {
+        WAIT_PROBE.with(|probe| {
+            if let Some(tx) = &*probe.borrow() {
+                let _ = tx.send(());
+            }
+        });
+    }
+
+    /// One off-chip tile loaded and stored back.
+    fn tiny_run() -> Result<SimReport> {
+        let mut g = GraphBuilder::new();
+        let trigger = g.unit_source(1);
+        let loaded = g.linear_offchip_load(&trigger, LinearLoadCfg::new(0, (64, 64), (64, 64)))?;
+        g.linear_offchip_store(&loaded, 0x10_0000)?;
+        SimPlan::new(g.finish(), SimConfig::default())?.run()
+    }
+
+    /// A request that sleeps on one run and wakes to a *newer* failure
+    /// — the run it waited on failed, then a later request retook the
+    /// key and failed too — takes the claim itself, so it counts a
+    /// miss, not a hit. The interleaving is forced with a channel: the
+    /// waiter signals under the slots lock just before it sleeps, and
+    /// the test, playing both earlier claimants, can take the lock to
+    /// rewrite the slot only once the waiter is asleep.
+    #[test]
+    fn waiter_woken_by_a_newer_failure_counts_its_own_claim_as_a_miss() {
+        let cache = ReportCache::new();
+        let binding = RunBinding::new();
+        let key = (7, binding.fingerprint());
+        lock(&cache.slots).insert(key, Slot::Building { epoch: 1 });
+        cache.epoch.store(2, Ordering::Relaxed);
+        let (tx, asleep) = mpsc::channel();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                WAIT_PROBE.with(|probe| *probe.borrow_mut() = Some(tx));
+                cache.replay_or_run(7, &binding, None, &mut tiny_run)
+            });
+            asleep.recv().expect("the waiter signals before it sleeps");
+            lock(&cache.slots).insert(
+                key,
+                Slot::Failed {
+                    error: StepError::Exec("retake failed".into()),
+                    epoch: 2,
+                },
+            );
+            cache.ready.notify_all();
+            let replay = waiter
+                .join()
+                .expect("waiter thread")
+                .expect("the waiter retakes the claim and runs");
+            assert_eq!(replay.resolution, Resolution::Simulated);
+        });
+        assert_eq!(
+            cache.stats(),
+            ReportCacheStats {
+                hits: 0,
+                misses: 1,
+                canonical_hits: 0
+            }
+        );
     }
 }

@@ -6,8 +6,9 @@
 //!    bindings fingerprint equal (including across source insertion
 //!    order — sources live in a `BTreeMap`), and any perturbation that
 //!    can change a run's outcome — a token's value, a stream's order or
-//!    length, a preload's address/shape/data, a deterministic deadline —
-//!    changes the fingerprint. Host-dependent limits (wall deadline,
+//!    length, a stop level, any one field of any element variant, a
+//!    preload's address/shape/data, a deterministic deadline — changes
+//!    the fingerprint. Host-dependent limits (wall deadline,
 //!    cancellation) are deliberately *not* part of the identity; they
 //!    make the binding non-cache-safe instead.
 //! 2. **Cache semantics** ([`ReportCache`]): exact hits are
@@ -24,7 +25,7 @@ use std::panic::{AssertUnwindSafe, catch_unwind};
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use step_core::Graph;
-use step_core::elem::{Elem, ElemKind};
+use step_core::elem::{BufRef, Elem, ElemKind, Selector};
 use step_core::error::StepError;
 use step_core::graph::{GraphBuilder, NodeId};
 use step_core::shape::StreamShape;
@@ -191,7 +192,192 @@ fn any_outcome_relevant_perturbation_changes_the_fingerprint() {
         assert_eq!(b.fingerprint(), fp);
         assert!(!b.cache_safe());
         assert!(base.cache_safe());
+        every_element_field_is_identity(seed, &mut rng);
     }
+}
+
+/// A rank-2 stream holding every element variant — phantom and dense
+/// tiles, a selector, a buffer reference, an address, a bool, unit and
+/// a nested tuple — between `Stop(1)` and `Stop(2)` boundaries. Dense
+/// payloads are freshly allocated on every call, so equal streams share
+/// no `Arc`.
+fn zoo_stream(seed: u64) -> Vec<Token> {
+    let mut rng = Rng(seed);
+    let dense: Vec<f32> = (0..4).map(|_| rng.f32()).collect();
+    let (id, addr) = (rng.next() % 64, rng.next());
+    let val = Token::Val;
+    vec![
+        val(Elem::Tile(Tile::phantom(2, 3))),
+        val(Elem::Tile(Tile::dense(2, 2, dense))),
+        Token::Stop(1),
+        val(Elem::Sel(Selector::multi(&[1, 4]))),
+        val(Elem::Buf(BufRef {
+            id,
+            dims: vec![2, 3],
+        })),
+        Token::Stop(2),
+        val(Elem::Addr(addr)),
+        val(Elem::Bool(true)),
+        val(Elem::Unit),
+        Token::Stop(1),
+        val(Elem::Tuple(vec![
+            Elem::Addr(addr),
+            Elem::Tuple(vec![Elem::Bool(false), Elem::Unit]),
+        ])),
+        Token::Stop(2),
+        Token::Done,
+    ]
+}
+
+fn zoo_fingerprint(tokens: Vec<Token>) -> u64 {
+    let mut b = RunBinding::new();
+    b.bind_source(NodeId(3), tokens);
+    b.fingerprint()
+}
+
+/// Equal streams key equal, and a change to any one field of any token
+/// — a stop level, a tile's shape or payload, a selector target, a
+/// buffer's id or dims, an address, a bool, a tuple's arity or nesting,
+/// or an element's variant — keys differently.
+fn every_element_field_is_identity(seed: u64, rng: &mut Rng) {
+    let base = zoo_fingerprint(zoo_stream(seed));
+    assert_eq!(
+        base,
+        zoo_fingerprint(zoo_stream(seed)),
+        "seed {seed}: equal streams with separately allocated payloads keyed apart"
+    );
+    let bump = 1 + (rng.next() % 7) as u32;
+    let edits: Vec<(&str, usize, Token)> = vec![
+        ("stop level 1 -> 2", 2, Token::Stop(2)),
+        ("stop level 2 -> 1", 5, Token::Stop(1)),
+        (
+            "phantom rows",
+            0,
+            Token::Val(Elem::Tile(Tile::phantom(4, 3))),
+        ),
+        (
+            "phantom rows <-> cols",
+            0,
+            Token::Val(Elem::Tile(Tile::phantom(3, 2))),
+        ),
+        (
+            "phantom -> dense of one shape",
+            0,
+            Token::Val(Elem::Tile(Tile::zeros(2, 3))),
+        ),
+        (
+            "dense -> phantom of one shape",
+            1,
+            Token::Val(Elem::Tile(Tile::phantom(2, 2))),
+        ),
+        (
+            "selector target",
+            3,
+            Token::Val(Elem::Sel(Selector::multi(&[1, 4 + bump]))),
+        ),
+        (
+            "selector length",
+            3,
+            Token::Val(Elem::Sel(Selector::multi(&[1]))),
+        ),
+        ("bool", 7, Token::Val(Elem::Bool(false))),
+        (
+            "unit -> empty tuple",
+            8,
+            Token::Val(Elem::Tuple(Vec::new())),
+        ),
+        ("unit -> bool", 8, Token::Val(Elem::Bool(false))),
+    ];
+    for (what, at, token) in edits {
+        let mut tokens = zoo_stream(seed);
+        tokens[at] = token;
+        assert_ne!(zoo_fingerprint(tokens), base, "seed {seed}: {what}");
+    }
+    // Field edits in place, so the rest of each element is untouched.
+    type Edit = fn(&mut Elem, u64);
+    let in_place: Vec<(&str, usize, Edit)> = vec![
+        ("dense value bit", 1, |e, _| {
+            if let Elem::Tile(t) = e {
+                let mut v = t.values().unwrap().to_vec();
+                v[0] = f32::from_bits(v[0].to_bits() ^ 1);
+                *t = Tile::dense(2, 2, v);
+            }
+        }),
+        ("buffer id", 4, |e, k| {
+            if let Elem::Buf(b) = e {
+                b.id += k;
+            }
+        }),
+        ("buffer dim", 4, |e, k| {
+            if let Elem::Buf(b) = e {
+                b.dims[1] += k;
+            }
+        }),
+        ("buffer rank", 4, |e, _| {
+            if let Elem::Buf(b) = e {
+                b.dims.push(1);
+            }
+        }),
+        ("buffer -> address of its id", 4, |e, _| {
+            if let Elem::Buf(b) = e {
+                *e = Elem::Addr(b.id);
+            }
+        }),
+        ("address", 6, |e, k| {
+            if let Elem::Addr(a) = e {
+                *a ^= k;
+            }
+        }),
+        ("address -> rank-0 buffer of it", 6, |e, _| {
+            if let Elem::Addr(a) = e {
+                *e = Elem::Buf(BufRef {
+                    id: *a,
+                    dims: Vec::new(),
+                });
+            }
+        }),
+        ("nested tuple field", 10, |e, _| {
+            if let Elem::Tuple(items) = e
+                && let Elem::Tuple(inner) = &mut items[1]
+            {
+                inner[0] = Elem::Bool(true);
+            }
+        }),
+        ("tuple arity", 10, |e, _| {
+            if let Elem::Tuple(items) = e {
+                items.pop();
+            }
+        }),
+        ("tuple flattened", 10, |e, _| {
+            if let Elem::Tuple(items) = e
+                && let Some(Elem::Tuple(inner)) = items.pop()
+            {
+                items.extend(inner);
+            }
+        }),
+        ("nested tuple boundary", 10, |e, _| {
+            // (a, (b, unit)) -> (a, (b), unit): the same leaves in the
+            // same order, only a tuple's extent moved.
+            if let Elem::Tuple(items) = e
+                && let Some(Elem::Tuple(inner)) = items.last_mut()
+                && let Some(last) = inner.pop()
+            {
+                items.push(last);
+            }
+        }),
+    ];
+    for (what, at, edit) in in_place {
+        let mut tokens = zoo_stream(seed);
+        let Token::Val(e) = &mut tokens[at] else {
+            panic!("token {at} is not a value");
+        };
+        edit(e, bump.into());
+        assert_ne!(zoo_fingerprint(tokens), base, "seed {seed}: {what}");
+    }
+    // Moving a boundary keeps every token's fields but not the stream.
+    let mut tokens = zoo_stream(seed);
+    tokens.swap(1, 2);
+    assert_ne!(zoo_fingerprint(tokens), base, "seed {seed}: stop position");
 }
 
 /// Host-side pool counters aside, a replay must be the same report.

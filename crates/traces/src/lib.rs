@@ -13,8 +13,8 @@
 //! Neither dataset is redistributable here, so this crate provides
 //! seeded synthetic equivalents that control exactly the statistics the
 //! experiments depend on: the *variance class* of KV lengths (Fig 14/15/
-//! 21) and the *per-expert token histogram skew* (Fig 9/10/12/13). See
-//! DESIGN.md ("Substitutions") for the preservation argument.
+//! 21) and the *per-expert token histogram skew* (Fig 9/10/12/13). The
+//! README's "Substitutions" section gives the preservation argument.
 //!
 //! # Serving workloads
 //!
