@@ -136,7 +136,7 @@ fn serve_profile(json: bool) {
             let t0 = Instant::now();
             let key = plan_content_key(qkv_fingerprint(&model, tokens as usize), &sim_cfg);
             let qkv = reports
-                .replay_or_run(key, &RunBinding::new(), None, &mut || {
+                .replay_or_run(key, &RunBinding::new(), &mut || {
                     SimPlan::new(qkv_graph(&model, tokens as usize)?, sim_cfg.clone())?.run()
                 })
                 .expect("qkv phase");
@@ -164,9 +164,7 @@ fn serve_profile(json: bool) {
             let routing: RoutingTrace = iteration_routing(&model, &cfg, i as u32, tokens as usize);
             let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
             let moe = reports
-                .replay_or_run(moe_key, &moe_bind, None, &mut || {
-                    moe_plan.run_bound(&moe_bind)
-                })
+                .replay_or_run(moe_key, &moe_bind, &mut || moe_plan.run_bound(&moe_bind))
                 .expect("moe phase");
             rows.entry("moe").or_default().absorb(
                 moe.report.total_fires(),

@@ -30,17 +30,15 @@
 //! `SimPlan` is frozen once into a single-worker
 //! [`step_bench::SweepService`]'s plan cache and run `N` times through
 //! it (compiled executors, the worker's pooled state reset in place),
-//! reporting the graph-build / partition+topology / per-run wall split,
-//! the amortization ratio (build+run divided by the amortized per-run
-//! wall), and the same runs on the dynamic-dispatch path
-//! (`compiled: false`, fresh state per run) as `run_ms_*_dyn` — the
-//! compiled-vs-dyn split. Counters of every reused run are held to the
-//! same pinned budgets as the fresh-build rows, must be bit-identical
-//! across runs *and* across dispatch paths, every pooled rerun must
-//! report `run_allocs == 0` / `pool_resets == 1` (the alloc-free
-//! guard — a counter, so it cannot flake), and the cache counters must
-//! end at exactly `{hits: N, misses: 1, builds: 1}` — wall-clock is
-//! reported but never asserted.
+//! reporting the graph-build / partition+topology / per-run wall split
+//! and the amortization ratio (build+run divided by the amortized
+//! per-run wall). Counters of every reused run are held to the same
+//! pinned budgets as the fresh-build rows, must be bit-identical across
+//! runs, every pooled rerun must report `run_allocs == 0` /
+//! `pool_resets == 1` (the alloc-free guard — a counter, so it cannot
+//! flake), and the cache counters must end at exactly
+//! `{hits: N, misses: 1, builds: 1}` — wall-clock is reported but never
+//! asserted.
 
 use std::time::Instant;
 use step_bench::{CacheStats, SimPoint, SweepService, SweepUnit};
@@ -113,7 +111,7 @@ fn reuse_section(json: bool, runs: usize) -> String {
     let svc = SweepService::new(1);
     let sim_cfg = SimConfig::default();
     let t0 = Instant::now();
-    let mut prebuilt = Some(graph.clone());
+    let mut prebuilt = Some(graph);
     svc.cache()
         .checkout(builder, &sim_cfg, &mut || {
             Ok(prebuilt.take().expect("pre-warm builds once"))
@@ -186,31 +184,8 @@ fn reuse_section(json: bool, runs: usize) -> String {
         }
     }
     let r = first.expect("at least one run");
-    // Dynamic-dispatch reference: same plan semantics, boxed `dyn`
-    // executors, fresh state per run — the compiled-vs-dyn wall split.
-    let dyn_plan = SimPlan::new(
-        graph,
-        SimConfig {
-            compiled: false,
-            ..SimConfig::default()
-        },
-    )
-    .expect("dyn plan");
-    let mut dyn_walls: Vec<f64> = Vec::with_capacity(runs);
-    for k in 0..runs {
-        let t0 = Instant::now();
-        let d = dyn_plan.run().expect("dyn run");
-        dyn_walls.push(ms(t0));
-        assert_eq!(
-            (d.cycles, d.offchip_traffic, d.total_fires(), d.chan_runs),
-            (r.cycles, r.offchip_traffic, r.total_fires(), r.chan_runs),
-            "dyn-dispatch run {k} diverged from the compiled pooled runs"
-        );
-    }
-    let mean = |w: &[f64]| w.iter().sum::<f64>() / w.len() as f64;
-    let min = |w: &[f64]| w.iter().cloned().fold(f64::INFINITY, f64::min);
-    let (run_mean, run_min) = (mean(&walls), min(&walls));
-    let (dyn_mean, dyn_min) = (mean(&dyn_walls), min(&dyn_walls));
+    let run_mean = walls.iter().sum::<f64>() / walls.len() as f64;
+    let run_min = walls.iter().cloned().fold(f64::INFINITY, f64::min);
     let build_ms = graph_ms + plan_ms;
     let build_plus_run = build_ms + walls[0];
     let amort = build_plus_run / run_mean.max(1e-9);
@@ -219,7 +194,6 @@ fn reuse_section(json: bool, runs: usize) -> String {
         "{{\"mode\":\"reuse\",\"batch\":64,\"tiling\":\"static(8)\",\"runs\":{runs},\
          \"graph_ms\":{graph_ms:.1},\"plan_ms\":{plan_ms:.1},\"run_ms_first\":{:.1},\
          \"run_ms_mean\":{run_mean:.1},\"run_ms_min\":{run_min:.1},\
-         \"run_ms_mean_dyn\":{dyn_mean:.1},\"run_ms_min_dyn\":{dyn_min:.1},\
          \"run_allocs\":{run_allocs},\"pool_resets\":{pool_resets},\
          \"cache_hits\":{},\"cache_misses\":{},\"cache_builds\":{},\
          \"build_plus_run_ms\":{build_plus_run:.1},\"amortization\":{amort:.2},\
@@ -239,8 +213,7 @@ fn reuse_section(json: bool, runs: usize) -> String {
             "\nplan reuse (batch 64 / static 8, {runs} runs via 1-worker sweep service): graph {graph_ms:.1}ms + partition/topology/compile {plan_ms:.1}ms, pooled runs mean {run_mean:.1}ms (min {run_min:.1}ms)"
         );
         println!(
-            "dyn-dispatch reference: mean {dyn_mean:.1}ms (min {dyn_min:.1}ms); \
-             pool: {run_allocs} state build(s), {pool_resets} in-place reset(s); \
+            "pool: {run_allocs} state build(s), {pool_resets} in-place reset(s); \
              cache: {} hit(s), {} miss(es), {} build(s)",
             stats.hits, stats.misses, stats.builds
         );

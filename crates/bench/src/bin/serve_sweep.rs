@@ -68,8 +68,7 @@ fn json_line(r: &ServeRow) -> String {
          \"hbm_bytes_per_cycle\":{:.2},\"hbm_utilization\":{:.4},\
          \"iterations\":{},\"admitted\":{},\"evicted\":{},\"shed\":{},\"completed\":{},\
          \"total_cycles\":{},\"busy_cycles\":{},\"fires\":{},\"chan_runs\":{},\
-         \"engine_fires\":{},\"report_cache\":{{\"hits\":{},\"misses\":{},\
-         \"canonical_hits\":{}}}}}",
+         \"engine_fires\":{},\"report_cache\":{{\"hits\":{},\"misses\":{}}}}}",
         r.mean_interarrival,
         r.prefill_chunk
             .map_or("null".to_string(), |c| c.to_string()),
@@ -95,7 +94,6 @@ fn json_line(r: &ServeRow) -> String {
         rep.engine_fires,
         rep.report_cache.hits,
         rep.report_cache.misses,
-        rep.report_cache.canonical_hits,
     )
 }
 
@@ -166,10 +164,6 @@ fn main() {
                 r.report_cache.hits + r.report_cache.misses,
                 QUICK_PHASE_REQUESTS,
                 "{label} pass: phase-request accounting moved — if intentional, re-pin"
-            );
-            assert_eq!(
-                r.report_cache.canonical_hits, 0,
-                "{label} pass: canonical hits without moe_canonical on"
             );
         }
         assert_eq!(

@@ -86,7 +86,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, mpsc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use step_core::sync::{lock, wait};
+use step_core::sync::{lock, panic_message, wait};
 use step_core::{Graph, Result, StepError};
 use step_models::serving::{PlanSource, ServeJob, ServeReport};
 use step_sim::{ReportCache, RunBinding, RunPool, SimConfig, SimPlan, SimReport};
@@ -792,17 +792,6 @@ fn run_unit(
                 Err(e) => Err(classify_run(e)),
             }
         }
-    }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -231,9 +231,10 @@ impl Dsu {
 /// and merged subject to the balance cap, so the cut set ends up on the
 /// lowest-volume channels. Buffer-reference edges are merged
 /// unconditionally first. Shard ids are assigned in order of each
-/// shard's minimum node index. Tie-breaking on [`structural_ranks`]
-/// makes the node-grouping invariant under permuted node insertion
-/// order (for graphs without non-trivial automorphisms).
+/// shard's minimum node index. Tie-breaking on structural ranks (a
+/// hash of each node's rooted neighborhood) makes the node-grouping
+/// invariant under permuted node insertion order (for graphs without
+/// non-trivial automorphisms).
 pub fn partition(graph: &Graph, cfg: &PartitionCfg) -> Partition {
     let n = graph.nodes().len();
     if n < cfg.min_nodes || cfg.target_shards <= 1 {

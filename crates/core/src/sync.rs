@@ -9,7 +9,9 @@
 //! transition to a `Failed` state), so poisoning carries no information
 //! here — these helpers recover the guard via
 //! [`std::sync::PoisonError::into_inner`] instead of aborting the whole
-//! process for a fault that was already contained.
+//! process for a fault that was already contained. [`panic_message`]
+//! turns the payload those `catch_unwind` sites catch into the text of
+//! their typed error.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -26,6 +28,17 @@ pub fn get_mut<T>(m: &mut Mutex<T>) -> &mut T {
 /// Wait on `cv`, recovering the reacquired guard from poisoning.
 pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Best-effort text of a panic payload caught by `catch_unwind`.
+pub fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 #[cfg(test)]

@@ -201,16 +201,17 @@ pub struct DecodeReport {
 /// [`SimPlan`] per phase for the whole loop.
 ///
 /// Per iteration, only the inputs change, and they ride in on source
-/// rebinding ([`RunBinding::bind_source`]):
+/// rebinding ([`step_sim::RunBinding::bind_source`]):
 ///
 /// - every request's KV cache grows by one token, so the attention
 ///   plan's `attn.requests` source is rebound with the iteration's
-///   longer tile-address stream ([`attention_request_tokens`]; the plan
+///   longer tile-address stream
+///   ([`crate::attention::attention_request_tokens`]; the plan
 ///   is built with [`AttentionCfg::kv_headroom`] so its dispatch queues
 ///   already fit the final iteration);
 /// - expert routing is re-sampled, so the MoE plan's `moe.router`
 ///   selector source is rebound with the fresh sample
-///   ([`moe_router_tokens`]);
+///   ([`crate::moe::moe_router_tokens`]);
 /// - QKV is one token per request regardless of iteration — the same
 ///   plan runs unbound.
 ///

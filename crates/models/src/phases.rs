@@ -3,7 +3,7 @@
 //! Both the fixed-batch decode driver ([`crate::e2e::run_decode`]) and
 //! the continuous-batching serving driver ([`crate::serving::run_serve`])
 //! step the same three per-layer phases — QKV GEMM, attention, MoE —
-//! across iterations by rebinding one frozen [`SimPlan`] per phase
+//! across iterations by rebinding one frozen [`step_sim::SimPlan`] per phase
 //! instead of rebuilding graphs. This module is the single home for the
 //! rebinding and steady-state machinery so the two drivers cannot drift:
 //!
@@ -126,8 +126,8 @@ pub fn qkv_fingerprint(model: &ModelConfig, tokens: usize) -> u64 {
 /// This is how the serving driver's
 /// [`crate::serving::ServeCfg::moe_canonical`] mode makes order-permuted
 /// iterations share one *exact* report-cache entry. Canonicalizing the
-/// binding, rather than nominating a canonical *replay* class on the
-/// cache, is deliberate: differential measurement
+/// binding, rather than replaying one order's report for its
+/// permutations, is deliberate: differential measurement
 /// ([`step_sim::ReportCache::checked`]) refuted the folk invariance
 /// that token order cannot matter — permuting which token carries which
 /// expert set changes token adjacency, with it how the engine coalesces

@@ -63,7 +63,7 @@
 //! generalization of the per-count memo the drivers used before), MoE
 //! under the iteration's routed-token binding. Attention always
 //! simulates (every slot-context vector under a churning batch is
-//! effectively unique). Exact-layer replays are bit-identical by the
+//! effectively unique). Cache replays are bit-identical by the
 //! determinism contract, so the report minus the host-side cache
 //! telemetry ([`ServeReport::report_cache`],
 //! [`ServeReport::engine_fires`], which [`ServeReport`]'s `PartialEq`
@@ -141,14 +141,13 @@ pub struct ServeCfg {
     /// but the engine schedules a token *stream*, so erasing the order
     /// perturbs run coalescing and with it the phase's cycle count
     /// slightly (off-chip traffic, FLOPs, and token counts are exactly
-    /// order-invariant; a canonical *replay* of unsorted bindings was
+    /// order-invariant; replaying one order's report for another was
     /// measured to drift even on cycles, which is why this knob rebinds
-    /// instead of nominating a cache-level canonical class). Off by
-    /// default: the default path simulates the sampled order, and the
-    /// bit-identity conformance contract applies as-is. Worth switching
-    /// on for low-routing-entropy regimes (high [`ServeCfg::skew`], few
-    /// live expert sets), where multiset collisions across iterations
-    /// actually occur.
+    /// instead). Off by default: the default path simulates the sampled
+    /// order, and the bit-identity conformance contract applies as-is.
+    /// Worth switching on for low-routing-entropy regimes (high
+    /// [`ServeCfg::skew`], few live expert sets), where multiset
+    /// collisions across iterations actually occur.
     pub moe_canonical: bool,
 }
 
@@ -842,16 +841,16 @@ pub fn run_serve_memo(
         let mut routing = iteration_routing(model, cfg, iter, tokens as usize);
         if cfg.moe_canonical {
             // Canonical rebinding: order-permuted routings collapse to
-            // one exact cache key (see `ServeCfg::moe_canonical`). The
-            // cache's canonical *replay* layer is deliberately not used
-            // here — order permutation was measured to drift cycles, so
-            // only re-simulation of the canonical order is exact.
+            // one exact cache key (see `ServeCfg::moe_canonical`).
+            // Replaying one order's report for another was measured to
+            // drift cycles, so only re-simulation of the canonical order
+            // is exact.
             routing = canonical_routing(&routing);
         }
         let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
         let moe = {
             let warmed = moe_warm;
-            let replay = reports.replay_or_run(moe_report_key, &moe_bind, None, &mut || {
+            let replay = reports.replay_or_run(moe_report_key, &moe_bind, &mut || {
                 run_phase(&moe_plan, &moe_bind, &mut moe_pool, warmed)
             })?;
             cache_stats.absorb(replay.resolution);
@@ -866,7 +865,7 @@ pub fn run_serve_memo(
             // key (model dims × token count × config) is the whole
             // identity, bound under the empty binding.
             let key = plan_content_key(qkv_fingerprint(model, tokens as usize), &sim_cfg);
-            let replay = reports.replay_or_run(key, &RunBinding::new(), None, &mut || {
+            let replay = reports.replay_or_run(key, &RunBinding::new(), &mut || {
                 SimPlan::new(qkv_graph(model, tokens as usize)?, sim_cfg.clone())?.run()
             })?;
             cache_stats.absorb(replay.resolution);

@@ -60,31 +60,6 @@ pub struct SimConfig {
     /// shards regardless of graph size. The plan — and therefore every
     /// reported metric — is a pure function of the graph and this value.
     pub shards: usize,
-    /// Barrier elision for sharded plans: a shard whose incoming cut
-    /// channels all have time floors beyond the global horizon may run
-    /// local sub-rounds ahead of it — up to the floor bound, where a
-    /// cross-shard token could first arrive — without a coordination
-    /// barrier. Purely a plan knob: results stay bit-identical at every
-    /// thread count, and arrival-order faithfulness is *tighter* than
-    /// barrier-stepped execution (the floor bound is exact, the horizon
-    /// window conservative). Default `true`.
-    pub elide_barriers: bool,
-    /// Off-chip fast path for sharded plans: when a sub-round's schedule
-    /// has exactly one runnable shard, that shard is the sole accessor of
-    /// the HBM ledger in the window and runs with the monolithic engine's
-    /// immediate-commit sink — two-phase request/response collapses back
-    /// to single-fire. A plan knob like [`SimConfig::elide_barriers`];
-    /// default `true`.
-    pub offchip_fast_path: bool,
-    /// Compiled execution: run the statically dispatched executor enum
-    /// (one `match` per fire, edge ids pre-resolved at plan freeze)
-    /// instead of boxed `dyn` nodes, and let
-    /// [`crate::SimPlan::pooled_run_bound`] reuse run state across runs.
-    /// A host-side plan knob: reported results are bit-identical on both
-    /// paths — the differential conformance suite holds them together.
-    /// Disable only to isolate a suspected compiled-path bug. Default
-    /// `true`.
-    pub compiled: bool,
     /// Accumulate host wall-clock per node fire into
     /// [`crate::stats::NodeStats::wall_ns`] (the `fire_profile`
     /// diagnosis tool). Off by default: the timestamp calls cost more
@@ -103,9 +78,6 @@ impl Default for SimConfig {
             horizon_step: 64,
             threads: 1,
             shards: 0,
-            elide_barriers: true,
-            offchip_fast_path: true,
-            compiled: true,
             profile_fires: false,
         }
     }

@@ -53,22 +53,22 @@
 //! horizon to the earliest pending channel event, exactly like the
 //! monolithic engine.
 //!
-//! Three optimizations keep the barrier protocol off the hot path, all
-//! plan knobs with no effect on thread-count independence:
+//! Three optimizations keep the barrier protocol off the hot path; none
+//! can be observed through the thread count:
 //!
-//! - **Barrier elision** ([`SimConfig::elide_barriers`]): each shard owns
-//!   an *effective horizon* `eff ≥` the global horizon. At every barrier
-//!   the coordinator raises it to the *cut-slack allowance* — one cycle
-//!   below the minimum time floor of the shard's incoming cut channels,
-//!   the earliest instant a cross-shard token could still arrive
-//!   (channels whose producer finished or whose reader closed no longer
-//!   constrain it). Until simulated time reaches that bound the shard's
-//!   execution is a pure local function, so it runs windows back-to-back
-//!   without coordination; shards with no unfinished incoming cuts run
-//!   dark until credits or off-chip responses stall them. The global
-//!   horizon still advances by `horizon_step` at full quiescence, so
-//!   arrival-order faithfulness is never *worse* than barrier-stepped
-//!   execution — within the allowance it is exact.
+//! - **Barrier elision**: each shard owns an *effective horizon* `eff ≥`
+//!   the global horizon. At every barrier the coordinator raises it to
+//!   the *cut-slack allowance* — one cycle below the minimum time floor
+//!   of the shard's incoming cut channels, the earliest instant a
+//!   cross-shard token could still arrive (channels whose producer
+//!   finished or whose reader closed no longer constrain it). Until
+//!   simulated time reaches that bound the shard's execution is a pure
+//!   local function, so it runs windows back-to-back without
+//!   coordination; shards with no unfinished incoming cuts run dark until
+//!   credits or off-chip responses stall them. The global horizon still
+//!   advances by `horizon_step` at full quiescence, so arrival-order
+//!   faithfulness is never *worse* than barrier-stepped execution —
+//!   within the allowance it is exact.
 //! - **Wake deduplication**: sharded shards schedule with a
 //!   generation-stamped ready set (`cur`/`nxt` + per-node wave stamps)
 //!   instead of the monolithic engine's round-robin-faithful wake lists.
@@ -76,13 +76,12 @@
 //!   per wave no matter how many channel events it receives — the
 //!   absorbed wakes are reported as
 //!   [`step::stats::SchedCounters::wake_dedup`](crate::stats::SchedCounters).
-//! - **Off-chip fast path** ([`SimConfig::offchip_fast_path`]): when a
-//!   sub-round's schedule has exactly one runnable shard, that shard is
-//!   the sole accessor of the HBM ledger in the window. The coordinator
-//!   runs it inline with the monolithic engine's immediate-commit sink —
-//!   request/response collapses back to single-fire, and in threaded mode
-//!   the two worker barrier waits are skipped entirely (workers stay
-//!   parked).
+//! - **Off-chip fast path**: when a sub-round's schedule has exactly one
+//!   runnable shard, that shard is the sole accessor of the HBM ledger in
+//!   the window. The coordinator runs it inline with the monolithic
+//!   engine's immediate-commit sink — request/response collapses back to
+//!   single-fire, and in threaded mode the two worker barrier waits are
+//!   skipped entirely (workers stay parked).
 //!
 //! # Determinism contract
 //!
@@ -106,7 +105,7 @@ use crate::channel::{Channel, event};
 use crate::config::SimConfig;
 use crate::fingerprint::Fingerprint;
 use crate::hbm::{Hbm, HbmRequest};
-use crate::nodes::{self, Chans, CompiledNode, Ctx, HbmPort, HbmSink, NodeExec, SimNode};
+use crate::nodes::{self, Chans, CompiledNode, Ctx, HbmPort, HbmSink, SimNode};
 use crate::run::TimeRun;
 use crate::stats::{NodeStats, SchedCounters};
 use std::cmp::Reverse;
@@ -118,7 +117,7 @@ use step_core::error::{DeadlineKind, Result, StepError};
 use step_core::graph::{EdgeId, Graph, NodeId};
 use step_core::ops::OpKind;
 use step_core::partition::{Partition, PartitionCfg, partition};
-use step_core::sync::{get_mut, lock};
+use step_core::sync::{get_mut, lock, panic_message};
 use step_core::token::{self, Token};
 
 /// The outcome of a simulation run.
@@ -425,12 +424,8 @@ impl ShardPlan {
 /// execution is a pure function of this state plus the (immutable)
 /// [`ShardPlan`] — it touches nothing outside itself except the
 /// (lock-free for timing runs) backing store.
-///
-/// Generic over the executor kind `N` ([`NodeExec`]): the compiled enum
-/// on the default path, boxed `dyn` nodes on the differential-testing
-/// reference path. Each instantiation monomorphizes the whole wave loop.
-struct Shard<N> {
-    nodes: Vec<N>,
+struct Shard {
+    nodes: Vec<CompiledNode>,
     channels: Vec<Channel>,
     arena: Arena,
     sched: Sched,
@@ -451,7 +446,7 @@ struct Shard<N> {
     hbm_resp: Vec<VecDeque<nodes::RespRun>>,
 }
 
-impl<N: NodeExec> Shard<N> {
+impl Shard {
     /// Wakes local node `j` into the pending wave (barrier-time wakes:
     /// the engine is between sub-rounds). Done nodes are never woken — a
     /// stale entry would read as pending work and stall the global
@@ -561,9 +556,9 @@ impl<N: NodeExec> Shard<N> {
         }
     }
 
-    /// Diagnostic lines for this shard's blocked nodes. Compiled
-    /// executors report shard-local edge indices; unmap them back to
-    /// global edge ids so the message matches the graph (cold path).
+    /// Diagnostic lines for this shard's blocked nodes. Executors report
+    /// shard-local edge indices; unmap them back to global edge ids so
+    /// the message matches the graph (cold path).
     fn blocked_lines(&self, plan: &ShardPlan, graph: &Graph, out: &mut Vec<(u32, String)>) {
         for (i, nd) in self.nodes.iter().enumerate() {
             if nd.done() {
@@ -571,14 +566,9 @@ impl<N: NodeExec> Shard<N> {
             }
             let gid = plan.node_ids[i];
             let g = &graph.nodes()[gid as usize];
-            let why = nd.blocked_on().map_or_else(String::new, |b| {
-                let b = if N::IDENTITY_CHANS {
-                    plan.unmap_blocked(b)
-                } else {
-                    b
-                };
-                format!(" ({b})")
-            });
+            let why = nd
+                .blocked_on()
+                .map_or_else(String::new, |b| format!(" ({})", plan.unmap_blocked(b)));
             out.push((
                 gid,
                 format!("{gid}:{} t={}{why}", g.op.name(), nd.local_time()),
@@ -606,15 +596,10 @@ impl<N: NodeExec> Shard<N> {
             Some(h) => HbmSink::Immediate(h),
             None => HbmSink::Queued(&mut self.hbm_reqs),
         };
-        // Compiled executors carry shard-local channel indices baked at
-        // freeze time, so the per-access edge translation disappears.
-        let chans = if N::IDENTITY_CHANS {
-            Chans::identity(&mut self.channels)
-        } else {
-            Chans::mapped(&mut self.channels, &plan.edge_map)
-        };
+        // Executors carry shard-local channel indices baked at freeze
+        // time, so channel access needs no edge translation.
         let mut ctx = Ctx {
-            chans,
+            chans: Chans::new(&mut self.channels),
             hbm: HbmPort::new(
                 sink,
                 plan.node_ids[i],
@@ -1040,7 +1025,8 @@ impl RunBinding {
     }
 
     /// Registers a dense tensor in off-chip memory so loads return real
-    /// data (functional runs).
+    /// data (functional runs). `data` must hold `rows * cols` values;
+    /// the run rejects it with [`StepError::Config`] otherwise.
     pub fn preload(
         &mut self,
         base_addr: u64,
@@ -1152,16 +1138,16 @@ impl RunBinding {
 
 /// The mutable state of one run of a [`SimPlan`]: node executors,
 /// channel queues, arenas, scheduler state, the HBM ledger, and the
-/// functional backing store. Built per run — or, on the compiled path,
-/// parked in a [`RunPool`] between runs and reset in place.
-struct RunState<N> {
-    shards: Vec<Mutex<Shard<N>>>,
+/// functional backing store. Built per run, or parked in a [`RunPool`]
+/// between runs and reset in place.
+struct RunState {
+    shards: Vec<Mutex<Shard>>,
     hbm: Hbm,
     store: SharedStore,
     counters: SchedCounters,
 }
 
-/// Parks one compiled [`RunState`] between runs of the same plan, making
+/// Parks one run's state between runs of the same plan, making
 /// steady-state reruns and sweep points allocation-free: every channel
 /// queue, outbox, ready set, ledger vector, and scratch buffer keeps its
 /// capacity and is reset in place by the next
@@ -1177,7 +1163,7 @@ struct RunState<N> {
 pub struct RunPool {
     /// Identity of the plan the parked state was built from.
     plan_id: u64,
-    state: Option<RunState<CompiledNode>>,
+    state: Option<RunState>,
 }
 
 impl RunPool {
@@ -1350,7 +1336,7 @@ impl SimPlan {
         for sp in &shard_plans {
             let mut v = Vec::with_capacity(sp.node_ids.len());
             for &gid in &sp.node_ids {
-                let mut node = nodes::compile_node_bound(&graph, gid as usize, None)?;
+                let mut node = nodes::compile_node(&graph, gid as usize)?;
                 let io = node.io_mut();
                 for e in io.ins.iter_mut().chain(io.outs.iter_mut()) {
                     *e = EdgeId(sp.edge_map[e.0 as usize]);
@@ -1418,23 +1404,17 @@ impl SimPlan {
     /// # Errors
     ///
     /// Returns [`StepError::Config`] for a binding that targets a
-    /// non-`Source` node or violates the source's stream rank, plus the
-    /// run errors of [`SimPlan::run`].
+    /// non-`Source` node, violates the source's stream rank, or preloads
+    /// a tensor whose data length is not `rows * cols`, plus the run
+    /// errors of [`SimPlan::run`].
     pub fn run_bound(&self, binding: &RunBinding) -> Result<SimReport> {
+        self.validate_binding(binding)?;
         let ctrl = RunCtrl::new(&binding.limits);
-        if self.cfg.compiled {
-            let mut state = self.build_compiled_state(binding)?;
-            self.drive(&mut state, &ctrl)?;
-            let report = self.build_report(&mut state);
-            ctrl.check_final(&report)?;
-            Ok(report)
-        } else {
-            let mut state = self.build_state(binding)?;
-            self.drive(&mut state, &ctrl)?;
-            let report = self.build_report(&mut state);
-            ctrl.check_final(&report)?;
-            Ok(report)
-        }
+        let mut state = self.build_state(binding);
+        self.drive(&mut state, &ctrl)?;
+        let report = self.build_report(&mut state);
+        ctrl.check_final(&report)?;
+        Ok(report)
     }
 
     /// Runs the plan once, parking the run state in `pool` for the next
@@ -1456,17 +1436,13 @@ impl SimPlan {
     /// path was taken.
     ///
     /// Results are bit-identical to [`SimPlan::run_bound`] with the same
-    /// binding. With [`SimConfig::compiled`] disabled this falls back to
-    /// `run_bound` (dynamic dispatch pools nothing).
+    /// binding.
     ///
     /// # Errors
     ///
     /// The errors of [`SimPlan::run_bound`]. A failed run drops its
     /// state instead of parking it.
     pub fn pooled_run_bound(&self, binding: &RunBinding, pool: &mut RunPool) -> Result<SimReport> {
-        if !self.cfg.compiled {
-            return self.run_bound(binding);
-        }
         // Validate before taking the parked state: a rejected binding
         // must not cost the pool its buffers.
         self.validate_binding(binding)?;
@@ -1479,7 +1455,7 @@ impl SimPlan {
                 self.reset_state(&mut st, binding);
                 (st, true)
             }
-            None => (self.build_compiled_state(binding)?, false),
+            None => (self.build_state(binding), false),
         };
         self.drive(&mut state, &ctrl)?;
         let mut report = self.build_report(&mut state);
@@ -1494,7 +1470,7 @@ impl SimPlan {
     }
 
     /// Drives a materialized run state to completion.
-    fn drive<N: NodeExec>(&self, state: &mut RunState<N>, ctrl: &RunCtrl) -> Result<()> {
+    fn drive(&self, state: &mut RunState, ctrl: &RunCtrl) -> Result<()> {
         if self.plans.len() == 1 {
             self.run_single(state, ctrl)
         } else {
@@ -1507,9 +1483,18 @@ impl SimPlan {
         }
     }
 
-    /// Rejects bindings that target a non-`Source` node or violate the
-    /// source's stream rank.
+    /// Rejects bindings that target a non-`Source` node, violate the
+    /// source's stream rank, or preload a tensor whose data length is
+    /// not `rows * cols`.
     fn validate_binding(&self, binding: &RunBinding) -> Result<()> {
+        for (base, rows, cols, data) in &binding.preloads {
+            if rows.checked_mul(*cols) != Some(data.len()) {
+                return Err(StepError::Config(format!(
+                    "preload at {base:#x}: {} values do not fill a {rows}x{cols} tensor",
+                    data.len()
+                )));
+            }
+        }
         for (id, toks) in &binding.sources {
             let Some(node) = self.graph.nodes().get(id.0 as usize) else {
                 return Err(StepError::Config(format!(
@@ -1529,35 +1514,13 @@ impl SimPlan {
         Ok(())
     }
 
-    /// Materializes the mutable state for one run on the dynamic-dispatch
-    /// path: boxed node executors (with bound source streams), channel
-    /// queues, arenas, scheduler ready-sets, the HBM ledger, and the
-    /// preloaded backing store.
-    fn build_state(&self, binding: &RunBinding) -> Result<RunState<Box<dyn SimNode + Send>>> {
-        self.validate_binding(binding)?;
-        let mut shards = Vec::with_capacity(self.plans.len());
-        for sp in &self.plans {
-            let nodes: Result<Vec<_>> = sp
-                .node_ids
-                .iter()
-                .map(|&gid| {
-                    nodes::build_node_bound(
-                        &self.graph,
-                        gid as usize,
-                        binding.sources.get(&NodeId(gid)).cloned(),
-                    )
-                })
-                .collect();
-            shards.push(Mutex::new(self.assemble_shard(sp, nodes?)));
-        }
-        Ok(self.finish_state(shards, binding))
-    }
-
-    /// Materializes the mutable state for one compiled run: clones the
+    /// Materializes the mutable state for one run: clones the
     /// pre-resolved executor prototypes (no graph walk, no edge
-    /// translation) and binds per-run source streams.
-    fn build_compiled_state(&self, binding: &RunBinding) -> Result<RunState<CompiledNode>> {
-        self.validate_binding(binding)?;
+    /// translation), binds per-run source streams, and builds channel
+    /// queues, arenas, scheduler ready-sets, the HBM ledger, and the
+    /// preloaded backing store. The binding must already be validated.
+    fn build_state(&self, binding: &RunBinding) -> RunState {
+        let sharded = self.plans.len() > 1;
         let mut shards = Vec::with_capacity(self.plans.len());
         for (sp, protos) in self.plans.iter().zip(&self.protos) {
             let mut nodes = protos.clone();
@@ -1566,48 +1529,36 @@ impl SimPlan {
                     nodes[i].bind_source(toks.clone());
                 }
             }
-            shards.push(Mutex::new(self.assemble_shard(sp, nodes)));
+            let m = sp.node_ids.len();
+            let channels = sp
+                .chans
+                .iter()
+                .map(|c| c.build(self.cfg.channel_latency))
+                .collect();
+            let undone = nodes.iter().filter(|nd| !nd.done()).count();
+            shards.push(Mutex::new(Shard {
+                nodes,
+                channels,
+                arena: if sharded {
+                    Arena::with_event_log()
+                } else {
+                    Arena::new()
+                },
+                sched: if sharded {
+                    Sched::dedup(m)
+                } else {
+                    Sched::legacy(m)
+                },
+                eff: self.cfg.horizon_step,
+                fire_ns: vec![0; m],
+                calendar: BinaryHeap::new(),
+                undone,
+                rounds: 0,
+                hbm_reqs: Vec::new(),
+                hbm_seq: vec![0; m],
+                hbm_resp: vec![VecDeque::new(); m],
+            }));
         }
-        Ok(self.finish_state(shards, binding))
-    }
-
-    /// Assembles one shard's run state around its node executors.
-    fn assemble_shard<N: NodeExec>(&self, sp: &ShardPlan, nodes: Vec<N>) -> Shard<N> {
-        let sharded = self.plans.len() > 1;
-        let m = sp.node_ids.len();
-        let channels = sp
-            .chans
-            .iter()
-            .map(|c| c.build(self.cfg.channel_latency))
-            .collect();
-        let undone = nodes.iter().filter(|nd| !nd.done()).count();
-        Shard {
-            nodes,
-            channels,
-            arena: if sharded {
-                Arena::with_event_log()
-            } else {
-                Arena::new()
-            },
-            sched: if sharded {
-                Sched::dedup(m)
-            } else {
-                Sched::legacy(m)
-            },
-            eff: self.cfg.horizon_step,
-            fire_ns: vec![0; m],
-            calendar: BinaryHeap::new(),
-            undone,
-            rounds: 0,
-            hbm_reqs: Vec::new(),
-            hbm_seq: vec![0; m],
-            hbm_resp: vec![VecDeque::new(); m],
-        }
-    }
-
-    /// Finishes a run state: preloaded backing store, HBM ledger, and
-    /// scheduler counters.
-    fn finish_state<N>(&self, shards: Vec<Mutex<Shard<N>>>, binding: &RunBinding) -> RunState<N> {
         let store = SharedStore::new();
         for (base, rows, cols, data) in &binding.preloads {
             store.register(*base, *rows, *cols, data.clone());
@@ -1624,9 +1575,9 @@ impl SimPlan {
     /// channel, arena, ready-set, calendar, ledger, the HBM model, the
     /// backing store, and the scheduler counters return to their
     /// just-built values without releasing their buffers. The result is
-    /// indistinguishable from [`SimPlan::build_compiled_state`] output —
-    /// the conformance suite holds the two to bit-identical reports.
-    fn reset_state(&self, state: &mut RunState<CompiledNode>, binding: &RunBinding) {
+    /// indistinguishable from [`SimPlan::build_state`] output — the
+    /// conformance suite holds the two to bit-identical reports.
+    fn reset_state(&self, state: &mut RunState, binding: &RunBinding) {
         for (sp, s) in self.plans.iter().zip(state.shards.iter_mut()) {
             let s = get_mut(s);
             let m = sp.node_ids.len();
@@ -1661,7 +1612,7 @@ impl SimPlan {
     }
 
     /// Monolithic execution: one shard, immediate HBM commitment.
-    fn run_single<N: NodeExec>(&self, state: &mut RunState<N>, ctrl: &RunCtrl) -> Result<()> {
+    fn run_single(&self, state: &mut RunState, ctrl: &RunCtrl) -> Result<()> {
         let mut horizon = self.cfg.horizon_step;
         let plan = &self.plans[0];
         let shard = get_mut(&mut state.shards[0]);
@@ -1699,11 +1650,7 @@ impl SimPlan {
 
     /// Sharded execution on the calling thread: the reference schedule
     /// every worker count reproduces.
-    fn run_sharded_inline<N: NodeExec>(
-        &self,
-        state: &mut RunState<N>,
-        ctrl: &RunCtrl,
-    ) -> Result<()> {
+    fn run_sharded_inline(&self, state: &mut RunState, ctrl: &RunCtrl) -> Result<()> {
         let mut horizon = self.cfg.horizon_step;
         let mut active: Vec<u32> = (0..state.shards.len() as u32).collect();
         state.counters.shard_runs += active.len() as u64;
@@ -1762,9 +1709,9 @@ impl SimPlan {
     /// waits elided). Which worker runs a shard can never affect the
     /// result, so this is bit-identical to
     /// [`SimPlan::run_sharded_inline`].
-    fn run_sharded_threaded<N: NodeExec>(
+    fn run_sharded_threaded(
         &self,
-        state: &mut RunState<N>,
+        state: &mut RunState,
         threads: usize,
         ctrl: &RunCtrl,
     ) -> Result<()> {
@@ -1780,7 +1727,7 @@ impl SimPlan {
             store,
             counters,
         } = state;
-        let shards: &[Mutex<Shard<N>>] = shards;
+        let shards: &[Mutex<Shard>] = shards;
         let store: &SharedStore = store;
         counters.shard_runs += shards.len() as u64;
 
@@ -1906,7 +1853,7 @@ impl SimPlan {
         outcome
     }
 
-    fn build_report<N: NodeExec>(&self, state: &mut RunState<N>) -> SimReport {
+    fn build_report(&self, state: &mut RunState) -> SimReport {
         let n = self.graph.nodes().len();
         let k = state.shards.len();
         let mut node_stats = vec![NodeStats::default(); n];
@@ -2051,9 +1998,9 @@ enum CoordStep {
 /// taken once up front); every action is ordered by stable keys (edge
 /// order, request `(time, node, seq)`), so the outcome is a pure
 /// function of shard states.
-fn coordinate<N: NodeExec>(
+fn coordinate(
     plan: &SimPlan,
-    shards: &[Mutex<Shard<N>>],
+    shards: &[Mutex<Shard>],
     hbm: &mut Hbm,
     horizon: &mut u64,
     active: &mut Vec<u32>,
@@ -2061,7 +2008,7 @@ fn coordinate<N: NodeExec>(
     ctrl: &RunCtrl,
 ) -> Result<CoordStep> {
     counters.sub_rounds += 1;
-    let mut gs: Vec<MutexGuard<'_, Shard<N>>> = shards.iter().map(lock).collect();
+    let mut gs: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
 
     // Cross-shard transfer, in edge order. Idle edges — nothing queued,
     // no credits to return, flags and floor already mirrored — are
@@ -2170,14 +2117,12 @@ fn coordinate<N: NodeExec>(
 
     // Barrier elision: raise each shard's effective horizon to its
     // cut-slack allowance, waking readers of newly visible heads.
-    if plan.cfg.elide_barriers {
-        for (sp, s) in plan.plans.iter().zip(gs.iter_mut()) {
-            let allow = s.allowance(sp);
-            s.raise_eff(sp, allow);
-        }
+    for (sp, s) in plan.plans.iter().zip(gs.iter_mut()) {
+        let allow = s.allowance(sp);
+        s.raise_eff(sp, allow);
     }
 
-    let fill = |gs: &[MutexGuard<'_, Shard<N>>], active: &mut Vec<u32>| {
+    let fill = |gs: &[MutexGuard<'_, Shard>], active: &mut Vec<u32>| {
         active.clear();
         for (i, s) in gs.iter().enumerate() {
             if s.has_ready() {
@@ -2219,25 +2164,12 @@ fn coordinate<N: NodeExec>(
             counters.elided_runs += 1;
         }
     }
-    if let [only] = active[..]
-        && plan.cfg.offchip_fast_path
-    {
+    if let [only] = active[..] {
         counters.solo_runs += 1;
         return Ok(CoordStep::Solo(only));
     }
     counters.shard_runs += active.len() as u64;
     Ok(CoordStep::Run)
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Deadlock diagnostics, in global node order.

@@ -212,9 +212,6 @@ impl SimConfig {
             horizon_step,
             threads: _,
             shards,
-            elide_barriers,
-            offchip_fast_path,
-            compiled,
             profile_fires,
         } = self;
         fp.push_u64(*onchip_bytes_per_cycle)
@@ -227,9 +224,6 @@ impl SimConfig {
             .push_u64(*max_rounds)
             .push_u64(*horizon_step)
             .push_u64(*shards as u64)
-            .push_bool(*elide_barriers)
-            .push_bool(*offchip_fast_path)
-            .push_bool(*compiled)
             .push_bool(*profile_fires);
         fp.finish()
     }
@@ -266,10 +260,10 @@ mod tests {
         assert_ne!(base.fingerprint(), horizon.fingerprint());
         let hbm = SimConfig::validation();
         assert_ne!(base.fingerprint(), hbm.fingerprint());
-        let dynless = SimConfig {
-            compiled: false,
+        let profiled = SimConfig {
+            profile_fires: true,
             ..base.clone()
         };
-        assert_ne!(base.fingerprint(), dynless.fingerprint());
+        assert_ne!(base.fingerprint(), profiled.fingerprint());
     }
 }

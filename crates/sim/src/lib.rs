@@ -74,10 +74,7 @@
 //!   runs; the report's [`engine::SimReport::run_allocs`] /
 //!   [`engine::SimReport::pool_resets`] counters say which path ran,
 //!   and CI pins `run_allocs == 0` on reused runs. Both paths are
-//!   bit-identical; `SimConfig::compiled` (default on) can force the
-//!   boxed `dyn` executors for differential debugging — the only
-//!   reason to disable it — at which point pooled runs degrade to
-//!   fresh builds. **Sharing contract:** a plan is read-only during
+//!   bit-identical. **Sharing contract:** a plan is read-only during
 //!   execution, so `Arc<SimPlan>` can be run from many threads
 //!   concurrently, each run bit-identical to a fresh build (a
 //!   `RunPool` is per-driver, not shared). [`engine::RunBinding`]
@@ -94,22 +91,21 @@
 //!   advance the conservative execution horizon.
 //!   `SimConfig::threads` maps shards onto worker threads.
 //!
-//!   The barrier protocol stays off the hot path. **Barrier elision**
-//!   (`SimConfig::elide_barriers`): each shard owns an effective horizon
-//!   that the coordinator raises to the shard's *cut-slack allowance* —
-//!   one cycle below the minimum time floor of its incoming cut
-//!   channels, the earliest instant a cross-shard token could still
-//!   arrive — so shards whose cut channels all have slack run many
-//!   horizon windows back-to-back between barriers (within the
-//!   allowance, arrival-order execution is *exact*, tighter than the
-//!   ±`horizon_step` faithfulness of barrier stepping). **Wake
-//!   deduplication**: sharded shards use a generation-stamped ready set
-//!   — every wake targets the next wave and a node is queued at most
-//!   once per wave however many channel events it receives. **Off-chip
-//!   fast path** (`SimConfig::offchip_fast_path`): a sub-round with
-//!   exactly one runnable shard runs on the coordinator with the
-//!   monolithic immediate-commit HBM sink — single-fire off-chip
-//!   operators, no barrier waits. [`stats::SchedCounters`] reports
+//!   The barrier protocol stays off the hot path. **Barrier elision**:
+//!   each shard owns an effective horizon that the coordinator raises
+//!   to the shard's *cut-slack allowance* — one cycle below the minimum
+//!   time floor of its incoming cut channels, the earliest instant a
+//!   cross-shard token could still arrive — so shards whose cut channels
+//!   all have slack run many horizon windows back-to-back between
+//!   barriers (within the allowance, arrival-order execution is
+//!   *exact*, tighter than the ±`horizon_step` faithfulness of barrier
+//!   stepping). **Wake deduplication**: sharded shards use a
+//!   generation-stamped ready set — every wake targets the next wave and
+//!   a node is queued at most once per wave however many channel events
+//!   it receives. **Off-chip fast path**: a sub-round with exactly one
+//!   runnable shard runs on the coordinator with the monolithic
+//!   immediate-commit HBM sink — single-fire off-chip operators, no
+//!   barrier waits. [`stats::SchedCounters`] reports
 //!   sub-rounds, elided and solo runs, and absorbed wakes; `sched_bench
 //!   --json` asserts a fire budget on them in CI.
 //!
@@ -121,12 +117,11 @@
 //!   coordinator's exclusive window — so parallel runs are bit-identical
 //!   to the same plan on one thread at any worker count
 //!   (`crates/sim/tests/conformance.rs` checks this across every model
-//!   builder, plus the full elision/fast-path flag matrix on the most
-//!   arrival-order-sensitive builders), and re-running or concurrently
-//!   running a plan is bit-identical to rebuilding it
-//!   (`crates/sim/tests/plan_reuse.rs`), and the compiled executors and
-//!   pooled reruns are bit-identical to the boxed `dyn` path
-//!   (`crates/sim/tests/compiled_conformance.rs`). Single-shard
+//!   builder), re-running or concurrently running a plan is
+//!   bit-identical to rebuilding it (`crates/sim/tests/plan_reuse.rs`),
+//!   and fresh and pooled runs at every thread count reproduce pinned
+//!   golden fingerprints (`crates/sim/tests/compiled_conformance.rs`).
+//!   Single-shard
 //!   plans take the legacy immediate-commitment path bit for bit.
 //!   Deadlocks are detected and reported with each blocked node's
 //!   blocking edge. [`engine::SimReport`] carries cycles, off-chip
@@ -144,9 +139,8 @@
 //! `(plan content key, RunBinding::fingerprint)` and replays a cloned
 //! [`engine::SimReport`] instead of running the engine when an
 //! iteration's signature repeats — single-flight under concurrency,
-//! with an optional caller-proved canonical layer and a differential
-//! [`report_cache::ReportCache::checked`] mode that re-simulates every
-//! hit to assert the replay guarantee. The serving driver in
+//! with a differential [`report_cache::ReportCache::checked`] mode that
+//! re-simulates every hit to assert the replay guarantee. The serving driver in
 //! `step-models` routes its QKV and MoE phases through it.
 //!
 //! # Example
@@ -195,7 +189,5 @@ pub use cancel::CancelToken;
 pub use config::{HbmConfig, SimConfig};
 pub use engine::{RunBinding, RunLimits, RunPool, SimPlan, SimReport, Simulation};
 pub use fingerprint::Fingerprint;
-pub use report_cache::{
-    Replay, ReportAggregates, ReportCache, ReportCacheStats, Resolution, plan_content_key,
-};
+pub use report_cache::{Replay, ReportCache, ReportCacheStats, Resolution, plan_content_key};
 pub use stats::NodeStats;

@@ -4,11 +4,10 @@
 //! whose I/O harness carries shard-local dense channel indices, so the
 //! engine's inner fire loop dispatches with one `match` (a jump table)
 //! instead of a vtable call per fire, and a pooled rerun restores every
-//! node in place via [`CompiledNode::reset`] without reallocating. The
-//! boxed [`SimNode`] path stays available (`SimConfig::compiled = false`)
-//! as the differential-testing reference.
+//! node in place via [`CompiledNode::reset`] without reallocating. It is
+//! the engine's only executor.
 
-use super::{Blocked, Ctx, Io, NodeExec, SimNode};
+use super::{Blocked, Ctx, Io, SimNode};
 use crate::stats::NodeStats;
 use step_core::error::Result;
 use step_core::ops::OpKind;
@@ -25,7 +24,7 @@ macro_rules! compiled {
         #[derive(Clone)]
         pub enum CompiledNode {
             $(
-                #[doc = concat!("Lowered [`", stringify!($ty), "`].")]
+                #[doc = concat!("The lowered `", stringify!($variant), "` operator.")]
                 $variant($ty),
             )+
         }
@@ -52,19 +51,9 @@ macro_rules! compiled {
                     $(CompiledNode::$variant(_) => stringify!($variant),)+
                 }
             }
-
-            /// Re-boxes the executor for the dynamic-dispatch reference
-            /// path (`SimConfig::compiled = false`).
-            pub(crate) fn into_dyn(self) -> Box<dyn SimNode + Send> {
-                match self {
-                    $(CompiledNode::$variant(n) => Box::new(n),)+
-                }
-            }
         }
 
-        impl NodeExec for CompiledNode {
-            const IDENTITY_CHANS: bool = true;
-
+        impl SimNode for CompiledNode {
             fn fire(&mut self, ctx: &mut Ctx<'_>) -> Result<bool> {
                 match self {
                     $(CompiledNode::$variant(n) => SimNode::fire(n, ctx),)+

@@ -7,6 +7,8 @@
 //! fires a node only when one of its channels signals that progress is
 //! possible (event-driven wake lists); a node that returns without
 //! progress reports the edge that blocked it via [`SimNode::blocked_on`].
+//! A plan lowers every node into one [`CompiledNode`] variant, the
+//! static-dispatch executor the engine drives.
 
 mod basic;
 mod compiled;
@@ -30,40 +32,19 @@ use step_core::graph::{EdgeId, Graph, Node};
 use step_core::ops::OpKind;
 use step_core::token::Token;
 
-/// A shard's view of the channels, addressed by global [`EdgeId`].
-///
-/// A monolithic simulation owns every channel (identity mapping); a shard
-/// owns only the channels incident to its nodes, plus the writer/reader
-/// halves of its cross-shard edges, and translates edge ids through a
-/// local index table.
+/// A shard's view of its channels. A shard owns only the channels
+/// incident to its nodes, plus the writer/reader halves of its
+/// cross-shard edges; a compiled node's [`EdgeId`]s were rewritten to
+/// these shard-local indices when the plan froze, so they address the
+/// slice directly.
 pub struct Chans<'a> {
     channels: &'a mut [Channel],
-    /// Global edge id → local index; `None` means identity.
-    map: Option<&'a [u32]>,
 }
 
 impl<'a> Chans<'a> {
-    /// A view owning every channel, addressed directly.
-    pub fn identity(channels: &'a mut [Channel]) -> Chans<'a> {
-        Chans {
-            channels,
-            map: None,
-        }
-    }
-
-    /// A shard-local view translating through `map` (u32::MAX = absent).
-    pub fn mapped(channels: &'a mut [Channel], map: &'a [u32]) -> Chans<'a> {
-        Chans {
-            channels,
-            map: Some(map),
-        }
-    }
-
-    fn local(&self, e: EdgeId) -> usize {
-        match self.map {
-            None => e.0 as usize,
-            Some(m) => m[e.0 as usize] as usize,
-        }
+    /// A view over a shard's channels, addressed by local index.
+    pub fn new(channels: &'a mut [Channel]) -> Chans<'a> {
+        Chans { channels }
     }
 
     /// The channel for edge `e`.
@@ -72,7 +53,7 @@ impl<'a> Chans<'a> {
     ///
     /// Panics if `e` is not visible in this view.
     pub fn get(&self, e: EdgeId) -> &Channel {
-        &self.channels[self.local(e)]
+        &self.channels[e.0 as usize]
     }
 
     /// The channel for edge `e`, mutably.
@@ -81,8 +62,7 @@ impl<'a> Chans<'a> {
     ///
     /// Panics if `e` is not visible in this view.
     pub fn get_mut(&mut self, e: EdgeId) -> &mut Channel {
-        let i = self.local(e);
-        &mut self.channels[i]
+        &mut self.channels[e.0 as usize]
     }
 
     /// Two distinct channels, mutably (coupled bulk pops, e.g. `Zip`).
@@ -91,10 +71,9 @@ impl<'a> Chans<'a> {
     ///
     /// Panics if the edges coincide or are not visible in this view.
     pub fn get2_mut(&mut self, a: EdgeId, b: EdgeId) -> (&mut Channel, &mut Channel) {
-        let (ia, ib) = (self.local(a), self.local(b));
         let [ca, cb] = self
             .channels
-            .get_disjoint_mut([ia, ib])
+            .get_disjoint_mut([a.0 as usize, b.0 as usize])
             .expect("distinct edges");
         (ca, cb)
     }
@@ -313,65 +292,6 @@ pub trait SimNode {
     /// Recorded tokens, for recording sinks.
     fn recorded(&self) -> Option<&[Token]> {
         None
-    }
-}
-
-/// A node executor as the engine drives it: either a boxed [`SimNode`]
-/// (virtual dispatch, global edge addressing — the differential-testing
-/// reference path) or a [`CompiledNode`] (one `match`, shard-local dense
-/// edge indices baked at freeze time). The engine's shard loops are
-/// generic over this trait, so the hot path monomorphizes per executor
-/// kind instead of branching per fire.
-pub(crate) trait NodeExec: Send {
-    /// Whether the executor's edge ids were rewritten to shard-local
-    /// channel indices at freeze time (identity channel addressing; no
-    /// per-access translation table).
-    const IDENTITY_CHANS: bool;
-
-    /// See [`SimNode::fire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StepError`] on functional violations, exactly as
-    /// [`SimNode::fire`] does.
-    fn fire(&mut self, ctx: &mut Ctx<'_>) -> Result<bool>;
-    /// See [`SimNode::done`].
-    fn done(&self) -> bool;
-    /// See [`SimNode::stats`].
-    fn stats(&self) -> &NodeStats;
-    /// See [`SimNode::local_time`].
-    fn local_time(&self) -> u64;
-    /// See [`SimNode::blocked_on`].
-    fn blocked_on(&self) -> Option<Blocked>;
-    /// See [`SimNode::recorded`].
-    fn recorded(&self) -> Option<&[Token]>;
-}
-
-impl NodeExec for Box<dyn SimNode + Send> {
-    const IDENTITY_CHANS: bool = false;
-
-    fn fire(&mut self, ctx: &mut Ctx<'_>) -> Result<bool> {
-        self.as_mut().fire(ctx)
-    }
-
-    fn done(&self) -> bool {
-        self.as_ref().done()
-    }
-
-    fn stats(&self) -> &NodeStats {
-        self.as_ref().stats()
-    }
-
-    fn local_time(&self) -> u64 {
-        self.as_ref().local_time()
-    }
-
-    fn blocked_on(&self) -> Option<Blocked> {
-        self.as_ref().blocked_on()
-    }
-
-    fn recorded(&self) -> Option<&[Token]> {
-        self.as_ref().recorded()
     }
 }
 
@@ -675,59 +595,17 @@ impl BlockEmitter {
     }
 }
 
-/// Builds the executor for a graph node. Executors are `Send` so shards
-/// can run on worker threads.
+/// Lowers a graph node into its [`CompiledNode`] variant.
 ///
 /// # Errors
 ///
 /// Returns [`StepError::Config`] for operators whose configuration cannot
 /// be executed.
-pub fn build_node(graph: &Graph, index: usize) -> Result<Box<dyn SimNode + Send>> {
-    build_node_bound(graph, index, None)
-}
-
-/// Builds the executor for a graph node, optionally overriding a
-/// `Source` node's token stream with a per-run binding (source
-/// rebinding: the plan's topology stays fixed while the played stream
-/// changes between runs). The override is ignored for non-source
-/// operators — the engine validates binding targets before building.
-///
-/// # Errors
-///
-/// Returns [`StepError::Config`] for operators whose configuration cannot
-/// be executed.
-pub fn build_node_bound(
-    graph: &Graph,
-    index: usize,
-    source_tokens: Option<Vec<Token>>,
-) -> Result<Box<dyn SimNode + Send>> {
-    Ok(compile_node_bound(graph, index, source_tokens)?.into_dyn())
-}
-
-/// Lowers a graph node into its [`CompiledNode`] variant, optionally
-/// binding a `Source` node's played stream. This is the single lowering
-/// the boxed path re-boxes from, so both executors share one
-/// construction.
-///
-/// # Errors
-///
-/// Returns [`StepError::Config`] for operators whose configuration cannot
-/// be executed.
-pub(crate) fn compile_node_bound(
-    graph: &Graph,
-    index: usize,
-    source_tokens: Option<Vec<Token>>,
-) -> Result<CompiledNode> {
+pub(crate) fn compile_node(graph: &Graph, index: usize) -> Result<CompiledNode> {
     let node = &graph.nodes()[index];
     let rank_of = |e: EdgeId| graph.edge(e).shape.rank();
     Ok(match &node.op {
-        OpKind::Source(cfg) => {
-            let mut n = basic::SourceNode::new(node, cfg.clone());
-            if let Some(tokens) = source_tokens {
-                n.bind(tokens);
-            }
-            CompiledNode::Source(n)
-        }
+        OpKind::Source(cfg) => CompiledNode::Source(basic::SourceNode::new(node, cfg.clone())),
         OpKind::Sink(cfg) => CompiledNode::Sink(basic::SinkNode::new(node, cfg.record)),
         OpKind::Fork { .. } => CompiledNode::Fork(basic::ForkNode::new(node)),
         OpKind::Zip => CompiledNode::Zip(basic::ZipNode::new(node)),
@@ -847,7 +725,7 @@ mod tests {
 
         pub fn ctx(&mut self, horizon: u64) -> Ctx<'_> {
             Ctx {
-                chans: Chans::identity(&mut self.channels),
+                chans: Chans::new(&mut self.channels),
                 hbm: HbmPort::new(
                     HbmSink::Immediate(&mut self.hbm),
                     0,

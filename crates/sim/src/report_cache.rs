@@ -11,35 +11,20 @@
 //!
 //! # Key contract
 //!
-//! The cache has two layers with different guarantees:
-//!
-//! - **Exact layer** — keyed by `(plan content key, binding
-//!   fingerprint)` ([`plan_content_key`] × [`RunBinding::fingerprint`]).
-//!   A hit replays the exact `(plan, binding)` pair, so the returned
-//!   report is **bit-identical** to re-simulation by the determinism
-//!   contract — minus the host-side `run_allocs` / `pool_resets`
-//!   bookkeeping, which records how the original run materialized its
-//!   state, not what it computed.
-//! - **Canonical layer** — keyed by `(plan content key, caller-supplied
-//!   canonical key)`. The caller nominates an equivalence class whose
-//!   members provably share their **aggregate projection**
-//!   ([`ReportAggregates`]: cycles, off-chip traffic, on-chip memory,
-//!   FLOPs, rounds, channel tokens). The projection deliberately
-//!   excludes the engine-execution counters (`total_fires`,
-//!   `idle_fires`, `chan_runs`): those depend on how the scheduler
-//!   coalesced runs, which depends on token adjacency. A canonical hit
-//!   therefore guarantees the projection only, and must only feed
-//!   consumers that read it. The safety of a canonical key is never
-//!   assumed: [`ReportCache::checked`] re-runs every hit and asserts
-//!   the guarantee — full normalized-report equality for exact hits,
-//!   projection equality for canonical hits — and the conformance
-//!   suites drive that mode across seeds and thread counts. That
-//!   differential mode has teeth: it *refuted* the candidate class
-//!   "MoE routings with equal expert-set multisets" (run coalescing
-//!   drifts with token adjacency, and through scheduling even `cycles`
-//!   and `rounds` move), which is why the serving driver canonicalizes
-//!   such bindings and lets the exact layer share them instead of
-//!   nominating them here.
+//! A report is keyed by `(plan content key, binding fingerprint)`
+//! ([`plan_content_key`] × [`RunBinding::fingerprint`]). A hit replays
+//! the exact `(plan, binding)` pair, so the returned report is
+//! **bit-identical** to re-simulation by the determinism contract —
+//! minus the host-side `run_allocs` / `pool_resets` bookkeeping, which
+//! records how the original run materialized its state, not what it
+//! computed. That guarantee is never assumed: [`ReportCache::checked`]
+//! re-runs every hit and asserts it, and the conformance suites drive
+//! that mode across seeds and thread counts. The mode has teeth: it
+//! *refuted* replaying one MoE routing's report for an order-permuted
+//! routing with equal expert-set multisets (run coalescing drifts with
+//! token adjacency, and through scheduling even `cycles` and `rounds`
+//! move), which is why the serving driver canonicalizes such routings
+//! before binding, so they share one key.
 //!
 //! The plan half of the key is **content**, not identity:
 //! [`plan_content_key`] folds the builder fingerprint with
@@ -58,7 +43,7 @@
 //! [`ReportCacheStats`] counts per request, mirroring the sweep
 //! service's plan-cache discipline so the counters are
 //! scheduler-independent and CI can pin them exactly: concurrent misses
-//! on one exact key are **single-flight** (the first requester
+//! on one key are **single-flight** (the first requester
 //! simulates; coalesced waiters share the result and count as hits), a
 //! failed run moves its slot to a sticky `Failed` state that wakes every
 //! coalesced waiter with the error, and the next request for the key
@@ -66,9 +51,9 @@
 //! resolves: a replay, or a coalesced run's error, is a hit; taking the
 //! claim is a miss — also for a waiter that wakes to a *newer* failure
 //! and retakes the claim itself — so every engine run is a miss.
-//! `hits + misses` always equals the requests made; `canonical_hits`
-//! says how many hits came from the canonical layer. [`ReportCache::checked`]'s re-simulations change no
-//! counter — the stats are mode-independent.
+//! `hits + misses` always equals the requests made.
+//! [`ReportCache::checked`]'s re-simulations change no counter — the
+//! stats are mode-independent.
 
 use crate::config::SimConfig;
 use crate::engine::{RunBinding, SimReport};
@@ -78,7 +63,7 @@ use std::panic::{AssertUnwindSafe, catch_unwind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use step_core::error::{Result, StepError};
-use step_core::sync::{lock, wait};
+use step_core::sync::{lock, panic_message, wait};
 
 /// The plan half of a report-cache key: the builder fingerprint folded
 /// with [`SimConfig::fingerprint`]. Two plans with equal content keys
@@ -94,13 +79,9 @@ pub fn plan_content_key(builder: u64, cfg: &SimConfig) -> u64 {
 /// How a [`ReportCache::replay_or_run`] request was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resolution {
-    /// Served from the exact layer: bit-identical replay of this very
+    /// Served from the cache: bit-identical replay of this very
     /// `(plan, binding)` pair.
     Exact,
-    /// Served from the canonical layer: a replay of an equivalent
-    /// binding ([`ReportAggregates`] guaranteed; per-node attribution
-    /// and the engine-execution counters may differ).
-    Canonical,
     /// The engine actually ran (cache miss, disabled mode, or a
     /// non-cache-safe binding).
     Simulated,
@@ -120,14 +101,12 @@ pub struct Replay {
 /// pins them exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReportCacheStats {
-    /// Requests served without simulating — exact and canonical hits,
-    /// including waiters coalesced behind an in-flight miss.
+    /// Requests served without simulating, including waiters coalesced
+    /// behind an in-flight miss.
     pub hits: u64,
     /// Requests that simulated: cache misses, plus bypassed
     /// non-cache-safe bindings.
     pub misses: u64,
-    /// The subset of `hits` served from the canonical layer.
-    pub canonical_hits: u64,
 }
 
 impl ReportCacheStats {
@@ -137,70 +116,7 @@ impl ReportCacheStats {
     pub fn absorb(&mut self, resolution: Resolution) {
         match resolution {
             Resolution::Exact => self.hits += 1,
-            Resolution::Canonical => {
-                self.hits += 1;
-                self.canonical_hits += 1;
-            }
             Resolution::Simulated => self.misses += 1,
-        }
-    }
-}
-
-/// The aggregate projection of a [`SimReport`] that canonical hits
-/// guarantee: the whole-run *performance* scalars. Excluded, and
-/// deliberately so:
-///
-/// - per-node attribution (`node_stats`) and recorded sink streams —
-///   they permute across class members by construction;
-/// - the host-side pool counters (`run_allocs`, `pool_resets`) — they
-///   record how a run materialized state, not what it computed;
-/// - the engine-execution counters (`total_fires`, `idle_fires`,
-///   `chan_runs`) — run coalescing depends on token *adjacency*, so
-///   even bindings whose performance metrics coincide can need
-///   different runs and fires to execute.
-///
-/// [`ReportCache::checked`] asserts equality of this projection on
-/// every canonical hit. Note that the projection still contains
-/// schedule-derived scalars (`cycles`, `rounds`): a sound canonical
-/// class must preserve *those* too, which is a strong demand — checked
-/// mode refuted it for order-permuted MoE routings (see
-/// `step_models::phases::canonical_routing` for the rebinding approach
-/// used instead), and any new class must earn it the same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReportAggregates {
-    /// [`SimReport::cycles`].
-    pub cycles: u64,
-    /// [`SimReport::offchip_traffic`].
-    pub offchip_traffic: u64,
-    /// [`SimReport::offchip_read`].
-    pub offchip_read: u64,
-    /// [`SimReport::offchip_write`].
-    pub offchip_write: u64,
-    /// [`SimReport::onchip_memory`].
-    pub onchip_memory: u64,
-    /// [`SimReport::arena_peak`].
-    pub arena_peak: u64,
-    /// [`SimReport::total_flops`].
-    pub total_flops: u64,
-    /// [`SimReport::rounds`].
-    pub rounds: u64,
-    /// [`SimReport::chan_tokens`].
-    pub chan_tokens: u64,
-}
-
-impl ReportAggregates {
-    /// Projects a report onto its canonical-hit guarantee.
-    pub fn of(r: &SimReport) -> ReportAggregates {
-        ReportAggregates {
-            cycles: r.cycles,
-            offchip_traffic: r.offchip_traffic,
-            offchip_read: r.offchip_read,
-            offchip_write: r.offchip_write,
-            onchip_memory: r.onchip_memory,
-            arena_peak: r.arena_peak,
-            total_flops: r.total_flops,
-            rounds: r.rounds,
-            chan_tokens: r.chan_tokens,
         }
     }
 }
@@ -223,13 +139,13 @@ enum Mode {
     /// Memoize (the default).
     Enabled,
     /// Memoize, and differentially re-simulate **every** hit, asserting
-    /// the layer's guarantee. Conformance-suite mode.
+    /// bit-identity. Conformance-suite mode.
     Checked,
     /// Pure passthrough: always simulate, never store, count nothing.
     Disabled,
 }
 
-/// An exact-layer slot: ready, claimed by an in-flight run, or failed.
+/// A cache slot: ready, claimed by an in-flight run, or failed.
 /// Claims are stamped with a cache-wide epoch exactly like the sweep
 /// service's plan cache: a waiter sleeps while the slot is `Building`
 /// with its epoch and receives the error iff the slot is `Failed` with
@@ -248,20 +164,15 @@ enum Slot {
     },
 }
 
-/// A shared, single-flight, two-layer cache of [`SimReport`]s (see the
-/// module docs for the key contract and counter semantics).
+/// A shared, single-flight cache of [`SimReport`]s (see the module docs
+/// for the key contract and counter semantics).
 pub struct ReportCache {
     mode: Mode,
     slots: Mutex<HashMap<(u64, u64), Slot>>,
-    /// Canonical layer: first successful run of each `(plan, canonical
-    /// key)` class. Locked strictly after `slots` (never the other way),
-    /// so the two mutexes cannot deadlock.
-    canon: Mutex<HashMap<(u64, u64), Arc<SimReport>>>,
     ready: Condvar,
     epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    canonical_hits: AtomicU64,
 }
 
 impl Default for ReportCache {
@@ -275,12 +186,10 @@ impl ReportCache {
         ReportCache {
             mode,
             slots: Mutex::new(HashMap::new()),
-            canon: Mutex::new(HashMap::new()),
             ready: Condvar::new(),
             epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            canonical_hits: AtomicU64::new(0),
         }
     }
 
@@ -289,13 +198,13 @@ impl ReportCache {
         ReportCache::with_mode(Mode::Enabled)
     }
 
-    /// A differential cache: every hit **re-simulates** and asserts its
-    /// layer's guarantee — full normalized-report equality for exact
-    /// hits, [`ReportAggregates`] equality for canonical hits — then
-    /// still serves the cached report. Counters are unchanged by the
-    /// re-runs, so pins written against [`ReportCache::new`] hold here
-    /// too. A violated guarantee panics with both sides; this is how the
-    /// conformance suites *prove* (not assume) canonical-key safety.
+    /// A differential cache: every hit **re-simulates** and asserts the
+    /// re-run equals the cached report (minus the host-side pool
+    /// counters), then still serves the cached report. Counters are
+    /// unchanged by the re-runs, so pins written against
+    /// [`ReportCache::new`] hold here too. A violated guarantee panics
+    /// with both sides; this is how the conformance suites *prove* (not
+    /// assume) that a key identifies its report.
     pub fn checked() -> ReportCache {
         ReportCache::with_mode(Mode::Checked)
     }
@@ -312,16 +221,11 @@ impl ReportCache {
     }
 
     /// Resolves one `(plan, binding)` request: replays a cached report
-    /// when the exact or canonical layer holds one, otherwise runs
-    /// `run` (which must simulate exactly this pair — pooled or fresh,
-    /// both are bit-identical) and stores the result under both layers.
+    /// when the cache holds one, otherwise runs `run` (which must
+    /// simulate exactly this pair — pooled or fresh, both are
+    /// bit-identical) and stores the result.
     ///
     /// `plan` is the plan's **content** key ([`plan_content_key`]).
-    /// `canonical` nominates the binding's equivalence class for the
-    /// canonical layer, or `None` to use the exact layer only; the
-    /// caller owns the proof that class members share their
-    /// [`ReportAggregates`] (drive [`ReportCache::checked`] over the
-    /// class in a test to earn it).
     ///
     /// Concurrent requests for one exact key coalesce onto a single
     /// `run` (single-flight); a panicking `run` resolves the slot with a
@@ -336,7 +240,6 @@ impl ReportCache {
         &self,
         plan: u64,
         binding: &RunBinding,
-        canonical: Option<u64>,
         run: &mut dyn FnMut() -> Result<SimReport>,
     ) -> Result<Replay> {
         if self.mode == Mode::Disabled {
@@ -393,22 +296,6 @@ impl ReportCache {
                     }
                 }
                 Some(Slot::Failed { .. }) | None => {
-                    // Exact miss. The canonical layer is consulted under
-                    // the `slots` lock (then `canon`, the fixed order)
-                    // so a hit here and a claim below cannot interleave
-                    // with another requester's store.
-                    if let Some(c) = canonical
-                        && let Some(report) = lock(&self.canon).get(&(plan, c)).cloned()
-                    {
-                        drop(slots);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.canonical_hits.fetch_add(1, Ordering::Relaxed);
-                        self.check_canonical(&report, run)?;
-                        return Ok(Replay {
-                            report,
-                            resolution: Resolution::Canonical,
-                        });
-                    }
                     // Fresh key, or a failure left by a resolved run:
                     // take the claim (a retry counts as a new miss).
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -430,13 +317,6 @@ impl ReportCache {
             Ok(report) => {
                 let report = Arc::new(report);
                 slots.insert(key, Slot::Ready(report.clone()));
-                if let Some(c) = canonical {
-                    // First writer represents the class; every member
-                    // shares the aggregates the layer guarantees.
-                    lock(&self.canon)
-                        .entry((plan, c))
-                        .or_insert_with(|| report.clone());
-                }
                 Ok(Replay {
                     report,
                     resolution: Resolution::Simulated,
@@ -458,8 +338,8 @@ impl ReportCache {
         result
     }
 
-    /// Checked-mode guarantee for an exact hit: re-simulation is
-    /// bit-identical minus the host-side pool counters.
+    /// Checked-mode guarantee for a hit: re-simulation is bit-identical
+    /// minus the host-side pool counters.
     fn check_exact(
         &self,
         cached: &SimReport,
@@ -478,32 +358,11 @@ impl ReportCache {
         Ok(())
     }
 
-    /// Checked-mode guarantee for a canonical hit: re-simulation agrees
-    /// on the whole aggregate projection.
-    fn check_canonical(
-        &self,
-        cached: &SimReport,
-        run: &mut dyn FnMut() -> Result<SimReport>,
-    ) -> Result<()> {
-        if self.mode != Mode::Checked {
-            return Ok(());
-        }
-        let fresh = run()?;
-        assert_eq!(
-            ReportAggregates::of(cached),
-            ReportAggregates::of(&fresh),
-            "canonical report-cache hit diverged from re-simulation — the canonical \
-             key admits bindings that are not aggregate-equivalent"
-        );
-        Ok(())
-    }
-
     /// Cumulative counters since construction.
     pub fn stats(&self) -> ReportCacheStats {
         ReportCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            canonical_hits: self.canonical_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -515,17 +374,6 @@ impl ReportCache {
     /// Whether the cache holds no reports.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -581,7 +429,7 @@ mod tests {
         std::thread::scope(|s| {
             let waiter = s.spawn(|| {
                 WAIT_PROBE.with(|probe| *probe.borrow_mut() = Some(tx));
-                cache.replay_or_run(7, &binding, None, &mut tiny_run)
+                cache.replay_or_run(7, &binding, &mut tiny_run)
             });
             asleep.recv().expect("the waiter signals before it sleeps");
             lock(&cache.slots).insert(
@@ -598,13 +446,6 @@ mod tests {
                 .expect("the waiter retakes the claim and runs");
             assert_eq!(replay.resolution, Resolution::Simulated);
         });
-        assert_eq!(
-            cache.stats(),
-            ReportCacheStats {
-                hits: 0,
-                misses: 1,
-                canonical_hits: 0
-            }
-        );
+        assert_eq!(cache.stats(), ReportCacheStats { hits: 0, misses: 1 });
     }
 }

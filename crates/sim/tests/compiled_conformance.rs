@@ -1,24 +1,27 @@
 //! Conformance suite for the compiled executor and the run-state pool.
 //!
-//! The contract under test: `SimConfig::compiled` and
-//! [`SimPlan::pooled_run_bound`] are *host-side* choices — static
-//! dispatch versus boxed `dyn` nodes, pooled reset-in-place state versus
-//! freshly built state — and must never reach a reported bit. Concretely:
+//! The contract under test: [`SimPlan::pooled_run_bound`] is a
+//! *host-side* choice — pooled reset-in-place state versus freshly built
+//! state — and must never reach a reported bit. Concretely:
 //!
-//! 1. the compiled path is bit-identical to the dynamic-dispatch path
-//!    (`compiled: false`) on every model-builder family, at worker
-//!    counts 1, 2, 4, and 8 — results, sinks, and the full coordination
-//!    schedule (`sched` counters);
-//! 2. a pooled rerun (state reset in place) is bit-identical to a fresh
-//!    `RunState`, for three consecutive reruns;
+//! 1. fresh runs of every model-builder family reproduce pinned golden
+//!    fingerprints at worker counts 1, 2, 4, and 8 — results, sinks, and
+//!    the full coordination schedule (`sched` counters). The goldens
+//!    are the outputs of the boxed `dyn` reference executor, which ran
+//!    the same node structs through a vtable until it was retired;
+//! 2. a pooled rerun (state reset in place) reproduces the same
+//!    goldens, for three consecutive reruns;
 //! 3. the pool actually pools: after the warmup run, every rerun
 //!    reports `run_allocs == 0` and `pool_resets == 1`;
 //! 4. pooled source rebinding resets cleanly — a rerun with a different
 //!    bound stream matches a fresh build around that stream, and a
-//!    subsequent unbound rerun plays the baked-in tokens again.
+//!    subsequent unbound rerun plays the baked-in tokens again — and a
+//!    malformed binding fails with a typed error, fresh or pooled,
+//!    without costing the pool its state.
 
 use step_core::Graph;
 use step_core::elem::{Elem, ElemKind};
+use step_core::error::StepError;
 use step_core::graph::{GraphBuilder, NodeId};
 use step_core::shape::StreamShape;
 use step_core::tile::Tile;
@@ -27,6 +30,7 @@ use step_models::ModelConfig;
 use step_models::attention::{AttentionCfg, ParallelStrategy, attention_graph};
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
 use step_models::swiglu::{SwigluCfg, swiglu_graph};
+use step_sim::stats::SchedCounters;
 use step_sim::{RunBinding, RunPool, SimConfig, SimPlan, SimReport};
 use step_traces::{KvTraceConfig, RoutingConfig, Variability, expert_routing, kv_lengths};
 
@@ -92,75 +96,105 @@ fn workloads() -> Vec<(String, Graph)> {
     out
 }
 
-fn cfg(threads: usize, compiled: bool) -> SimConfig {
+fn cfg(threads: usize) -> SimConfig {
     SimConfig {
         threads,
         shards: 6,
-        compiled,
         ..SimConfig::default()
     }
 }
 
-/// The bit-identity fields of a report (the conformance fingerprint:
-/// results, fires, sinks, and the full coordination schedule). The
-/// pool-bookkeeping fields `run_allocs` / `pool_resets` are *excluded*
-/// by design — they report which host path ran, not what was simulated.
-#[allow(clippy::type_complexity)]
-fn fingerprint(
-    r: &SimReport,
-) -> (
-    u64,
-    u64,
-    u64,
-    u64,
-    u64,
-    u64,
-    u64,
-    u64,
-    usize,
-    u64,
-    String,
-    String,
-) {
+/// The bit-identity fields of a report (the conformance fingerprint):
+/// `[cycles, offchip_traffic, offchip_read, offchip_write,
+/// onchip_memory, arena_peak, total_flops, rounds, shards,
+/// total_fires]`, the recorded sinks, and the full coordination
+/// schedule. The pool-bookkeeping fields `run_allocs` / `pool_resets`
+/// are *excluded* by design — they report which host path ran, not
+/// what was simulated.
+fn fingerprint(r: &SimReport) -> ([u64; 10], String, SchedCounters) {
     (
-        r.cycles,
-        r.offchip_traffic,
-        r.offchip_read,
-        r.offchip_write,
-        r.onchip_memory,
-        r.arena_peak,
-        r.total_flops,
-        r.rounds,
-        r.shards,
-        r.total_fires(),
+        [
+            r.cycles,
+            r.offchip_traffic,
+            r.offchip_read,
+            r.offchip_write,
+            r.onchip_memory,
+            r.arena_peak,
+            r.total_flops,
+            r.rounds,
+            r.shards as u64,
+            r.total_fires(),
+        ],
         format!("{:?}", r.sinks),
-        format!("{:?}", r.sched),
+        r.sched.clone(),
     )
 }
 
+/// The boxed `dyn` executor's fingerprint of each workload under
+/// [`cfg`], identical at every thread count. No workload records a sink.
+fn golden(name: &str) -> ([u64; 10], String, SchedCounters) {
+    let (scalars, [sub_rounds, shard_runs, solo_runs, elided_runs, wake_dedup]) = match name {
+        "swiglu(16,64)" => (
+            [
+                5411, 3211264, 3178496, 32768, 362496, 0, 50626560, 387, 7, 725,
+            ],
+            [104, 141, 45, 73, 258],
+        ),
+        "moe-static4" => (
+            [
+                2868, 2766848, 2752512, 14336, 720896, 10240, 11167744, 270, 9, 1174,
+            ],
+            [6, 44, 0, 25, 805],
+        ),
+        "moe-dynamic" => (
+            [
+                1917, 1585152, 1572864, 12288, 761856, 14336, 9572352, 171, 9, 619,
+            ],
+            [4, 33, 0, 24, 568],
+        ),
+        "moe-regions2" => (
+            [
+                2728, 2766848, 2752512, 14336, 186368, 6144, 11167744, 126, 7, 722,
+            ],
+            [10, 31, 1, 19, 1005],
+        ),
+        "attn-dynamic" => (
+            [3835, 872448, 823296, 49152, 81920, 0, 2058240, 525, 6, 918],
+            [84, 218, 17, 13, 333],
+        ),
+        other => panic!("no golden for workload {other}"),
+    };
+    let sched = SchedCounters {
+        sub_rounds,
+        shard_runs,
+        solo_runs,
+        elided_runs,
+        wake_dedup,
+    };
+    (scalars, "{}".to_string(), sched)
+}
+
 #[test]
-fn compiled_matches_dyn_at_every_thread_count() {
+fn fresh_runs_match_goldens_at_every_thread_count() {
     for (name, graph) in workloads() {
+        let want = golden(&name);
         for threads in [1usize, 2, 4, 8] {
-            let dyn_plan = SimPlan::new(graph.clone(), cfg(threads, false)).unwrap();
-            let want = fingerprint(&dyn_plan.run().unwrap());
-            let plan = SimPlan::new(graph.clone(), cfg(threads, true)).unwrap();
-            let got = fingerprint(&plan.run().unwrap());
+            let plan = SimPlan::new(graph.clone(), cfg(threads)).unwrap();
             assert_eq!(
-                got, want,
-                "{name}: threads={threads} compiled run diverged from dyn run"
+                fingerprint(&plan.run().unwrap()),
+                want,
+                "{name}: threads={threads} run diverged from the golden"
             );
         }
     }
 }
 
 #[test]
-fn pooled_reruns_match_dyn_and_stay_alloc_free() {
+fn pooled_reruns_match_goldens_and_stay_alloc_free() {
     for (name, graph) in workloads() {
+        let want = golden(&name);
         for threads in [1usize, 2, 4, 8] {
-            let dyn_plan = SimPlan::new(graph.clone(), cfg(threads, false)).unwrap();
-            let want = fingerprint(&dyn_plan.run().unwrap());
-            let plan = SimPlan::new(graph.clone(), cfg(threads, true)).unwrap();
+            let plan = SimPlan::new(graph.clone(), cfg(threads)).unwrap();
             let mut pool = RunPool::new();
             let warmup = plan.pooled_run(&mut pool).unwrap();
             assert_eq!(
@@ -171,7 +205,7 @@ fn pooled_reruns_match_dyn_and_stay_alloc_free() {
             assert_eq!(
                 fingerprint(&warmup),
                 want,
-                "{name}: threads={threads} pooled warmup diverged from dyn run"
+                "{name}: threads={threads} pooled warmup diverged from the golden"
             );
             for rerun in 0..3 {
                 let r = plan.pooled_run(&mut pool).unwrap();
@@ -193,9 +227,9 @@ fn pooled_reruns_match_dyn_and_stay_alloc_free() {
 #[test]
 fn pool_reset_is_identical_to_fresh_state() {
     // A reset-in-place pooled rerun must equal a fresh `RunState` built
-    // by a plain (non-pooled) compiled run — same plan, same binding.
+    // by a plain (non-pooled) run — same plan, same binding.
     let (name, graph) = workloads().remove(2); // moe-dynamic
-    let plan = SimPlan::new(graph, cfg(2, true)).unwrap();
+    let plan = SimPlan::new(graph, cfg(2)).unwrap();
     let fresh = fingerprint(&plan.run().unwrap());
     let mut pool = RunPool::new();
     plan.pooled_run(&mut pool).unwrap();
@@ -215,8 +249,8 @@ fn pool_migrates_across_plans_by_rebuilding() {
     let mut w = workloads();
     let (_, g2) = w.remove(1);
     let (_, g1) = w.remove(0);
-    let p1 = SimPlan::new(g1, cfg(1, true)).unwrap();
-    let p2 = SimPlan::new(g2, cfg(1, true)).unwrap();
+    let p1 = SimPlan::new(g1, cfg(1)).unwrap();
+    let p2 = SimPlan::new(g2, cfg(1)).unwrap();
     let mut pool = RunPool::new();
     assert_eq!(p1.pooled_run(&mut pool).unwrap().run_allocs, 1);
     assert_eq!(p1.pooled_run(&mut pool).unwrap().run_allocs, 0);
@@ -224,17 +258,6 @@ fn pool_migrates_across_plans_by_rebuilding() {
     assert_eq!((migrated.run_allocs, migrated.pool_resets), (1, 0));
     assert_eq!(p2.pooled_run(&mut pool).unwrap().run_allocs, 0);
     assert_eq!(fingerprint(&migrated), fingerprint(&p2.run().unwrap()));
-}
-
-#[test]
-fn disabling_compiled_degrades_pooling_to_fresh_runs() {
-    let (_, graph) = workloads().remove(0);
-    let plan = SimPlan::new(graph, cfg(1, false)).unwrap();
-    let mut pool = RunPool::new();
-    for _ in 0..2 {
-        let r = plan.pooled_run(&mut pool).unwrap();
-        assert_eq!((r.run_allocs, r.pool_resets), (1, 0));
-    }
 }
 
 /// A tiny graph with a known rebindable source: `source -> map(relu) ->
@@ -296,15 +319,38 @@ fn pooled_rebinding_resets_cleanly() {
     let unbound = plan.pooled_run(&mut pool).unwrap();
     assert_eq!((unbound.run_allocs, unbound.pool_resets), (0, 1));
     assert_eq!(sink_values(&unbound, sink), vec![0.0, 2.0, 0.0, 4.0]);
-    // And an invalid binding fails fast without poisoning the pool.
-    let mut bad = RunBinding::new();
-    bad.bind_source(sink, source_tokens(&[1.0]));
-    assert!(plan.pooled_run_bound(&bad, &mut pool).is_err());
-    let after = plan.pooled_run(&mut pool).unwrap();
-    assert_eq!(
-        (after.run_allocs, after.pool_resets),
-        (0, 1),
-        "rejected binding should not cost the pool its state"
-    );
-    assert_eq!(sink_values(&after, sink), vec![0.0, 2.0, 0.0, 4.0]);
+    // And an invalid binding — a non-`Source` target, a preload whose
+    // data does not fill its shape, or a shape whose size overflows —
+    // fails with a typed error, fresh or pooled, without poisoning the
+    // pool.
+    let mut bad_source = RunBinding::new();
+    bad_source.bind_source(sink, source_tokens(&[1.0]));
+    let mut short_preload = RunBinding::new();
+    short_preload.preload(0x1000, 2, 2, vec![1.0; 3]);
+    let mut overflowing_preload = RunBinding::new();
+    overflowing_preload.preload(0x1000, usize::MAX, 2, Vec::new());
+    for (what, bad) in [
+        ("non-source binding", &bad_source),
+        ("short preload", &short_preload),
+        ("overflowing preload", &overflowing_preload),
+    ] {
+        assert!(
+            matches!(plan.run_bound(bad), Err(StepError::Config(_))),
+            "{what}: fresh run not rejected"
+        );
+        assert!(
+            matches!(
+                plan.pooled_run_bound(bad, &mut pool),
+                Err(StepError::Config(_))
+            ),
+            "{what}: pooled run not rejected"
+        );
+        let after = plan.pooled_run(&mut pool).unwrap();
+        assert_eq!(
+            (after.run_allocs, after.pool_resets),
+            (0, 1),
+            "{what}: rejected binding should not cost the pool its state"
+        );
+        assert_eq!(sink_values(&after, sink), vec![0.0, 2.0, 0.0, 4.0]);
+    }
 }

@@ -225,43 +225,6 @@ fn sharded_plan_agrees_with_monolithic_on_functional_metrics() {
     }
 }
 
-#[test]
-fn elision_and_fast_path_are_plan_knobs_not_result_knobs() {
-    // Barrier elision and the off-chip fast path change the sharded
-    // schedule (they are plan knobs, free to move timing within the
-    // conservative band) but may never introduce worker-order
-    // sensitivity: every flag combination must stay bit-identical across
-    // thread counts.
-    // moe-regions2 (EagerMerge + RandomOffChipLoad) and attn-dynamic
-    // (feedback-driven dispatch): the workloads most sensitive to
-    // arrival-order scheduling.
-    for (name, graph) in [workloads().remove(4), workloads().remove(6)] {
-        for (elide, fast) in [(false, false), (true, false), (false, true), (true, true)] {
-            let cfg = |threads| SimConfig {
-                threads,
-                shards: 6,
-                elide_barriers: elide,
-                offchip_fast_path: fast,
-                ..SimConfig::default()
-            };
-            let run = |threads| {
-                Simulation::new(graph.clone(), cfg(threads))
-                    .unwrap()
-                    .run()
-                    .unwrap()
-            };
-            let want = fingerprint(&run(1));
-            for threads in [2, 8] {
-                let got = fingerprint(&run(threads));
-                assert_eq!(
-                    got, want,
-                    "{name}: elide={elide} fast={fast} threads={threads} diverged"
-                );
-            }
-        }
-    }
-}
-
 /// Pins the swiglu(16,64) mono-vs-sharded cycle divergence so engine
 /// changes cannot silently move it.
 ///

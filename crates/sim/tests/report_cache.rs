@@ -17,9 +17,8 @@
 //!    resolve their slot (waiters observe the error, the next request
 //!    retries), disabled mode is a pure passthrough, non-cache-safe
 //!    bindings bypass storage, and [`ReportCache::checked`] actually
-//!    enforces the canonical layer's [`ReportAggregates`] guarantee — a
-//!    deliberately unsound canonical key panics instead of serving a
-//!    wrong replay.
+//!    enforces the replay guarantee — a hit whose key does not identify
+//!    what the run simulates panics instead of serving a wrong replay.
 
 use std::panic::{AssertUnwindSafe, catch_unwind};
 use std::sync::Arc;
@@ -32,8 +31,8 @@ use step_core::shape::StreamShape;
 use step_core::tile::Tile;
 use step_core::token::{self, Token};
 use step_sim::{
-    CancelToken, ReportAggregates, ReportCache, ReportCacheStats, Resolution, RunBinding,
-    SimConfig, SimPlan, SimReport,
+    CancelToken, ReportCache, ReportCacheStats, Resolution, RunBinding, SimConfig, SimPlan,
+    SimReport,
 };
 
 /// A tiny rebindable workload: `source -> map(relu) -> sink` over 1x1
@@ -398,9 +397,9 @@ fn exact_hits_replay_bit_identical_and_counters_pin() {
     let key = 0x51;
     let binding = bind(src, &[5.0, -6.0, 7.0, -8.0]);
     let mut run = || plan.run_bound(&binding);
-    let first = cache.replay_or_run(key, &binding, None, &mut run).unwrap();
+    let first = cache.replay_or_run(key, &binding, &mut run).unwrap();
     assert_eq!(first.resolution, Resolution::Simulated);
-    let second = cache.replay_or_run(key, &binding, None, &mut run).unwrap();
+    let second = cache.replay_or_run(key, &binding, &mut run).unwrap();
     assert_eq!(second.resolution, Resolution::Exact);
     // The hit is the *same* stored report, not a re-run.
     assert!(Arc::ptr_eq(&first.report, &second.report));
@@ -408,20 +407,13 @@ fn exact_hits_replay_bit_identical_and_counters_pin() {
     // A different binding under the same plan key is its own entry.
     let other = bind(src, &[9.0, -1.0, 2.0, -3.0]);
     let got = cache
-        .replay_or_run(key, &other, None, &mut || plan.run_bound(&other))
+        .replay_or_run(key, &other, &mut || plan.run_bound(&other))
         .unwrap();
     assert_eq!(got.resolution, Resolution::Simulated);
     // A different *plan* key never aliases: same binding, fresh miss.
-    let got = cache.replay_or_run(0x52, &binding, None, &mut run).unwrap();
+    let got = cache.replay_or_run(0x52, &binding, &mut run).unwrap();
     assert_eq!(got.resolution, Resolution::Simulated);
-    assert_eq!(
-        cache.stats(),
-        ReportCacheStats {
-            hits: 1,
-            misses: 3,
-            canonical_hits: 0
-        }
-    );
+    assert_eq!(cache.stats(), ReportCacheStats { hits: 1, misses: 3 });
     assert_eq!(cache.len(), 3);
 }
 
@@ -443,7 +435,7 @@ fn concurrent_misses_coalesce_onto_one_engine_run() {
             );
             sc.spawn(move || {
                 let got = cache
-                    .replay_or_run(0x7, &binding, None, &mut || {
+                    .replay_or_run(0x7, &binding, &mut || {
                         runs.fetch_add(1, Ordering::Relaxed);
                         // Widen the race window so waiters actually
                         // coalesce instead of arriving after resolution.
@@ -464,7 +456,6 @@ fn concurrent_misses_coalesce_onto_one_engine_run() {
     let stats = cache.stats();
     assert_eq!(runs.load(Ordering::Relaxed), stats.misses);
     assert_eq!(stats.hits + stats.misses, REQUESTERS as u64);
-    assert_eq!(stats.canonical_hits, 0);
 }
 
 #[test]
@@ -473,28 +464,21 @@ fn failures_propagate_and_the_next_request_retries() {
     let plan = SimPlan::new(graph, SimConfig::default()).unwrap();
     let cache = ReportCache::new();
     let binding = bind(src, &[2.0]);
-    let err = cache.replay_or_run(0x9, &binding, None, &mut || {
+    let err = cache.replay_or_run(0x9, &binding, &mut || {
         Err(StepError::Config("injected".into()))
     });
     assert!(matches!(err, Err(StepError::Config(_))));
     // The failure is not sticky for new requests: the retry simulates.
     let got = cache
-        .replay_or_run(0x9, &binding, None, &mut || plan.run_bound(&binding))
+        .replay_or_run(0x9, &binding, &mut || plan.run_bound(&binding))
         .unwrap();
     assert_eq!(got.resolution, Resolution::Simulated);
     // And the recovered slot serves hits again.
     let hit = cache
-        .replay_or_run(0x9, &binding, None, &mut || plan.run_bound(&binding))
+        .replay_or_run(0x9, &binding, &mut || plan.run_bound(&binding))
         .unwrap();
     assert_eq!(hit.resolution, Resolution::Exact);
-    assert_eq!(
-        cache.stats(),
-        ReportCacheStats {
-            hits: 1,
-            misses: 2,
-            canonical_hits: 0
-        }
-    );
+    assert_eq!(cache.stats(), ReportCacheStats { hits: 1, misses: 2 });
 }
 
 #[test]
@@ -503,7 +487,7 @@ fn panicking_runs_become_typed_errors_not_hangs() {
     let plan = SimPlan::new(graph, SimConfig::default()).unwrap();
     let cache = ReportCache::new();
     let binding = bind(src, &[2.0]);
-    let err = cache.replay_or_run(0xA, &binding, None, &mut || {
+    let err = cache.replay_or_run(0xA, &binding, &mut || {
         panic!("injected panic in engine run")
     });
     match err {
@@ -511,7 +495,7 @@ fn panicking_runs_become_typed_errors_not_hangs() {
         other => panic!("expected Panicked, got {other:?}"),
     }
     let got = cache
-        .replay_or_run(0xA, &binding, None, &mut || plan.run_bound(&binding))
+        .replay_or_run(0xA, &binding, &mut || plan.run_bound(&binding))
         .unwrap();
     assert_eq!(got.resolution, Resolution::Simulated);
 }
@@ -524,7 +508,7 @@ fn disabled_mode_is_a_pure_passthrough() {
     let binding = bind(src, &[3.0, 4.0]);
     for _ in 0..3 {
         let got = cache
-            .replay_or_run(0xB, &binding, Some(0xC), &mut || plan.run_bound(&binding))
+            .replay_or_run(0xB, &binding, &mut || plan.run_bound(&binding))
             .unwrap();
         assert_eq!(got.resolution, Resolution::Simulated);
     }
@@ -541,82 +525,34 @@ fn non_cache_safe_bindings_bypass_storage() {
     binding.wall_deadline_ms(60_000);
     for _ in 0..2 {
         let got = cache
-            .replay_or_run(0xD, &binding, Some(0xE), &mut || plan.run_bound(&binding))
+            .replay_or_run(0xD, &binding, &mut || plan.run_bound(&binding))
             .unwrap();
         assert_eq!(got.resolution, Resolution::Simulated);
     }
     assert!(cache.is_empty(), "host-dependent binding was stored");
-    assert_eq!(
-        cache.stats(),
-        ReportCacheStats {
-            hits: 0,
-            misses: 2,
-            canonical_hits: 0
-        }
-    );
+    assert_eq!(cache.stats(), ReportCacheStats { hits: 0, misses: 2 });
 }
 
 #[test]
-fn canonical_layer_serves_aggregate_equivalent_bindings() {
-    // Permuting the values through an elementwise map changes the sink
-    // stream but no whole-run aggregate — a sound canonical class.
+fn checked_mode_refutes_a_key_that_does_not_identify_its_run() {
+    // A run closure that simulates a different binding than the one it
+    // is keyed under: enabled mode would happily serve the first run's
+    // report for the second request — checked mode re-simulates the hit
+    // and must panic instead.
     let (graph, src) = bindable_graph(&[1.0, 2.0, 3.0, 4.0]);
     let plan = SimPlan::new(graph, SimConfig::default()).unwrap();
-    for cache in [ReportCache::new(), ReportCache::checked()] {
-        let canonical = Some(0xF00D);
-        let a = bind(src, &[1.0, -2.0, 3.0, -4.0]);
-        let b = bind(src, &[-4.0, 3.0, -2.0, 1.0]);
-        let first = cache
-            .replay_or_run(0x10, &a, canonical, &mut || plan.run_bound(&a))
-            .unwrap();
-        assert_eq!(first.resolution, Resolution::Simulated);
-        // Different exact fingerprint, same canonical class: a canonical
-        // hit — in checked mode, re-simulated and the projection
-        // asserted.
-        let second = cache
-            .replay_or_run(0x10, &b, canonical, &mut || plan.run_bound(&b))
-            .unwrap();
-        assert_eq!(second.resolution, Resolution::Canonical);
-        assert_eq!(
-            ReportAggregates::of(&second.report),
-            ReportAggregates::of(&plan.run_bound(&b).unwrap())
-        );
-        assert_eq!(
-            cache.stats(),
-            ReportCacheStats {
-                hits: 1,
-                misses: 1,
-                canonical_hits: 1
-            },
-            "checked-mode re-simulation must not move the counters"
-        );
-    }
-}
-
-#[test]
-fn checked_mode_refutes_an_unsound_canonical_key() {
-    // Two bindings with *different* aggregates (different stream
-    // lengths) crammed into one canonical class: Enabled mode would
-    // happily serve the wrong replay — checked mode must panic instead.
-    let (graph, src) = bindable_graph(&[1.0, 2.0, 3.0, 4.0]);
-    let plan = SimPlan::new(graph, SimConfig::default()).unwrap();
-    let a = bind(src, &[1.0, 2.0, 3.0, 4.0]);
-    let b = bind(src, &[1.0, 2.0]);
-    assert_ne!(
-        ReportAggregates::of(&plan.run_bound(&a).unwrap()),
-        ReportAggregates::of(&plan.run_bound(&b).unwrap()),
-        "perturbation too weak to distinguish the classes"
-    );
+    let keyed = bind(src, &[1.0, 2.0, 3.0, 4.0]);
+    let simulated = bind(src, &[1.0, 2.0]);
     let cache = ReportCache::checked();
     assert!(cache.is_checked());
     cache
-        .replay_or_run(0x11, &a, Some(0xBAD), &mut || plan.run_bound(&a))
+        .replay_or_run(0x11, &keyed, &mut || plan.run_bound(&keyed))
         .unwrap();
     let refuted = catch_unwind(AssertUnwindSafe(|| {
-        cache.replay_or_run(0x11, &b, Some(0xBAD), &mut || plan.run_bound(&b))
+        cache.replay_or_run(0x11, &keyed, &mut || plan.run_bound(&simulated))
     }));
     assert!(
         refuted.is_err(),
-        "checked mode served an aggregate-divergent canonical hit"
+        "checked mode served a hit that diverged from re-simulation"
     );
 }

@@ -1,8 +1,9 @@
 //! Minimal sharded-engine smoke tests (small graphs, forced shards).
 
+use step_core::error::StepError;
 use step_core::graph::GraphBuilder;
 use step_core::ops::LinearLoadCfg;
-use step_sim::{SimConfig, Simulation};
+use step_sim::{SimConfig, SimPlan, Simulation};
 
 fn cfg(threads: usize, shards: usize) -> SimConfig {
     SimConfig {
@@ -55,16 +56,30 @@ fn starved_feedback_graph() -> step_core::Graph {
 fn deadlock_is_detected_not_hung_at_any_thread_count() {
     // The barrier-elision/fast-path engine must still diagnose a stuck
     // graph — inline and with parked workers — rather than spin or hang.
+    // Executors report shard-local channel indices; the diagnostics must
+    // name the graph's edge ids, identically however the graph is
+    // sharded.
+    let want = "no progress with 4 nodes blocked: \
+                2:Fork t=0 (awaiting input on edge 6), \
+                3:Partition t=0 (awaiting input on edge 2), \
+                4:EagerMerge t=0 (awaiting input on edge 4), \
+                5:Sink t=0 (awaiting input on edge 5)";
     for (threads, shards) in [(1, 1), (1, 4), (4, 4)] {
-        let err = Simulation::new(starved_feedback_graph(), cfg(threads, shards))
-            .unwrap()
-            .run()
-            .unwrap_err();
-        let msg = format!("{err}");
-        assert!(
-            msg.contains("blocked"),
-            "threads={threads} shards={shards}: expected deadlock diagnostics, got: {msg}"
+        let plan = SimPlan::new(starved_feedback_graph(), cfg(threads, shards)).unwrap();
+        assert_eq!(
+            plan.shards() > 1,
+            shards > 1,
+            "threads={threads} shards={shards}: plan has {} shards",
+            plan.shards()
         );
+        match plan.run() {
+            Err(StepError::Deadlock(msg)) => {
+                assert_eq!(msg, want, "threads={threads} shards={shards}")
+            }
+            other => {
+                panic!("threads={threads} shards={shards}: expected a deadlock, got {other:?}")
+            }
+        }
     }
 }
 
