@@ -29,10 +29,11 @@
 //! `--reuse N` appends the plan-reuse section: the heaviest config's
 //! `SimPlan` is frozen once into a single-worker
 //! [`step_bench::SweepService`]'s plan cache and run `N` times through
-//! it (compiled executors, the worker's pooled state reset in place),
-//! reporting the graph-build / partition+topology / per-run wall split
-//! and the amortization ratio (build+run divided by the amortized
-//! per-run wall). Counters of every reused run are held to the same
+//! it (the first run compiles the executors and builds the worker's
+//! pooled state, later runs reset that state in place), reporting the
+//! graph-build / partition+topology / per-run wall split and the
+//! amortization ratio (build+run divided by the amortized per-run
+//! wall). Counters of every reused run are held to the same
 //! pinned budgets as the fresh-build rows, must be bit-identical across
 //! runs, every pooled rerun must report `run_allocs == 0` /
 //! `pool_resets == 1` (the alloc-free guard — a counter, so it cannot
@@ -79,7 +80,8 @@ fn run_once(cfg: &MoeCfg, trace: &RoutingTrace, sim_cfg: SimConfig) -> (SimRepor
 /// the JSON line for the artifact.
 ///
 /// The cache is pre-warmed with an explicit checkout of the pre-built
-/// graph (isolating partition/topology/compile time as `plan_ms`), so
+/// graph (isolating partition/topology time as `plan_ms`; compiling
+/// the executors falls in the first run's `run_ms_first`), so
 /// the `N` submitted points are all hits — their build closures *fail*,
 /// which turns "warm points never rebuild" into a hard assertion rather
 /// than a counter we merely read. The single worker keeps one `RunPool`
@@ -210,7 +212,7 @@ fn reuse_section(json: bool, runs: usize) -> String {
         println!("{line}");
     } else {
         println!(
-            "\nplan reuse (batch 64 / static 8, {runs} runs via 1-worker sweep service): graph {graph_ms:.1}ms + partition/topology/compile {plan_ms:.1}ms, pooled runs mean {run_mean:.1}ms (min {run_min:.1}ms)"
+            "\nplan reuse (batch 64 / static 8, {runs} runs via 1-worker sweep service): graph {graph_ms:.1}ms + partition/topology {plan_ms:.1}ms, pooled runs mean {run_mean:.1}ms (min {run_min:.1}ms)"
         );
         println!(
             "pool: {run_allocs} state build(s), {pool_resets} in-place reset(s); \

@@ -9,18 +9,19 @@
 //! mutability:
 //!
 //! - [`SimPlan::new`] does everything that depends only on `(graph,
-//!   SimConfig)`: it partitions the graph into shards
-//!   ([`step_core::partition`], with cut metadata), lays out every
-//!   shard's channel topology (local channel table, edge map,
-//!   reader/writer indices, cross-shard halves), and freezes the
-//!   configuration. The resulting plan is **immutable** — it can be
-//!   wrapped in an `Arc` and run from many threads at once.
+//!   SimConfig)`: it rejects inexecutable operators, partitions the
+//!   graph into shards ([`step_core::partition`], with cut metadata),
+//!   lays out every shard's channel topology (local channel table,
+//!   channel → edge table, reader/writer indices, flat port table,
+//!   cross-shard halves), and freezes the configuration. Every table is
+//!   linear in the graph's size. The resulting plan is **immutable** —
+//!   it can be wrapped in an `Arc` and run from many threads at once.
 //! - [`SimPlan::run`] (or [`SimPlan::run_bound`] with a per-run
 //!   [`RunBinding`]) materializes the cheap mutable state for one
-//!   execution — node executors, channel queues, scratchpad arenas,
-//!   scheduler ready-sets, the HBM ledger — runs it to completion, and
-//!   returns the [`SimReport`]. Every run of the same plan (with the
-//!   same binding) is bit-identical to a fresh
+//!   execution — node executors lowered from the graph, channel queues,
+//!   scratchpad arenas, scheduler ready-sets, the HBM ledger — runs it
+//!   to completion, and returns the [`SimReport`]. Every run of the
+//!   same plan (with the same binding) is bit-identical to a fresh
 //!   `Simulation::new(graph, cfg)?.run()?` of the same graph.
 //!
 //! [`RunBinding`] supplies the per-run inputs: replacement token streams
@@ -376,24 +377,28 @@ impl ChanSpec {
     }
 }
 
-/// The immutable topology of one shard: which nodes it owns, how its
-/// local channels map onto graph edges, and which channels are the
-/// reader halves of incoming cut edges. Shared by every run of the plan.
+/// The immutable topology of one shard: which nodes it owns, which
+/// graph edge each local channel carries, and which channels are the
+/// reader halves of incoming cut edges. Shared by every run of the plan;
+/// every table is linear in the shard's own nodes and channels.
 struct ShardPlan {
     /// Global node ids, ascending; local index ↔ position here.
     node_ids: Vec<u32>,
     /// Per-local-channel capacity spec (run state builds the queues).
     chans: Vec<ChanSpec>,
-    /// Global edge id → local channel index (`u32::MAX` = not here).
-    edge_map: Vec<u32>,
+    /// Local channel → graph edge id (a cut edge's writer and reader
+    /// halves both name their edge).
+    edge_of: Vec<u32>,
     /// Local channel → local reader/writer node (`u32::MAX` = remote or
     /// none).
     reader_of: Vec<u32>,
     writer_of: Vec<u32>,
-    /// Local edge lists per local node (inputs then outputs, local
-    /// channel indices), mirroring the graph's port order.
-    ins_of: Vec<Vec<u32>>,
-    outs_of: Vec<Vec<u32>>,
+    /// Every local node's ports as local channel indices, inputs then
+    /// outputs in the graph's port order, flattened: node `i`'s inputs
+    /// are `ports[port_off[2i]..port_off[2i + 1]]` and its outputs
+    /// `ports[port_off[2i + 1]..port_off[2i + 2]]`.
+    ports: Vec<u32>,
+    port_off: Vec<u32>,
     /// Reader halves of this shard's incoming cut edges (local channel
     /// indices): the only channels that can carry tokens in from outside,
     /// whose time floors bound the barrier-elision allowance.
@@ -401,16 +406,20 @@ struct ShardPlan {
 }
 
 impl ShardPlan {
+    /// Local node `i`'s input then output channels.
+    fn ports(&self, i: usize) -> &[u32] {
+        &self.ports[self.port_off[2 * i] as usize..self.port_off[2 * i + 2] as usize]
+    }
+
+    /// Local node `i`'s output channels.
+    fn outs(&self, i: usize) -> &[u32] {
+        &self.ports[self.port_off[2 * i + 1] as usize..self.port_off[2 * i + 2] as usize]
+    }
+
     /// Translates a blocked marker carrying a shard-local channel index
-    /// back to the global edge id, by scanning the forward map
-    /// (diagnostics only; no reverse table is kept).
+    /// back to its graph edge id (diagnostics only).
     fn unmap_blocked(&self, b: nodes::Blocked) -> nodes::Blocked {
-        let unmap = |e: EdgeId| {
-            self.edge_map
-                .iter()
-                .position(|&m| m == e.0)
-                .map_or(e, |g| EdgeId(g as u32))
-        };
+        let unmap = |e: EdgeId| EdgeId(self.edge_of[e.0 as usize]);
         match b {
             nodes::Blocked::Input(e) => nodes::Blocked::Input(unmap(e)),
             nodes::Blocked::Output(e) => nodes::Blocked::Output(unmap(e)),
@@ -596,8 +605,9 @@ impl Shard {
             Some(h) => HbmSink::Immediate(h),
             None => HbmSink::Queued(&mut self.hbm_reqs),
         };
-        // Executors carry shard-local channel indices baked at freeze
-        // time, so channel access needs no edge translation.
+        // Executors carry shard-local channel indices, rewritten when
+        // the run lowered them, so channel access needs no edge
+        // translation.
         let mut ctx = Ctx {
             chans: Chans::new(&mut self.channels),
             hbm: HbmPort::new(
@@ -629,13 +639,13 @@ impl Shard {
             // Publish a conservative lower bound on this node's future
             // token times so arrival-order merges can commit safely.
             let t = self.nodes[i].local_time();
-            for &c in &plan.outs_of[i] {
+            for &c in plan.outs(i) {
                 self.channels[c as usize].raise_floor(t);
             }
         }
         // Drain this node's channel events into wakes. Remote endpoints
         // (u32::MAX) are handled by the barrier coordinator.
-        for &c in plan.ins_of[i].iter().chain(plan.outs_of[i].iter()) {
+        for &c in plan.ports(i) {
             let idx = c as usize;
             let ev = self.channels[idx].take_events();
             if ev == 0 {
@@ -1187,6 +1197,11 @@ static PLAN_IDS: AtomicU64 = AtomicU64::new(1);
 /// run of the same plan with the same binding is bit-identical — to
 /// other runs of the plan and to a fresh
 /// `Simulation::new(graph, cfg)?.run()?`.
+///
+/// Beyond its graph, a plan holds only tables linear in the graph's
+/// size (per-shard node, channel and port arrays, plus the cut edges),
+/// so a cache holding many plans costs about what their graphs cost.
+/// It keeps no executors: each fresh run lowers them from the graph.
 pub struct SimPlan {
     graph: Graph,
     cfg: SimConfig,
@@ -1195,11 +1210,6 @@ pub struct SimPlan {
     /// Node (global id) → owning shard / local index.
     shard_of: Vec<u32>,
     local_of: Vec<u32>,
-    /// Compiled executor prototypes, one per shard in `node_ids` order,
-    /// with `Io` edge ids pre-resolved to shard-local channel slots.
-    /// Each run clones its shard's prototypes — static dispatch, no
-    /// vtable, no per-run edge translation.
-    protos: Vec<Vec<CompiledNode>>,
     /// Process-unique identity for [`RunPool`] matching.
     id: u64,
 }
@@ -1215,6 +1225,10 @@ impl SimPlan {
     ///
     /// Returns [`StepError::Config`] if an operator cannot be executed.
     pub fn new(graph: Graph, cfg: SimConfig) -> Result<SimPlan> {
+        // Surface inexecutable operators at plan time, not first run.
+        for node in graph.nodes() {
+            nodes::check_executable(&node.op)?;
+        }
         let plan = match cfg.shards {
             1 => Partition::monolithic(&graph),
             0 => partition(&graph, &PartitionCfg::default()),
@@ -1229,7 +1243,6 @@ impl SimPlan {
         };
         let k = plan.shards;
         let n = graph.nodes().len();
-        let e = graph.edges().len();
 
         // Local node ids per shard, ascending.
         let mut node_ids: Vec<Vec<u32>> = vec![Vec::new(); k];
@@ -1240,11 +1253,15 @@ impl SimPlan {
         }
 
         // Channels: intra-shard edges get one channel in their shard;
-        // cut edges get a writer half and a reader half.
-        let mut chans: Vec<Vec<ChanSpec>> = (0..k).map(|_| Vec::new()).collect();
-        let mut edge_map: Vec<Vec<u32>> = vec![vec![u32::MAX; e]; k];
+        // cut edges get a writer half and a reader half. `halves` holds
+        // each edge's (writer, reader) local channel — the same channel
+        // twice for an intra-shard edge — while the port tables are laid
+        // out; the plan keeps only the per-shard tables.
+        let mut chans: Vec<Vec<ChanSpec>> = vec![Vec::new(); k];
+        let mut edge_of: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut reader_of: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut writer_of: Vec<Vec<u32>> = vec![Vec::new(); k];
+        let mut halves: Vec<(u32, u32)> = Vec::with_capacity(graph.edges().len());
         let mut cross = Vec::new();
         for (ei, edge) in graph.edges().iter().enumerate() {
             let src = edge.src.0.0 as usize;
@@ -1254,32 +1271,24 @@ impl SimPlan {
                 .0
                 .0 as usize;
             let (ws, rs) = (plan.shard_of[src] as usize, plan.shard_of[dst] as usize);
-            if ws == rs {
-                let s = ws;
-                edge_map[s][ei] = chans[s].len() as u32;
+            // Adds a channel carrying this edge to shard `s`.
+            let mut add = |s: usize, cross_reader: bool, writer: u32, reader: u32| {
                 chans[s].push(ChanSpec {
                     capacity: edge.capacity,
-                    cross_reader: false,
+                    cross_reader,
                 });
-                writer_of[s].push(local_node[src]);
-                reader_of[s].push(local_node[dst]);
+                edge_of[s].push(ei as u32);
+                writer_of[s].push(writer);
+                reader_of[s].push(reader);
+                chans[s].len() as u32 - 1
+            };
+            if ws == rs {
+                let c = add(ws, false, local_node[src], local_node[dst]);
+                halves.push((c, c));
             } else {
-                let w_ch = chans[ws].len() as u32;
-                edge_map[ws][ei] = w_ch;
-                chans[ws].push(ChanSpec {
-                    capacity: edge.capacity,
-                    cross_reader: false,
-                });
-                writer_of[ws].push(local_node[src]);
-                reader_of[ws].push(u32::MAX);
-                let r_ch = chans[rs].len() as u32;
-                edge_map[rs][ei] = r_ch;
-                chans[rs].push(ChanSpec {
-                    capacity: edge.capacity,
-                    cross_reader: true,
-                });
-                writer_of[rs].push(u32::MAX);
-                reader_of[rs].push(local_node[dst]);
+                let w_ch = add(ws, false, local_node[src], u32::MAX);
+                let r_ch = add(rs, true, u32::MAX, local_node[dst]);
+                halves.push((w_ch, r_ch));
                 cross.push(CrossEdge {
                     w_shard: ws as u32,
                     w_ch,
@@ -1292,67 +1301,39 @@ impl SimPlan {
         let mut shard_plans = Vec::with_capacity(k);
         for s in 0..k {
             let ids = std::mem::take(&mut node_ids[s]);
-            let map = std::mem::take(&mut edge_map[s]);
-            let ins_of: Vec<Vec<u32>> = ids
+            // Inputs read reader halves, outputs write writer halves.
+            let mut ports = Vec::new();
+            let mut port_off = Vec::with_capacity(2 * ids.len() + 1);
+            port_off.push(0);
+            for &gid in &ids {
+                let node = &graph.nodes()[gid as usize];
+                ports.extend(node.inputs.iter().map(|e| halves[e.0 as usize].1));
+                port_off.push(ports.len() as u32);
+                ports.extend(node.outputs.iter().map(|e| halves[e.0 as usize].0));
+                port_off.push(ports.len() as u32);
+            }
+            let cut_ins = plan.cut_ins_of[s]
                 .iter()
-                .map(|&gid| {
-                    graph.nodes()[gid as usize]
-                        .inputs
-                        .iter()
-                        .map(|e| map[e.0 as usize])
-                        .collect()
-                })
-                .collect();
-            let outs_of: Vec<Vec<u32>> = ids
-                .iter()
-                .map(|&gid| {
-                    graph.nodes()[gid as usize]
-                        .outputs
-                        .iter()
-                        .map(|e| map[e.0 as usize])
-                        .collect()
-                })
-                .collect();
-            let cut_ins: Vec<u32> = plan.cut_ins_of[s]
-                .iter()
-                .map(|e| map[e.0 as usize])
+                .map(|e| halves[e.0 as usize].1)
                 .collect();
             shard_plans.push(ShardPlan {
-                node_ids: ids,
-                chans: std::mem::take(&mut chans[s]),
-                edge_map: map,
-                reader_of: std::mem::take(&mut reader_of[s]),
-                writer_of: std::mem::take(&mut writer_of[s]),
-                ins_of,
-                outs_of,
+                node_ids: frozen(ids),
+                chans: frozen(std::mem::take(&mut chans[s])),
+                edge_of: frozen(std::mem::take(&mut edge_of[s])),
+                reader_of: frozen(std::mem::take(&mut reader_of[s])),
+                writer_of: frozen(std::mem::take(&mut writer_of[s])),
+                ports: frozen(ports),
+                port_off,
                 cut_ins,
             });
-        }
-        // Compile every node into its static-dispatch executor, with
-        // `Io` edge ids rewritten to the owning shard's channel slots.
-        // This also surfaces inexecutable operators at plan time (not
-        // first run).
-        let mut protos = Vec::with_capacity(k);
-        for sp in &shard_plans {
-            let mut v = Vec::with_capacity(sp.node_ids.len());
-            for &gid in &sp.node_ids {
-                let mut node = nodes::compile_node(&graph, gid as usize)?;
-                let io = node.io_mut();
-                for e in io.ins.iter_mut().chain(io.outs.iter_mut()) {
-                    *e = EdgeId(sp.edge_map[e.0 as usize]);
-                }
-                v.push(node);
-            }
-            protos.push(v);
         }
         Ok(SimPlan {
             graph,
             cfg,
             plans: shard_plans,
-            cross,
+            cross: frozen(cross),
             shard_of: plan.shard_of,
             local_of: local_node,
-            protos,
             id: PLAN_IDS.fetch_add(1, Ordering::Relaxed),
         })
     }
@@ -1514,20 +1495,29 @@ impl SimPlan {
         Ok(())
     }
 
-    /// Materializes the mutable state for one run: clones the
-    /// pre-resolved executor prototypes (no graph walk, no edge
-    /// translation), binds per-run source streams, and builds channel
-    /// queues, arenas, scheduler ready-sets, the HBM ledger, and the
-    /// preloaded backing store. The binding must already be validated.
+    /// Materializes the mutable state for one run: lowers every shard's
+    /// nodes from the graph ([`nodes::compile_node`], with `Io` edge ids
+    /// rewritten to the shard's local channels through its port table),
+    /// binds per-run source streams, and builds channel queues, arenas,
+    /// scheduler ready-sets, the HBM ledger, and the preloaded backing
+    /// store. The binding must already be validated.
     fn build_state(&self, binding: &RunBinding) -> RunState {
         let sharded = self.plans.len() > 1;
         let mut shards = Vec::with_capacity(self.plans.len());
-        for (sp, protos) in self.plans.iter().zip(&self.protos) {
-            let mut nodes = protos.clone();
+        for sp in &self.plans {
+            let mut nodes = Vec::with_capacity(sp.node_ids.len());
             for (i, &gid) in sp.node_ids.iter().enumerate() {
-                if let Some(toks) = binding.sources.get(&NodeId(gid)) {
-                    nodes[i].bind_source(toks.clone());
+                let mut node = nodes::compile_node(&self.graph, gid as usize);
+                let io = node.io_mut();
+                let ports = sp.ports(i);
+                debug_assert_eq!(io.ins.len() + io.outs.len(), ports.len());
+                for (e, &c) in io.ins.iter_mut().chain(io.outs.iter_mut()).zip(ports) {
+                    *e = EdgeId(c);
                 }
+                if let Some(toks) = binding.sources.get(&NodeId(gid)) {
+                    node.bind_source(toks.clone());
+                }
+                nodes.push(node);
             }
             let m = sp.node_ids.len();
             let channels = sp
@@ -2181,4 +2171,10 @@ fn deadlock_error(mut lines: Vec<(u32, String)>) -> StepError {
         blocked.len(),
         blocked.join(", ")
     ))
+}
+
+/// `v` without spare capacity: plan tables live as long as the plan.
+fn frozen<T>(mut v: Vec<T>) -> Vec<T> {
+    v.shrink_to_fit();
+    v
 }

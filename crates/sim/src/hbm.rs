@@ -97,17 +97,18 @@ pub struct Hbm {
 impl Hbm {
     /// Creates the HBM node.
     pub fn new(cfg: HbmConfig) -> Hbm {
-        let banks = cfg.banks.max(1) as usize;
+        // A zero in the config models as one, here and in every access.
+        let banks = cfg.banks.max(1);
         let pow2 = |v: u64| (v > 0 && v.is_power_of_two()).then(|| v.trailing_zeros());
         let row_shift = pow2(cfg.row_bytes.max(1));
-        let bank_mask = (cfg.banks.max(1)).is_power_of_two().then(|| cfg.banks - 1);
+        let bank_mask = banks.is_power_of_two().then(|| banks - 1);
         let bpc_shift = pow2(cfg.bytes_per_cycle.max(1));
         Hbm {
             cfg,
             windows: Vec::new(),
             skip: Vec::new(),
             win_base: u64::MAX,
-            open_rows: vec![None; banks],
+            open_rows: vec![None; banks as usize],
             row_shift,
             bank_mask,
             bpc_shift,
@@ -331,9 +332,10 @@ impl Hbm {
         }
     }
 
-    /// The configured peak bandwidth in bytes/cycle.
+    /// The modeled peak bandwidth in bytes/cycle: the configured value,
+    /// with zero modeled as one like every transfer the ledger times.
     pub fn peak_bytes_per_cycle(&self) -> u64 {
-        self.cfg.bytes_per_cycle
+        self.cfg.bytes_per_cycle.max(1)
     }
 }
 

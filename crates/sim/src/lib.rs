@@ -55,17 +55,19 @@
 //! - [`engine::SimPlan`] — the immutable, reusable execution plan, and
 //!   the sharded event-driven scheduler that runs it. The lifecycle is
 //!   **freeze → compile → pooled-run**. [`engine::SimPlan::new`] does
-//!   everything that depends only on `(graph, SimConfig)`:
-//!   [`step_core::partition`] cuts the graph at high-slack channels
-//!   into connected shards (small graphs stay monolithic), every
-//!   shard's channel topology is laid out, and each operator is
-//!   *compiled* into a static-dispatch executor variant
-//!   ([`nodes::CompiledNode`]) with its `Io` edge ids pre-resolved to
+//!   everything that depends only on `(graph, SimConfig)`: it rejects
+//!   inexecutable operators, [`step_core::partition`] cuts the graph
+//!   at high-slack channels into connected shards (small graphs stay
+//!   monolithic), and every shard's channel topology is laid out in
+//!   tables linear in the graph's size (channels with the edge each
+//!   carries, a flat port table), so a plan costs about what its graph
+//!   costs. [`engine::SimPlan::run`] / [`engine::SimPlan::run_bound`]
+//!   materialize the per-run state fresh: each operator is *compiled*
+//!   from the graph into a static-dispatch executor variant
+//!   ([`nodes::CompiledNode`]) with its `Io` edge ids rewritten to
 //!   shard-local channel slots — the inner fire loop dispatches with
-//!   one `match` instead of a vtable call, and per-run setup clones
-//!   prototypes instead of walking the graph. [`engine::SimPlan::run`]
-//!   / [`engine::SimPlan::run_bound`] materialize the per-run state
-//!   (executors, channel queues, arenas, ready-sets, HBM ledger) fresh;
+//!   one `match` instead of a vtable call — beside channel queues,
+//!   arenas, ready-sets and the HBM ledger;
 //!   [`engine::SimPlan::pooled_run`] /
 //!   [`engine::SimPlan::pooled_run_bound`] instead reuse the state
 //!   parked in an [`engine::RunPool`], resetting every queue, outbox,
@@ -157,12 +159,12 @@
 //!     LinearLoadCfg::new(0, (64, 256), (64, 64)),
 //! ).unwrap();
 //! g.linear_offchip_store(&tiles, 0x10_0000).unwrap();
-//! // Freeze + compile the plan once (graph analysis, partition,
-//! // channel topology, executor compilation)…
+//! // Freeze the plan once (operator validation, partition, channel
+//! // topology)…
 //! let plan = SimPlan::new(g.finish(), SimConfig::default()).unwrap();
-//! // …then run it as many times as needed; every run is bit-identical,
-//! // and pooled reruns reset the parked state in place instead of
-//! // allocating it again.
+//! // …then run it as many times as needed; every run is bit-identical.
+//! // The first run compiles the executors, and pooled reruns reset the
+//! // parked state in place instead of building it again.
 //! let mut pool = RunPool::new();
 //! let report = plan.pooled_run(&mut pool).unwrap();
 //! let again = plan.pooled_run(&mut pool).unwrap();

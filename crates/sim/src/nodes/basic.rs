@@ -22,7 +22,8 @@ macro_rules! impl_simnode_common {
     };
     ($ty:ty, $($extra:item)*) => {
         impl $ty {
-            /// The embedded I/O harness (freeze-time edge remapping).
+            /// The embedded I/O harness (edge → local channel remapping
+            /// when a run lowers the node).
             pub(crate) fn io_mut(&mut self) -> &mut Io {
                 &mut self.io
             }
@@ -82,7 +83,6 @@ pub(crate) use impl_simnode_common;
 /// intact behind a cursor so a pooled rerun replays it without
 /// rebuilding the node; a per-run binding overrides the played stream
 /// without disturbing the baked one.
-#[derive(Clone)]
 pub struct SourceNode {
     io: Io,
     /// The stream frozen with the plan.
@@ -149,7 +149,6 @@ impl SourceNode {
 impl_simnode_common!(SourceNode);
 
 /// Consumes a stream, optionally recording it.
-#[derive(Clone)]
 pub struct SinkNode {
     io: Io,
     record: bool,
@@ -202,7 +201,6 @@ impl_simnode_common!(
 );
 
 /// Replicates the input stream to every output.
-#[derive(Clone)]
 pub struct ForkNode {
     io: Io,
 }
@@ -250,7 +248,6 @@ impl ForkNode {
 impl_simnode_common!(ForkNode);
 
 /// Groups two equal-shaped streams into tuples.
-#[derive(Clone)]
 pub struct ZipNode {
     io: Io,
     /// Scratch for the coupled bulk pop's dequeue-time pieces.
@@ -327,7 +324,6 @@ impl ZipNode {
 impl_simnode_common!(ZipNode);
 
 /// `Flatten`: merges dims between stop levels `min..=max` (Table 7).
-#[derive(Clone)]
 pub struct FlattenNode {
     io: Io,
     min: u8,
@@ -387,7 +383,6 @@ impl_simnode_common!(FlattenNode);
 
 /// `Promote`: adds an outermost dimension of extent 1 (Table 7). The final
 /// top-level stop is upgraded by one level; an empty stream stays empty.
-#[derive(Clone)]
 pub struct PromoteNode {
     io: Io,
     rank: u8,
@@ -455,7 +450,6 @@ impl PromoteNode {
 impl_simnode_common!(PromoteNode);
 
 /// Static `Expand`: repeats each value `factor` times.
-#[derive(Clone)]
 pub struct ExpandStaticNode {
     io: Io,
     factor: u64,
@@ -499,7 +493,6 @@ impl_simnode_common!(ExpandStaticNode);
 
 /// Reference-driven `Expand` (Fig 5): repeats input elements per the
 /// reference stream's structure below `level`.
-#[derive(Clone)]
 pub struct ExpandNode {
     io: Io,
     level: u8,
@@ -602,7 +595,6 @@ impl_simnode_common!(ExpandNode);
 
 /// `Reshape` at level 0: splits the innermost dim into `chunk`-element
 /// groups, padding short tails; emits data and padding streams (Table 7).
-#[derive(Clone)]
 pub struct ReshapeNode {
     io: Io,
     chunk: u64,

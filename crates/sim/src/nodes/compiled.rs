@@ -1,7 +1,8 @@
 //! The compiled executor: a closed enum over every operator node.
 //!
-//! Freezing a plan lowers each operator into a [`CompiledNode`] variant
-//! whose I/O harness carries shard-local dense channel indices, so the
+//! A fresh run lowers each operator of its plan's graph into a
+//! [`CompiledNode`] variant whose I/O harness carries shard-local dense
+//! channel indices, so the
 //! engine's inner fire loop dispatches with one `match` (a jump table)
 //! instead of a vtable call per fire, and a pooled rerun restores every
 //! node in place via [`CompiledNode::reset`] without reallocating. It is
@@ -21,7 +22,6 @@ macro_rules! compiled {
     ($($variant:ident($ty:ty)),+ $(,)?) => {
         /// A lowered operator executor: static dispatch, shard-local
         /// channel addressing, in-place reset for pooled reruns.
-        #[derive(Clone)]
         pub enum CompiledNode {
             $(
                 #[doc = concat!("The lowered `", stringify!($variant), "` operator.")]
@@ -30,7 +30,8 @@ macro_rules! compiled {
         }
 
         impl CompiledNode {
-            /// The embedded I/O harness (freeze-time edge remapping).
+            /// The embedded I/O harness (edge → local channel remapping
+            /// when a run lowers the node).
             pub(crate) fn io_mut(&mut self) -> &mut Io {
                 match self {
                     $(CompiledNode::$variant(n) => n.io_mut(),)+

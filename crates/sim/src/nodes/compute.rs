@@ -20,7 +20,6 @@ use step_core::token::Token;
 use step_core::{DTYPE_BYTES, Elem};
 
 /// `Map`: elementwise application of a hardware function.
-#[derive(Clone)]
 pub struct MapNode {
     io: Io,
     func: MapFn,
@@ -87,7 +86,6 @@ impl_simnode_common!(MapNode);
 
 /// `Accum`: folds the `rank` innermost dims; the accumulator may be
 /// dynamically sized (dynamic tiling, §5.2).
-#[derive(Clone)]
 pub struct AccumNode {
     io: Io,
     rank: u8,
@@ -173,7 +171,6 @@ impl_simnode_common!(AccumNode);
 /// `Scan`: like `Accum` but emits the running state per element. The
 /// running state changes token to token, so emission stays per-token
 /// (the outbox still coalesces shape-stable phantom states into runs).
-#[derive(Clone)]
 pub struct ScanNode {
     io: Io,
     rank: u8,
@@ -230,7 +227,6 @@ impl_simnode_common!(ScanNode);
 /// concatenate (Table 5). One input token per step (the block is the
 /// step granularity); the emitted block's equal elements leave as
 /// consecutive-cycle runs.
-#[derive(Clone)]
 pub struct FlatMapNode {
     io: Io,
     func: FlatMapFn,
@@ -321,7 +317,6 @@ impl_simnode_common!(FlatMapNode);
 /// Address generator: per target-index element, a rank-1 block of `count`
 /// addresses (the `RandomOffChipLoad` feeder under configuration
 /// time-multiplexing, Fig 11).
-#[derive(Clone)]
 pub struct AddrGenNode {
     io: Io,
     count: u64,

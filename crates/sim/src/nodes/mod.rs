@@ -305,7 +305,6 @@ const PORT_STAGING: u64 = 2;
 /// backpressure-correct bulk sends. All per-token timestamp arithmetic
 /// is identical to the old one-entry-per-token harness; only the storage
 /// granularity changed (one entry per run).
-#[derive(Clone)]
 pub(crate) struct Io {
     pub ins: Vec<EdgeId>,
     pub outs: Vec<EdgeId>,
@@ -595,16 +594,27 @@ impl BlockEmitter {
     }
 }
 
-/// Lowers a graph node into its [`CompiledNode`] variant.
+/// Rejects an operator whose configuration cannot be executed — the
+/// only way lowering can fail, checked once when a plan freezes.
 ///
 /// # Errors
 ///
-/// Returns [`StepError::Config`] for operators whose configuration cannot
-/// be executed.
-pub(crate) fn compile_node(graph: &Graph, index: usize) -> Result<CompiledNode> {
+/// Returns [`StepError::Config`] for a reshape below the innermost level.
+pub(crate) fn check_executable(op: &OpKind) -> Result<()> {
+    match op {
+        OpKind::Reshape { level, .. } if *level != 0 => Err(StepError::Config(
+            "only innermost (level 0) reshape is executable".into(),
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Lowers a graph node into its [`CompiledNode`] variant. The operator
+/// must have passed [`check_executable`].
+pub(crate) fn compile_node(graph: &Graph, index: usize) -> CompiledNode {
     let node = &graph.nodes()[index];
     let rank_of = |e: EdgeId| graph.edge(e).shape.rank();
-    Ok(match &node.op {
+    match &node.op {
         OpKind::Source(cfg) => CompiledNode::Source(basic::SourceNode::new(node, cfg.clone())),
         OpKind::Sink(cfg) => CompiledNode::Sink(basic::SinkNode::new(node, cfg.record)),
         OpKind::Fork { .. } => CompiledNode::Fork(basic::ForkNode::new(node)),
@@ -620,12 +630,7 @@ pub(crate) fn compile_node(graph: &Graph, index: usize) -> Result<CompiledNode> 
             CompiledNode::ExpandStatic(basic::ExpandStaticNode::new(node, *factor))
         }
         OpKind::Expand { level } => CompiledNode::Expand(basic::ExpandNode::new(node, *level)),
-        OpKind::Reshape { level, chunk, pad } => {
-            if *level != 0 {
-                return Err(StepError::Config(
-                    "only innermost (level 0) reshape is executable".into(),
-                ));
-            }
+        OpKind::Reshape { chunk, pad, .. } => {
             CompiledNode::Reshape(basic::ReshapeNode::new(node, *chunk, pad.clone()))
         }
         OpKind::LinearLoad(cfg) => {
@@ -687,7 +692,7 @@ pub(crate) fn compile_node(graph: &Graph, index: usize) -> Result<CompiledNode> 
             stride,
             base,
         } => CompiledNode::AddrGen(compute::AddrGenNode::new(node, *count, *stride, *base)),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -863,5 +868,19 @@ mod tests {
         assert_eq!(io.blocked, Some(Blocked::Input(EdgeId(0))));
         assert!(io.peek(&ctx, 1).is_none(), "head beyond horizon");
         assert_eq!(io.blocked, Some(Blocked::Input(EdgeId(1))));
+    }
+
+    #[test]
+    fn only_innermost_reshape_is_executable() {
+        let reshape = |level| OpKind::Reshape {
+            level,
+            chunk: 4,
+            pad: None,
+        };
+        assert!(check_executable(&reshape(0)).is_ok());
+        assert!(matches!(
+            check_executable(&reshape(1)),
+            Err(StepError::Config(msg)) if msg.contains("level 0")
+        ));
     }
 }

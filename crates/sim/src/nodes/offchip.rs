@@ -36,7 +36,6 @@ const HBM_PIPELINE: usize = 2 * BUDGET as usize;
 /// requests is one entry (consecutive sequence numbers, tensor indices
 /// advancing by `idx_stride`), so the pending FIFO scales with block
 /// rows, not tiles.
-#[derive(Clone)]
 enum PendingEmit {
     /// Responses `seq0..seq0 + count` carry the completion times;
     /// `idx0 + j * idx_stride` locates tile `j` in the stored tensor
@@ -106,7 +105,6 @@ macro_rules! drain_pending {
 
 /// `LinearOffChipLoad` (Fig 2): per reference element, an affine tiled
 /// read of the stored tensor, adding two dimensions to the stream.
-#[derive(Clone)]
 pub struct LinearLoadNode {
     io: Io,
     cfg: LinearLoadCfg,
@@ -324,7 +322,6 @@ impl LinearLoadNode {
 impl_simnode_common!(LinearLoadNode);
 
 /// `LinearOffChipStore`: writes tiles linearly at the base address.
-#[derive(Clone)]
 pub struct LinearStoreNode {
     io: Io,
     base_addr: u64,
@@ -409,7 +406,6 @@ impl LinearStoreNode {
 impl_simnode_common!(LinearStoreNode);
 
 /// `RandomOffChipLoad`: one tile per byte address.
-#[derive(Clone)]
 pub struct RandomLoadNode {
     io: Io,
     cfg: RandomAccessCfg,
@@ -497,7 +493,6 @@ impl_simnode_common!(RandomLoadNode);
 
 /// `RandomOffChipStore`: writes data tiles at paired addresses, emitting
 /// an acknowledgement stream.
-#[derive(Clone)]
 pub struct RandomStoreNode {
     io: Io,
     cfg: RandomAccessCfg,

@@ -20,7 +20,6 @@ use step_core::token::Token;
 
 /// `Bufferize` (Fig 3): captures the `rank` innermost dims into an on-chip
 /// buffer, emitting a reference per buffer.
-#[derive(Clone)]
 pub struct BufferizeNode {
     io: Io,
     rank: u8,
@@ -131,7 +130,6 @@ impl_simnode_common!(BufferizeNode);
 /// `Streamify` (Fig 3): reads buffers back into a stream, once per
 /// reference element. Statically-shaped buffers support affine reads;
 /// dynamic buffers stream linearly.
-#[derive(Clone)]
 pub struct StreamifyNode {
     io: Io,
     cfg: StreamifyCfg,

@@ -16,7 +16,6 @@ use step_core::token::Token;
 /// `Reassemble` (Fig 4): per selector element, drains one rank-`rank`
 /// tensor from each selected input in arrival order (never interleaving),
 /// then raises the stop level, adding a dimension.
-#[derive(Clone)]
 pub struct ReassembleNode {
     io: Io,
     rank: u8,
@@ -156,7 +155,6 @@ impl_simnode_common!(ReassembleNode);
 
 /// `EagerMerge`: merges whole rank-`rank` tensors in arrival order,
 /// emitting the data plus a selector stream recording provenance.
-#[derive(Clone)]
 pub struct EagerMergeNode {
     io: Io,
     num_producers: u32,

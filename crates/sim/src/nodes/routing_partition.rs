@@ -15,7 +15,6 @@ use step_core::token::Token;
 /// higher-level stop, so a one-token lookahead distinguishes "more chunks
 /// follow" from "group/stream ends here". A run of values inside a chunk
 /// shares one selector, so it replicates to the selected outputs in bulk.
-#[derive(Clone)]
 pub struct PartitionNode {
     io: Io,
     rank: u8,

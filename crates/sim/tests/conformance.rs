@@ -265,3 +265,36 @@ fn shard_count_is_a_plan_knob_not_a_result_knob_for_thread_axis() {
         assert_eq!(got, want, "shards={shards}");
     }
 }
+
+#[test]
+fn zero_hbm_banks_and_bandwidth_model_as_one() {
+    // The HBM model reads a zero bank count or bus width as one. The
+    // report must say so too: the same run bit for bit, including the
+    // peak bandwidth that utilization divides by.
+    let graph = swiglu_graph(&SwigluCfg::validation(16, 64)).unwrap();
+    let with_hbm = |shards: usize, banks: u64, bytes_per_cycle: u64| {
+        let mut cfg = SimConfig {
+            shards,
+            ..SimConfig::default()
+        };
+        cfg.hbm.banks = banks;
+        cfg.hbm.bytes_per_cycle = bytes_per_cycle;
+        Simulation::new(graph.clone(), cfg).unwrap().run().unwrap()
+    };
+    for shards in [1, 6] {
+        let bpc = SimConfig::default().hbm.bytes_per_cycle;
+        assert_eq!(
+            with_hbm(shards, 0, bpc),
+            with_hbm(shards, 1, bpc),
+            "banks 0, shards={shards}"
+        );
+        let one = with_hbm(shards, 128, 1);
+        assert_eq!(
+            with_hbm(shards, 128, 0),
+            one,
+            "bus width 0, shards={shards}"
+        );
+        let util = one.offchip_bw_utilization();
+        assert!(util > 0.0 && util <= 1.0, "utilization {util}");
+    }
+}

@@ -1,8 +1,9 @@
 //! Minimal sharded-engine smoke tests (small graphs, forced shards).
 
 use step_core::error::StepError;
-use step_core::graph::GraphBuilder;
+use step_core::graph::{EdgeId, GraphBuilder, NodeId};
 use step_core::ops::LinearLoadCfg;
+use step_core::partition::{PartitionCfg, partition};
 use step_sim::{SimConfig, SimPlan, Simulation};
 
 fn cfg(threads: usize, shards: usize) -> SimConfig {
@@ -80,6 +81,31 @@ fn deadlock_is_detected_not_hung_at_any_thread_count() {
                 panic!("threads={threads} shards={shards}: expected a deadlock, got {other:?}")
             }
         }
+    }
+    // At shards=4 the Fork and the EagerMerge wait on cut edges (6 and
+    // 4), so they block on reader halves, whose shard-local channels
+    // only the plan's per-shard channel → edge table maps back to graph
+    // edge ids. Pin the cut, so a partitioner change cannot silently
+    // drop that path from the message above.
+    let graph = starved_feedback_graph();
+    let part = partition(
+        &graph,
+        &PartitionCfg {
+            target_shards: 4,
+            min_nodes: 0,
+            ..PartitionCfg::default()
+        },
+    );
+    let plan = SimPlan::new(graph.clone(), cfg(1, 4)).unwrap();
+    assert_eq!((part.shards, plan.shards()), (3, 3));
+    for (node, edge) in [(2, 6), (4, 4)] {
+        let edge = EdgeId(edge);
+        assert_eq!(graph.edge(edge).dst.map(|(n, _)| n), Some(NodeId(node)));
+        let shard = part.shard_of[node as usize] as usize;
+        assert!(
+            part.cut_ins_of[shard].contains(&edge),
+            "edge {edge:?} into node {node} is not a cut edge's reader half"
+        );
     }
 }
 
