@@ -152,7 +152,7 @@ fn serve_profile(json: bool) {
                 lengths: vec![64 + 4 * i as u32; cfg.slots],
             };
             let attn = attn_plan
-                .run_bound(&bind_attention(&attn_cfg, &attn_ports, &kv))
+                .run_with(&bind_attention(&attn_cfg, &attn_ports, &kv), None)
                 .expect("attention phase");
             rows.entry("attention").or_default().absorb(
                 attn.total_fires(),
@@ -164,7 +164,9 @@ fn serve_profile(json: bool) {
             let routing: RoutingTrace = iteration_routing(&model, &cfg, i as u32, tokens as usize);
             let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
             let moe = reports
-                .replay_or_run(moe_key, &moe_bind, &mut || moe_plan.run_bound(&moe_bind))
+                .replay_or_run(moe_key, &moe_bind, &mut || {
+                    moe_plan.run_with(&moe_bind, None)
+                })
                 .expect("moe phase");
             rows.entry("moe").or_default().absorb(
                 moe.report.total_fires(),

@@ -13,7 +13,8 @@ use step_models::ModelConfig;
 use step_models::attention::{AttentionCfg, ParallelStrategy, attention_graph};
 use step_models::e2e::{E2eVariant, run_e2e};
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
-use step_models::serving::{Percentiles, ServeCfg, ServeJob, ServeReport, run_serve};
+use step_models::phases::moe_sim_config;
+use step_models::serving::{Percentiles, ServeCfg, ServeJob, ServeReport};
 use step_models::swiglu::{SwigluCfg, swiglu_graph};
 use step_sim::{Fingerprint, SimConfig, SimPlan, SimReport};
 use step_traces::{
@@ -54,16 +55,6 @@ fn moe_point(label: String, cfg: MoeCfg, trace: RoutingTrace) -> SweepUnit {
         build: Box::new(move || moe_graph(&cfg, &trace)),
         binding: None,
     })
-}
-
-/// A coarser execution window for the large MoE sweeps (ordering
-/// fidelity of ±512 cycles is immaterial against multi-million-cycle
-/// runs and speeds the scheduler up).
-fn moe_sim_config() -> SimConfig {
-    SimConfig {
-        horizon_step: 512,
-        ..SimConfig::default()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -245,40 +236,6 @@ pub fn tiling_sweep_on(
         .collect())
 }
 
-/// The serial loop [`tiling_sweep`] replaced: one fresh plan per point,
-/// in submission order. Kept as the differential baseline the service
-/// path is held bit-identical to (`tests/service_conformance.rs`).
-pub fn tiling_sweep_serial(
-    model: ModelConfig,
-    batch: usize,
-    tiles: &[u64],
-    seed: u64,
-) -> Vec<TilingRow> {
-    let trace = expert_routing(&RoutingConfig {
-        experts: model.experts,
-        top_k: model.top_k,
-        batch,
-        skew: 0.8,
-        seed,
-    });
-    let mut rows = Vec::new();
-    for tiling in tiling_schedules(tiles) {
-        let cfg = MoeCfg::new(model.clone(), tiling);
-        let report = run(
-            moe_graph(&cfg, &trace).expect("valid MoE"),
-            moe_sim_config(),
-        );
-        rows.push(TilingRow {
-            model: model.name,
-            schedule: tiling.to_string(),
-            cycles: report.cycles,
-            onchip: report.onchip_memory,
-            traffic: report.offchip_traffic,
-        });
-    }
-    rows
-}
-
 /// Prints/writes one tiling figure and returns the dynamic point's PID
 /// versus the static frontier.
 pub fn report_tiling(figname: &str, rows: &[TilingRow]) -> f64 {
@@ -411,30 +368,6 @@ pub fn timeshare_sweep_on(
             )
         })
         .collect())
-}
-
-/// The serial loop [`timeshare_sweep`] replaced; the differential
-/// baseline for `tests/service_conformance.rs`.
-pub fn timeshare_sweep_serial(tiling: Tiling, seed: u64) -> Vec<TimeshareRow> {
-    let model = ModelConfig::qwen3_30b_a3b();
-    let trace = expert_routing(&RoutingConfig {
-        experts: model.experts,
-        top_k: model.top_k,
-        batch: 64,
-        skew: 0.8,
-        seed,
-    });
-    TIMESHARE_REGIONS
-        .iter()
-        .map(|&regions| {
-            let cfg = timeshare_cfg(&model, tiling, regions);
-            let report = run(
-                moe_graph(&cfg, &trace).expect("valid MoE"),
-                moe_sim_config(),
-            );
-            timeshare_row(regions, &report)
-        })
-        .collect()
 }
 
 /// Prints/writes Fig 12 (utilization + cycles) or Fig 13 (resources).
@@ -849,26 +782,6 @@ pub fn serve_sweep_on(
             }
         })
         .collect())
-}
-
-/// The serial loop [`serve_sweep`] replaced (fresh plans per cell); the
-/// differential baseline for `tests/service_conformance.rs`.
-pub fn serve_sweep_serial(quick: bool) -> Vec<ServeRow> {
-    let model = ModelConfig::mixtral_8x7b();
-    let variant = E2eVariant::static_schedule("Static (Perf-matched)", 32);
-    serve_axis(quick)
-        .into_iter()
-        .map(|(mean, chunk)| {
-            let trace = serve_trace(mean, quick);
-            let report = run_serve(&model, &variant, &trace, &serve_cfg(chunk)).expect("serve run");
-            assert!(!report.truncated, "serving sweep cell did not drain");
-            ServeRow {
-                mean_interarrival: mean,
-                prefill_chunk: chunk,
-                report,
-            }
-        })
-        .collect()
 }
 
 /// Prints/writes the serving sweep table.

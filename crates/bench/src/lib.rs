@@ -8,9 +8,9 @@
 //! Sweeps execute on the [`service`] layer: a [`SweepService`] worker
 //! pool over a single-flight [`PlanCache`] keyed by (builder
 //! fingerprint, config fingerprint minus `threads`), bit-identical to
-//! the serial loops it replaced at any worker count
-//! (`tests/service_conformance.rs`). The serial `*_serial` variants in
-//! [`experiments`] are kept as the differential baselines.
+//! the serial loops it replaced at any worker count. Those serial
+//! loops live on as the differential baselines in
+//! `tests/service_conformance.rs`.
 
 pub mod experiments;
 pub mod fault;

@@ -18,9 +18,9 @@
 //!   iterations whose QKV or MoE signature repeats — within a job or
 //!   across jobs sharing a cell configuration — replay a cached
 //!   [`SimReport`] instead of running the engine
-//!   ([`step_models::serving::run_serve_memo`]). Like the plan cache its
-//!   counters are request-scoped and scheduler-independent, failed runs
-//!   park a sticky `Failed` slot that the next request retakes, and
+//!   ([`step_models::serving::ServeJob::run_memo`]). Like the plan cache
+//!   its counters are request-scoped and scheduler-independent, failed
+//!   runs park a sticky `Failed` slot that the next request retakes, and
 //!   panics resolve to typed errors instead of stranding waiters;
 //! - a `std::thread` worker pool (no external deps, per the workspace
 //!   convention). Each worker keeps one private [`RunPool`]: a point on
@@ -304,7 +304,7 @@ pub struct SimPoint {
     /// Fingerprint of the builder and **all** its inputs — the cache
     /// trusts it completely ([`PlanKey::builder`]).
     pub builder: u64,
-    /// Simulation config (cache-keyed minus `threads`).
+    /// Simulator config (cache-keyed minus `threads`).
     pub cfg: SimConfig,
     /// Builds the graph on a cache miss. Must be a pure function of the
     /// fingerprinted inputs; may be invoked any number of times.
@@ -774,11 +774,9 @@ fn run_unit(
             let plan = cache
                 .checkout(point.builder, &point.cfg, &mut point.build)
                 .map_err(classify_build)?;
-            let report = match &point.binding {
-                Some(binding) => plan.pooled_run_bound(binding, pool),
-                None => plan.pooled_run(pool),
-            }
-            .map_err(classify_run)?;
+            let report = plan
+                .run_with(&point.binding.unwrap_or_default(), Some(pool))
+                .map_err(classify_run)?;
             Ok(UnitReport::Sim(report))
         }
         SweepUnit::Serve(job) => {
@@ -974,7 +972,10 @@ mod tests {
         let plan = cache
             .checkout(7, &SimConfig::default(), &mut || tiny_graph(2))
             .unwrap();
-        assert!(plan.id() > 0);
+        assert_eq!(
+            plan.graph().nodes().len(),
+            tiny_graph(2).unwrap().nodes().len()
+        );
         assert_eq!(
             cache.stats(),
             CacheStats {

@@ -15,16 +15,120 @@
 //! functions of (graph, config, binding).
 
 use step_bench::experiments::{
-    serve_cfg, serve_sweep_on, serve_sweep_serial, serve_trace, tiling_sweep_on,
-    tiling_sweep_serial, timeshare_sweep_on, timeshare_sweep_serial,
+    ServeRow, TilingRow, TimeshareRow, serve_axis, serve_cfg, serve_sweep_on, serve_trace,
+    tiling_sweep_on, timeshare_sweep_on,
 };
 use step_bench::{CacheStats, SimPoint, SweepService, SweepUnit};
 use step_models::ModelConfig;
 use step_models::e2e::E2eVariant;
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
+use step_models::phases::moe_sim_config;
 use step_models::serving::ServeJob;
-use step_sim::{Fingerprint, SimConfig};
+use step_sim::{Fingerprint, SimConfig, SimPlan, SimReport};
 use step_traces::{RoutingConfig, expert_routing};
+
+fn run(graph: step_core::Graph, cfg: SimConfig) -> SimReport {
+    SimPlan::new(graph, cfg)
+        .expect("graph is executable")
+        .run()
+        .expect("simulation completes")
+}
+
+/// The serial loop `tiling_sweep` replaced: one fresh plan per point, in
+/// submission order (the static tiles, then dynamic tiling). The
+/// differential baseline the service path is held bit-identical to.
+fn tiling_sweep_serial(
+    model: ModelConfig,
+    batch: usize,
+    tiles: &[u64],
+    seed: u64,
+) -> Vec<TilingRow> {
+    let trace = expert_routing(&RoutingConfig {
+        experts: model.experts,
+        top_k: model.top_k,
+        batch,
+        skew: 0.8,
+        seed,
+    });
+    let schedules = tiles
+        .iter()
+        .map(|&tile| Tiling::Static { tile })
+        .chain([Tiling::Dynamic]);
+    let mut rows = Vec::new();
+    for tiling in schedules {
+        let cfg = MoeCfg::new(model.clone(), tiling);
+        let report = run(
+            moe_graph(&cfg, &trace).expect("valid MoE"),
+            moe_sim_config(),
+        );
+        rows.push(TilingRow {
+            model: model.name,
+            schedule: tiling.to_string(),
+            cycles: report.cycles,
+            onchip: report.onchip_memory,
+            traffic: report.offchip_traffic,
+        });
+    }
+    rows
+}
+
+/// The serial loop `timeshare_sweep` replaced, over the Fig 12/13 region
+/// axis (`regions == experts` is the untimed baseline and takes no
+/// region override).
+fn timeshare_sweep_serial(tiling: Tiling, seed: u64) -> Vec<TimeshareRow> {
+    let model = ModelConfig::qwen3_30b_a3b();
+    let trace = expert_routing(&RoutingConfig {
+        experts: model.experts,
+        top_k: model.top_k,
+        batch: 64,
+        skew: 0.8,
+        seed,
+    });
+    [128, 64, 32, 16, 8, 4]
+        .into_iter()
+        .map(|regions| {
+            let mut cfg = MoeCfg::new(model.clone(), tiling);
+            if regions != model.experts {
+                cfg = cfg.with_regions(regions);
+            }
+            let report = run(
+                moe_graph(&cfg, &trace).expect("valid MoE"),
+                moe_sim_config(),
+            );
+            TimeshareRow {
+                regions,
+                cycles: report.cycles,
+                compute_util: report.compute_utilization(),
+                allocated_compute: report.allocated_compute,
+                onchip: report.onchip_memory,
+                bw_util: report.offchip_bw_utilization(),
+            }
+        })
+        .collect()
+}
+
+/// The serial loop `serve_sweep` replaced: fresh plans per cell.
+fn serve_sweep_serial(quick: bool) -> Vec<ServeRow> {
+    serve_axis(quick)
+        .into_iter()
+        .map(|(mean, chunk)| {
+            let job = ServeJob {
+                label: String::new(),
+                model: ModelConfig::mixtral_8x7b(),
+                variant: E2eVariant::static_schedule("Static (Perf-matched)", 32),
+                trace: serve_trace(mean, quick),
+                cfg: serve_cfg(chunk),
+            };
+            let report = job.run().expect("serve run");
+            assert!(!report.truncated, "serving sweep cell did not drain");
+            ServeRow {
+                mean_interarrival: mean,
+                prefill_chunk: chunk,
+                report,
+            }
+        })
+        .collect()
+}
 
 /// Fig 9's Mixtral cells (trimmed to two static tiles to stay
 /// CI-affordable) must come back from the service bit-identical to the
@@ -119,10 +223,10 @@ fn timeshare_sweep_matches_serial_and_warm_rerun_builds_nothing() {
 }
 
 /// The quick serving cell through the service must reproduce the serial
-/// `run_serve` report bit-for-bit ([`step_models::serving::ServeReport`]
-/// is `PartialEq` over every metric and counter), with the two phase
-/// plans (attention + MoE) built exactly once and the warm rerun served
-/// entirely from cache.
+/// [`ServeJob::run`] report bit-for-bit
+/// ([`step_models::serving::ServeReport`] is `PartialEq` over every
+/// metric and counter), with the two phase plans (attention + MoE)
+/// built exactly once and the warm rerun served entirely from cache.
 #[test]
 fn serve_sweep_quick_matches_serial_and_pins_cache_counters() {
     let serial = serve_sweep_serial(true);

@@ -301,7 +301,7 @@ pub fn request_bytes(cfg: &AttentionCfg, len: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use step_sim::{SimConfig, Simulation};
+    use step_sim::{SimConfig, SimPlan};
     use step_traces::{KvTraceConfig, Variability, kv_lengths};
 
     fn small_cfg(strategy: ParallelStrategy) -> AttentionCfg {
@@ -331,7 +331,7 @@ mod tests {
     }
 
     fn run(cfg: &AttentionCfg, kv: &KvTrace) -> step_sim::SimReport {
-        Simulation::new(attention_graph(cfg, kv).unwrap(), SimConfig::default())
+        SimPlan::new(attention_graph(cfg, kv).unwrap(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap()

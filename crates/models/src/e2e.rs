@@ -218,9 +218,9 @@ pub struct DecodeReport {
 /// Graph construction, `step_core::partition`, and channel-topology
 /// layout run once per phase, not once per iteration. Each phase also
 /// keeps a [`RunPool`], so after the first iteration materializes the
-/// run state, later iterations reset it in place
-/// ([`SimPlan::pooled_run_bound`]) instead of reallocating channels and
-/// ledgers — the steady-state loop is allocation-free per run.
+/// run state, later iterations reset it in place ([`SimPlan::run_with`]
+/// handed the pool) instead of reallocating channels and ledgers — the
+/// steady-state loop is allocation-free per run.
 ///
 /// # Errors
 ///
@@ -285,9 +285,9 @@ pub fn run_decode(
         let kv = kv_at(i);
         let routing = routing_at(i);
         let attn_bind = bind_attention(&attn_cfg, &attn_ports, &kv);
-        let attn = attn_plan.pooled_run_bound(&attn_bind, &mut attn_pool)?;
+        let attn = attn_plan.run_with(&attn_bind, Some(&mut attn_pool))?;
         let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
-        let moe = moe_plan.pooled_run_bound(&moe_bind, &mut moe_pool)?;
+        let moe = moe_plan.run_with(&moe_bind, Some(&mut moe_pool))?;
         // Steady-state contract: after the warmup iteration, pooled runs
         // reset parked state in place — no rebuilds, no reallocation.
         debug_assert_steady(&attn, i > 0);

@@ -15,11 +15,11 @@
 //! - [`serving`] — the continuous-batching serving driver.
 //!
 //! Every builder returns a plain [`step_core::Graph`]; run it with
-//! [`step_sim::Simulation`].
+//! [`step_sim::SimPlan`] (`SimPlan::new(graph, cfg)?.run()`).
 //!
 //! # Serving workloads
 //!
-//! [`serving::run_serve`] drives an open-loop request trace
+//! [`serving::ServeJob`] drives an open-loop request trace
 //! ([`step_traces::arrival_trace`]) through per-iteration admission (up
 //! to a slot budget), eviction of finished requests, and prefill/decode
 //! interleaving with optional chunked prefill. The churning batch rides
@@ -30,7 +30,8 @@
 //! requests per million cycles), and HBM pressure (off-chip bytes per
 //! busy cycle). Every serving run is a pure function of
 //! `(model, variant, trace, ServeCfg minus threads)` — bit-identical
-//! across reruns, thread counts, and pooled vs fresh run state.
+//! across reruns and thread counts, with every pooled phase run equal
+//! to a fresh run of the same plan and binding.
 //!
 //! Steady-state iterations additionally memoize their QKV and MoE
 //! reports through a binding-keyed [`step_sim::ReportCache`] (reports

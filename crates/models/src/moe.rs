@@ -431,7 +431,7 @@ pub fn expected_weight_traffic(cfg: &MoeCfg, trace: &RoutingTrace) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use step_sim::{SimConfig, Simulation};
+    use step_sim::{SimConfig, SimPlan};
     use step_traces::{RoutingConfig, expert_routing};
 
     fn tiny_model() -> ModelConfig {
@@ -459,7 +459,7 @@ mod tests {
     }
 
     fn run(cfg: &MoeCfg, trace: &RoutingTrace) -> step_sim::SimReport {
-        Simulation::new(moe_graph(cfg, trace).unwrap(), SimConfig::default())
+        SimPlan::new(moe_graph(cfg, trace).unwrap(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap()

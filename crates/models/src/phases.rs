@@ -1,7 +1,7 @@
 //! Shared per-iteration phase plumbing for the multi-iteration drivers.
 //!
 //! Both the fixed-batch decode driver ([`crate::e2e::run_decode`]) and
-//! the continuous-batching serving driver ([`crate::serving::run_serve`])
+//! the continuous-batching serving driver ([`crate::serving::ServeJob`])
 //! step the same three per-layer phases — QKV GEMM, attention, MoE —
 //! across iterations by rebinding one frozen [`step_sim::SimPlan`] per phase
 //! instead of rebuilding graphs. This module is the single home for the
@@ -9,14 +9,14 @@
 //!
 //! - [`bind_attention`] / [`bind_moe`] build the per-iteration
 //!   [`RunBinding`]s from a KV trace / routing trace;
-//! - [`qkv_fingerprint`] / [`canonical_routing`] /
-//!   [`moe_canonical_key`] are the report-memoization machinery for the
-//!   two memoizable phases: the QKV graph has no rebindable inputs (its
-//!   report is a pure function of `(model, tokens, SimConfig)`, so the
-//!   graph identity *is* the key), and MoE routings that are the same
-//!   multiset of expert sets can be **canonicalized** to one binding so
-//!   they share one exact cache entry. The serving driver routes both
-//!   phases through one [`step_sim::ReportCache`];
+//! - [`qkv_fingerprint`] / [`canonical_routing`] are the
+//!   report-memoization machinery for the two memoizable phases: the
+//!   QKV graph has no rebindable inputs (its report is a pure function
+//!   of `(model, tokens, SimConfig)`, so the graph identity *is* the
+//!   key), and MoE routings that are the same multiset of expert sets
+//!   can be **canonicalized** to one binding so they share one exact
+//!   cache entry. The serving driver routes both phases through one
+//!   [`step_sim::ReportCache`];
 //! - [`debug_assert_steady`] pins the steady-state contract both drivers
 //!   rely on: after the warmup iteration materializes the pooled run
 //!   state, every later iteration must reset it in place
@@ -153,26 +153,6 @@ pub fn canonical_routing(routing: &RoutingTrace) -> RoutingTrace {
         assignments: sets,
         experts: routing.experts,
     }
-}
-
-/// The order-invariant identity of a routing's expert-set multiset —
-/// a fingerprint of [`canonical_routing`]: equal keys iff the two
-/// routings canonicalize to the same trace. The histogram (per-expert
-/// token counts) would be weaker — equal histograms with different
-/// token↔set pairings change even the per-expert workloads — which is
-/// why the key folds the multiset and not the histogram.
-pub fn moe_canonical_key(routing: &RoutingTrace) -> u64 {
-    let canon = canonical_routing(routing);
-    let mut fp = Fingerprint::new("phase.moe.canonical");
-    fp.push_u64(u64::from(canon.experts));
-    fp.push_u64(canon.assignments.len() as u64);
-    for set in &canon.assignments {
-        fp.push_u64(set.len() as u64);
-        for e in set {
-            fp.push_u64(u64::from(*e));
-        }
-    }
-    fp.finish()
 }
 
 /// Pins the steady-state contract of the multi-iteration drivers: once

@@ -49,15 +49,20 @@
 //!
 //! **Determinism.** A serving run is a pure function of
 //! `(model, variant, trace, ServeCfg minus threads)`: same-seed reruns
-//! are bit-identical across thread counts and across pooled vs fresh
-//! run state, and each iteration replays offline — a fresh one-shot
-//! [`step_sim::Simulation`] of the same phase graph with the same
-//! binding reproduces its cycles and fires bit-exactly
+//! are bit-identical across thread counts, and each pooled iteration
+//! replays offline — a fresh [`SimPlan::run_with`] of the same phase
+//! graph with the same binding and no pool reproduces its cycles,
+//! fires, channel runs and traffic bit-exactly
 //! (`crates/models/tests/serving_conformance.rs`).
+//!
+//! **Entry point.** A [`ServeJob`] packages one run: [`ServeJob::run`]
+//! freezes fresh phase plans and memoizes in a run-private report
+//! cache; [`ServeJob::run_memo`] checks plans out of a caller's
+//! [`PlanSource`] and reports out of a caller's [`ReportCache`].
 //!
 //! **Report memoization.** Determinism also means an iteration whose
 //! phase signature repeats need not run the engine at all:
-//! [`run_serve_memo`] routes the QKV and MoE phases through a
+//! [`ServeJob::run_memo`] routes the QKV and MoE phases through a
 //! [`ReportCache`] keyed by `(plan content key, binding fingerprint)` —
 //! QKV under the empty binding per token count (the direct
 //! generalization of the per-count memo the drivers used before), MoE
@@ -112,13 +117,9 @@ pub struct ServeCfg {
     /// Seed of the per-iteration routing re-samples (the arrival trace
     /// carries its own seed).
     pub seed: u64,
-    /// Simulation worker threads per phase run (results are
+    /// Simulator worker threads per phase run (results are
     /// thread-count-independent by the engine's determinism contract).
     pub threads: usize,
-    /// Reuse pooled run state across iterations (the steady-state
-    /// alloc-free path). `false` materializes fresh state every
-    /// iteration — bit-identical, for differential testing only.
-    pub pooled: bool,
     /// Safety cap on serving iterations; hitting it truncates the run
     /// (reported via [`ServeReport::truncated`]).
     pub max_iterations: u32,
@@ -160,7 +161,6 @@ impl Default for ServeCfg {
             skew: 0.8,
             seed: 7,
             threads: 1,
-            pooled: true,
             max_iterations: 100_000,
             ttft_slo: None,
             moe_canonical: false,
@@ -453,8 +453,8 @@ pub trait PlanSource {
 }
 
 /// The trivial [`PlanSource`]: always builds a fresh plan. This is the
-/// serial path — [`run_serve`] uses it — and the differential baseline
-/// the sweep service's cached path is held bit-identical to.
+/// serial path — [`ServeJob::run`] uses it — and the differential
+/// baseline the sweep service's cached path is held bit-identical to.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FreshPlans;
 
@@ -498,8 +498,8 @@ pub fn moe_plan_fingerprint(
     fp.finish()
 }
 
-/// A serving run packaged as one schedulable work item: everything
-/// [`run_serve_with`] needs, owned and `Send`, so a sweep service can
+/// A serving run packaged as one schedulable work item — the serving
+/// driver's one entry point. Owned and `Send`, so a sweep service can
 /// move it to a worker thread and check its phase plans out of a shared
 /// cache.
 #[derive(Debug, Clone)]
@@ -514,32 +514,6 @@ pub struct ServeJob {
     pub trace: RequestTrace,
     /// Driver configuration.
     pub cfg: ServeCfg,
-}
-
-impl ServeJob {
-    /// Runs the job with fresh plans (the serial path).
-    pub fn run(&self) -> Result<ServeReport> {
-        run_serve(&self.model, &self.variant, &self.trace, &self.cfg)
-    }
-
-    /// Runs the job, checking phase plans out of `plans`.
-    pub fn run_with(&self, plans: &dyn PlanSource) -> Result<ServeReport> {
-        run_serve_with(&self.model, &self.variant, &self.trace, &self.cfg, plans)
-    }
-
-    /// Runs the job, checking phase plans out of `plans` and phase
-    /// *reports* out of `reports` — the fully memoized path the sweep
-    /// service drives, sharing one [`ReportCache`] across jobs.
-    pub fn run_memo(&self, plans: &dyn PlanSource, reports: &ReportCache) -> Result<ServeReport> {
-        run_serve_memo(
-            &self.model,
-            &self.variant,
-            &self.trace,
-            &self.cfg,
-            plans,
-            reports,
-        )
-    }
 }
 
 /// KV context stub bound into vacant slots (one tile; the dispatch
@@ -560,430 +534,419 @@ struct Slot {
     first_token: Option<u64>,
 }
 
-/// Runs the serving loop over an arrival trace.
-///
-/// # Errors
-///
-/// Rejects invalid configurations (zero slots, a token budget below the
-/// slot count, a zero prefill chunk, an empty trace) and propagates
-/// graph-construction and simulation errors.
-pub fn run_serve(
-    model: &ModelConfig,
-    variant: &E2eVariant,
-    trace: &RequestTrace,
-    cfg: &ServeCfg,
-) -> Result<ServeReport> {
-    run_serve_with(model, variant, trace, cfg, &FreshPlans)
-}
-
-/// [`run_serve`] with the phase plans checked out of `plans` instead of
-/// frozen inline. The report is bit-identical to [`run_serve`] for any
-/// correct [`PlanSource`]: a plan is a pure function of `(builder
-/// fingerprint, SimConfig minus threads)`, so where it came from cannot
-/// show up in the results
-/// (`crates/bench/tests/service_conformance.rs` holds the two together).
-/// Memoizes QKV and MoE reports in a run-private [`ReportCache`].
-///
-/// # Errors
-///
-/// As [`run_serve`], plus any error from `plans`.
-pub fn run_serve_with(
-    model: &ModelConfig,
-    variant: &E2eVariant,
-    trace: &RequestTrace,
-    cfg: &ServeCfg,
-    plans: &dyn PlanSource,
-) -> Result<ServeReport> {
-    run_serve_memo(model, variant, trace, cfg, plans, &ReportCache::new())
-}
-
-/// [`run_serve_with`] with the phase *reports* also checked out of a
-/// caller-owned [`ReportCache`] — the entry point sweep services drive,
-/// sharing one cache across jobs so a cell's steady-state QKV and MoE
-/// iterations replay reports instead of running the engine (see the
-/// module docs). The report minus the host-side cache telemetry is
-/// bit-identical to [`run_serve`] for any cache mode, including
-/// [`ReportCache::disabled`] and the differential
-/// [`ReportCache::checked`].
-///
-/// # Errors
-///
-/// As [`run_serve_with`], plus a propagated failure from any coalesced
-/// cache entry.
-pub fn run_serve_memo(
-    model: &ModelConfig,
-    variant: &E2eVariant,
-    trace: &RequestTrace,
-    cfg: &ServeCfg,
-    plans: &dyn PlanSource,
-    reports: &ReportCache,
-) -> Result<ServeReport> {
-    if cfg.slots == 0 {
-        return Err(StepError::Config("serving needs at least one slot".into()));
-    }
-    if cfg.token_budget < cfg.slots {
-        return Err(StepError::Config(format!(
-            "token budget {} below slot count {} — a full decode batch would not fit",
-            cfg.token_budget, cfg.slots
-        )));
-    }
-    if cfg.prefill_chunk == Some(0) {
-        return Err(StepError::Config("prefill chunk must be positive".into()));
-    }
-    if trace.requests.is_empty() {
-        return Err(StepError::Config("serving trace has no requests".into()));
+impl ServeJob {
+    /// Runs the serving loop with freshly frozen phase plans
+    /// ([`FreshPlans`]) and a run-private [`ReportCache`] — the serial
+    /// path.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeJob::run_memo`].
+    pub fn run(&self) -> Result<ServeReport> {
+        self.run_memo(&FreshPlans, &ReportCache::new())
     }
 
-    // One plan per phase against the admitted-set envelope. The graphs
-    // are built only inside the `PlanSource` build closures, so a plan
-    // hit costs a fingerprint, not a graph build; the rebindable ports
-    // are then read by label from the graph of the plan actually handed
-    // back, cached or fresh.
-    let attn_cfg = AttentionCfg::new(model.clone(), variant.attention);
-    let envelope = envelope_kv(trace, cfg);
-    let sim_cfg = SimConfig {
-        threads: cfg.threads,
-        ..SimConfig::default()
-    };
-    let attn_plan = plans.plan(
-        attn_plan_fingerprint(model, variant, &envelope),
-        &sim_cfg,
-        &mut || attention_graph(&attn_cfg, &envelope),
-    )?;
-    let attn_ports = AttentionPorts::of(attn_plan.graph())?;
-    let mut moe_cfg = MoeCfg::new(model.clone(), variant.tiling);
-    if let Some(r) = variant.moe_regions {
-        moe_cfg = moe_cfg.with_regions(r);
-    }
-    let moe_build = moe_build_trace(model, cfg);
-    let moe_fingerprint = moe_plan_fingerprint(model, variant, &moe_build);
-    let moe_sim_cfg = SimConfig {
-        threads: cfg.threads,
-        ..moe_sim_config()
-    };
-    let moe_plan = plans.plan(moe_fingerprint, &moe_sim_cfg, &mut || {
-        moe_graph(&moe_cfg, &moe_build)
-    })?;
-    let moe_ports = MoePorts::of(moe_plan.graph())?;
-    // The report-cache keys' plan halves: *content* keys (builder
-    // fingerprint × config fingerprint, threads excluded), so replays
-    // hit across plan rebuilds, shared plan caches, and thread counts.
-    let moe_report_key = plan_content_key(moe_fingerprint, &moe_sim_cfg);
-    // `hbm_bytes_per_cycle` sums QKV + attention + MoE traffic, so the
-    // utilization denominator must be a peak the three phases *share* —
-    // taking any single phase's peak silently misreports the moment a
-    // phase config diverges.
-    let offchip_peak_bw = sim_cfg.hbm.bytes_per_cycle;
-    if moe_sim_config().hbm.bytes_per_cycle != offchip_peak_bw {
-        return Err(StepError::Config(format!(
-            "phase HBM peaks diverge: qkv/attention {} B/cycle vs moe {} B/cycle — \
+    /// Runs the serving loop over the job's arrival trace, checking the
+    /// phase plans out of `plans` and the QKV and MoE phase *reports*
+    /// out of `reports` — the fully memoized path the sweep service
+    /// drives, sharing one [`ReportCache`] across jobs so a cell's
+    /// steady-state iterations replay reports instead of running the
+    /// engine (see the module docs).
+    ///
+    /// The report minus the host-side cache telemetry is bit-identical
+    /// to [`ServeJob::run`] for any correct [`PlanSource`] — a plan is a
+    /// pure function of `(builder fingerprint, SimConfig minus threads)`
+    /// — and for any cache mode, including [`ReportCache::disabled`] and
+    /// the differential [`ReportCache::checked`]
+    /// (`crates/bench/tests/service_conformance.rs` and
+    /// `crates/models/tests/report_memo_conformance.rs`).
+    ///
+    /// # Errors
+    ///
+    /// Rejects invalid configurations (zero slots, a token budget below
+    /// the slot count, a zero prefill chunk, an empty trace, a request
+    /// with a zero-token prompt or output) and propagates
+    /// graph-construction and simulation errors, any error from `plans`,
+    /// and a propagated failure from any coalesced cache entry.
+    pub fn run_memo(&self, plans: &dyn PlanSource, reports: &ReportCache) -> Result<ServeReport> {
+        let ServeJob {
+            model,
+            variant,
+            trace,
+            cfg,
+            ..
+        } = self;
+        if cfg.slots == 0 {
+            return Err(StepError::Config("serving needs at least one slot".into()));
+        }
+        if cfg.token_budget < cfg.slots {
+            return Err(StepError::Config(format!(
+                "token budget {} below slot count {} — a full decode batch would not fit",
+                cfg.token_budget, cfg.slots
+            )));
+        }
+        if cfg.prefill_chunk == Some(0) {
+            return Err(StepError::Config("prefill chunk must be positive".into()));
+        }
+        if trace.requests.is_empty() {
+            return Err(StepError::Config("serving trace has no requests".into()));
+        }
+        if let Some(r) = trace
+            .requests
+            .iter()
+            .find(|r| r.prompt == 0 || r.output == 0)
+        {
+            return Err(StepError::Config(format!(
+                "request {} has prompt {} and output {}: both need at least one token",
+                r.id, r.prompt, r.output
+            )));
+        }
+
+        // One plan per phase against the admitted-set envelope. The graphs
+        // are built only inside the `PlanSource` build closures, so a plan
+        // hit costs a fingerprint, not a graph build; the rebindable ports
+        // are then read by label from the graph of the plan actually handed
+        // back, cached or fresh.
+        let attn_cfg = AttentionCfg::new(model.clone(), variant.attention);
+        let envelope = envelope_kv(trace, cfg);
+        let sim_cfg = SimConfig {
+            threads: cfg.threads,
+            ..SimConfig::default()
+        };
+        let attn_plan = plans.plan(
+            attn_plan_fingerprint(model, variant, &envelope),
+            &sim_cfg,
+            &mut || attention_graph(&attn_cfg, &envelope),
+        )?;
+        let attn_ports = AttentionPorts::of(attn_plan.graph())?;
+        let mut moe_cfg = MoeCfg::new(model.clone(), variant.tiling);
+        if let Some(r) = variant.moe_regions {
+            moe_cfg = moe_cfg.with_regions(r);
+        }
+        let moe_build = moe_build_trace(model, cfg);
+        let moe_fingerprint = moe_plan_fingerprint(model, variant, &moe_build);
+        let moe_sim_cfg = SimConfig {
+            threads: cfg.threads,
+            ..moe_sim_config()
+        };
+        let moe_plan = plans.plan(moe_fingerprint, &moe_sim_cfg, &mut || {
+            moe_graph(&moe_cfg, &moe_build)
+        })?;
+        let moe_ports = MoePorts::of(moe_plan.graph())?;
+        // The report-cache keys' plan halves: *content* keys (builder
+        // fingerprint × config fingerprint, threads excluded), so replays
+        // hit across plan rebuilds, shared plan caches, and thread counts.
+        let moe_report_key = plan_content_key(moe_fingerprint, &moe_sim_cfg);
+        // `hbm_bytes_per_cycle` sums QKV + attention + MoE traffic, so the
+        // utilization denominator must be a peak the three phases *share* —
+        // taking any single phase's peak silently misreports the moment a
+        // phase config diverges.
+        let offchip_peak_bw = sim_cfg.hbm.bytes_per_cycle;
+        if moe_sim_config().hbm.bytes_per_cycle != offchip_peak_bw {
+            return Err(StepError::Config(format!(
+                "phase HBM peaks diverge: qkv/attention {} B/cycle vs moe {} B/cycle — \
              hbm_utilization is only meaningful against one shared peak",
-            offchip_peak_bw,
-            moe_sim_config().hbm.bytes_per_cycle,
-        )));
-    }
-    let (mut attn_pool, mut moe_pool) = (RunPool::new(), RunPool::new());
-    let run_phase = |plan: &SimPlan,
-                     binding: &step_sim::RunBinding,
-                     pool: &mut RunPool,
-                     warmed: bool|
-     -> Result<SimReport> {
-        let report = if cfg.pooled {
-            plan.pooled_run_bound(binding, pool)?
-        } else {
-            plan.run_bound(binding)?
-        };
-        if cfg.pooled {
+                offchip_peak_bw,
+                moe_sim_config().hbm.bytes_per_cycle,
+            )));
+        }
+        let (mut attn_pool, mut moe_pool) = (RunPool::new(), RunPool::new());
+        let run_phase = |plan: &SimPlan,
+                         binding: &RunBinding,
+                         pool: &mut RunPool,
+                         warmed: bool|
+         -> Result<SimReport> {
+            let report = plan.run_with(binding, Some(pool))?;
             // Serving's steady state is the same contract as the decode
-            // loop's: iterations after warmup reset parked state in
-            // place — no plan rebuilds, `run_allocs == 0`.
+            // loop's: iterations after warmup reset parked state in place —
+            // no plan rebuilds, `run_allocs == 0`.
             debug_assert_steady(&report, warmed);
-        }
-        Ok(report)
-    };
+            Ok(report)
+        };
 
-    let chunk_cap = cfg.prefill_chunk.unwrap_or(u32::MAX);
-    let mut slots: Vec<Option<Slot>> = (0..cfg.slots).map(|_| None).collect();
-    let mut arrivals = trace.requests.iter().copied().peekable();
-    let mut waiting: std::collections::VecDeque<step_traces::Request> =
-        std::collections::VecDeque::new();
-    let mut clock: u64 = 0;
-    let mut iterations = Vec::new();
-    let mut outcomes: Vec<ServeOutcome> = Vec::new();
-    let (mut admitted_total, mut evicted_total, mut shed_total) = (0u32, 0u32, 0u32);
-    let (mut busy_cycles, mut offchip_traffic) = (0u64, 0u64);
-    let (mut total_fires, mut chan_runs) = (0u64, 0u64);
-    let mut truncated = false;
-    // Execution telemetry: this run's cache resolutions and the fires
-    // the engine actually executed (vs the logical `total_fires`).
-    let mut cache_stats = ReportCacheStats::default();
-    let mut engine_fires = 0u64;
-    // The MoE pool warms on the first *actual* engine run, not the first
-    // iteration — under a warm shared cache the early iterations replay
-    // and never materialize pooled state.
-    let mut moe_warm = false;
+        let chunk_cap = cfg.prefill_chunk.unwrap_or(u32::MAX);
+        let mut slots: Vec<Option<Slot>> = (0..cfg.slots).map(|_| None).collect();
+        let mut arrivals = trace.requests.iter().copied().peekable();
+        let mut waiting: std::collections::VecDeque<step_traces::Request> =
+            std::collections::VecDeque::new();
+        let mut clock: u64 = 0;
+        let mut iterations = Vec::new();
+        let mut outcomes: Vec<ServeOutcome> = Vec::new();
+        let (mut admitted_total, mut evicted_total, mut shed_total) = (0u32, 0u32, 0u32);
+        let (mut busy_cycles, mut offchip_traffic) = (0u64, 0u64);
+        let (mut total_fires, mut chan_runs) = (0u64, 0u64);
+        let mut truncated = false;
+        // Execution telemetry: this run's cache resolutions and the fires
+        // the engine actually executed (vs the logical `total_fires`).
+        let mut cache_stats = ReportCacheStats::default();
+        let mut engine_fires = 0u64;
+        // The MoE pool warms on the first *actual* engine run, not the first
+        // iteration — under a warm shared cache the early iterations replay
+        // and never materialize pooled state.
+        let mut moe_warm = false;
 
-    // Counts processing iterations only — idle clock-jumps don't run
-    // phases, consume routing seeds, or warm the pools.
-    let mut iter: u32 = 0;
-    loop {
-        // Pull arrivals up to the clock, then admit into free slots in
-        // arrival order (lowest free slot index first — deterministic).
-        while arrivals.peek().is_some_and(|r| r.arrival <= clock) {
-            waiting.push_back(arrivals.next().expect("peeked"));
-        }
-        // SLO shedding: a waiting request whose queueing delay already
-        // exceeds the TTFT objective cannot meet it no matter what the
-        // batch does — drop it at the admission boundary instead of
-        // spending slots and tokens on a guaranteed SLO violation. The
-        // queue is in arrival order, so delays are maximal at the front.
-        if let Some(slo) = cfg.ttft_slo {
-            while waiting.front().is_some_and(|r| clock - r.arrival > slo) {
-                waiting.pop_front();
-                shed_total += 1;
+        // Counts processing iterations only — idle clock-jumps don't run
+        // phases, consume routing seeds, or warm the pools.
+        let mut iter: u32 = 0;
+        loop {
+            // Pull arrivals up to the clock, then admit into free slots in
+            // arrival order (lowest free slot index first — deterministic).
+            while arrivals.peek().is_some_and(|r| r.arrival <= clock) {
+                waiting.push_back(arrivals.next().expect("peeked"));
             }
-        }
-        let mut admitted_now = 0u32;
-        for slot in slots.iter_mut() {
-            if slot.is_none()
-                && let Some(r) = waiting.pop_front()
-            {
-                *slot = Some(Slot {
-                    id: r.id,
-                    arrival: r.arrival,
-                    admitted: clock,
-                    prompt: r.prompt,
-                    output: r.output,
-                    processed: 0,
-                    generated: 0,
-                    first_token: None,
-                });
-                admitted_now += 1;
-            }
-        }
-        admitted_total += admitted_now;
-
-        let live = slots.iter().flatten().count() as u32;
-        if live == 0 {
-            match arrivals.peek() {
-                // Idle: jump the clock to the next arrival.
-                Some(r) => {
-                    clock = r.arrival;
-                    continue;
+            // SLO shedding: a waiting request whose queueing delay already
+            // exceeds the TTFT objective cannot meet it no matter what the
+            // batch does — drop it at the admission boundary instead of
+            // spending slots and tokens on a guaranteed SLO violation. The
+            // queue is in arrival order, so delays are maximal at the front.
+            if let Some(slo) = cfg.ttft_slo {
+                while waiting.front().is_some_and(|r| clock - r.arrival > slo) {
+                    waiting.pop_front();
+                    shed_total += 1;
                 }
-                None => break, // drained
             }
-        }
-        if iter >= cfg.max_iterations {
-            truncated = true;
-            break;
-        }
-
-        // Token allocation: decode tokens first (one per decoding
-        // request — always fits, token_budget >= slots), then prefill
-        // chunks in slot order from the remaining budget.
-        let mut allocs = vec![0u32; cfg.slots];
-        let mut budget = cfg.token_budget;
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some(s) = slot
-                && s.processed == s.prompt
-            {
-                allocs[i] = 1;
-                budget -= 1;
+            let mut admitted_now = 0u32;
+            for slot in slots.iter_mut() {
+                if slot.is_none()
+                    && let Some(r) = waiting.pop_front()
+                {
+                    *slot = Some(Slot {
+                        id: r.id,
+                        arrival: r.arrival,
+                        admitted: clock,
+                        prompt: r.prompt,
+                        output: r.output,
+                        processed: 0,
+                        generated: 0,
+                        first_token: None,
+                    });
+                    admitted_now += 1;
+                }
             }
-        }
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some(s) = slot
-                && s.processed < s.prompt
-            {
-                let a = (s.prompt - s.processed).min(chunk_cap).min(budget as u32);
-                allocs[i] = a;
-                budget -= a as usize;
+            admitted_total += admitted_now;
+
+            let live = slots.iter().flatten().count() as u32;
+            if live == 0 {
+                match arrivals.peek() {
+                    // Idle: jump the clock to the next arrival.
+                    Some(r) => {
+                        clock = r.arrival;
+                        continue;
+                    }
+                    None => break, // drained
+                }
             }
-        }
-
-        // Compose the iteration's batch: per-slot KV contexts (prefill
-        // attends over its prefix plus the chunk, decode over its full
-        // cache) and the routed token count.
-        let slot_ctx: Vec<u32> = slots
-            .iter()
-            .zip(&allocs)
-            .map(|(slot, &a)| match slot {
-                Some(s) if s.processed == s.prompt => s.prompt + s.generated,
-                // A prefill slot starved of tokens by budget exhaustion
-                // does no work this iteration: bind the vacant stub.
-                // Binding its `processed` prefix would charge a full
-                // attention scan for a slot that processes nothing.
-                Some(_) if a == 0 => VACANT_CTX,
-                Some(s) => s.processed + a,
-                None => VACANT_CTX,
-            })
-            .collect();
-        let decode_tokens: u32 = slots
-            .iter()
-            .flatten()
-            .filter(|s| s.processed == s.prompt)
-            .count() as u32;
-        let tokens: u32 = allocs.iter().sum();
-        debug_assert!(tokens >= 1, "live iteration must process tokens");
-
-        // Run the three phases on the frozen plans. Attention always
-        // simulates: under a churning batch the slot-context vector is
-        // effectively unique per iteration, so caching it would only pay
-        // fingerprint cost for misses. QKV and MoE go through the report
-        // cache — their steady-state signatures repeat.
-        let kv = KvTrace {
-            lengths: slot_ctx.clone(),
-        };
-        let attn_bind = bind_attention(&attn_cfg, &attn_ports, &kv);
-        let attn = run_phase(&attn_plan, &attn_bind, &mut attn_pool, iter > 0)?;
-        engine_fires += attn.total_fires();
-        let mut routing = iteration_routing(model, cfg, iter, tokens as usize);
-        if cfg.moe_canonical {
-            // Canonical rebinding: order-permuted routings collapse to
-            // one exact cache key (see `ServeCfg::moe_canonical`).
-            // Replaying one order's report for another was measured to
-            // drift cycles, so only re-simulation of the canonical order
-            // is exact.
-            routing = canonical_routing(&routing);
-        }
-        let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
-        let moe = {
-            let warmed = moe_warm;
-            let replay = reports.replay_or_run(moe_report_key, &moe_bind, &mut || {
-                run_phase(&moe_plan, &moe_bind, &mut moe_pool, warmed)
-            })?;
-            cache_stats.absorb(replay.resolution);
-            if replay.resolution == Resolution::Simulated {
-                engine_fires += replay.report.total_fires();
-                moe_warm = true;
+            if iter >= cfg.max_iterations {
+                truncated = true;
+                break;
             }
-            replay.report
-        };
-        let qkv = {
-            // The QKV graph has no rebindable sources: the plan content
-            // key (model dims × token count × config) is the whole
-            // identity, bound under the empty binding.
-            let key = plan_content_key(qkv_fingerprint(model, tokens as usize), &sim_cfg);
-            let replay = reports.replay_or_run(key, &RunBinding::new(), &mut || {
-                SimPlan::new(qkv_graph(model, tokens as usize)?, sim_cfg.clone())?.run()
-            })?;
-            cache_stats.absorb(replay.resolution);
-            if replay.resolution == Resolution::Simulated {
-                engine_fires += replay.report.total_fires();
+
+            // Token allocation: decode tokens first (one per decoding
+            // request — always fits, token_budget >= slots), then prefill
+            // chunks in slot order from the remaining budget.
+            let mut allocs = vec![0u32; cfg.slots];
+            let mut budget = cfg.token_budget;
+            for (i, slot) in slots.iter().enumerate() {
+                if let Some(s) = slot
+                    && s.processed == s.prompt
+                {
+                    allocs[i] = 1;
+                    budget -= 1;
+                }
             }
-            replay.report
-        };
+            for (i, slot) in slots.iter().enumerate() {
+                if let Some(s) = slot
+                    && s.processed < s.prompt
+                {
+                    let a = (s.prompt - s.processed).min(chunk_cap).min(budget as u32);
+                    allocs[i] = a;
+                    budget -= a as usize;
+                }
+            }
 
-        let layer_cycles = qkv.cycles + attn.cycles + moe.cycles;
-        let iter_cycles = layer_cycles * model.layers;
-        let iter_traffic = qkv.offchip_traffic + attn.offchip_traffic + moe.offchip_traffic;
-        let fires = qkv.total_fires() + attn.total_fires() + moe.total_fires();
-        let runs = qkv.chan_runs + attn.chan_runs + moe.chan_runs;
-        let start = clock;
-        clock += iter_cycles;
-        busy_cycles += iter_cycles;
-        offchip_traffic += iter_traffic * model.layers;
-        total_fires += fires;
-        chan_runs += runs;
+            // Compose the iteration's batch: per-slot KV contexts (prefill
+            // attends over its prefix plus the chunk, decode over its full
+            // cache) and the routed token count.
+            let slot_ctx: Vec<u32> = slots
+                .iter()
+                .zip(&allocs)
+                .map(|(slot, &a)| match slot {
+                    Some(s) if s.processed == s.prompt => s.prompt + s.generated,
+                    // A prefill slot starved of tokens by budget exhaustion
+                    // does no work this iteration: bind the vacant stub.
+                    // Binding its `processed` prefix would charge a full
+                    // attention scan for a slot that processes nothing.
+                    Some(_) if a == 0 => VACANT_CTX,
+                    Some(s) => s.processed + a,
+                    None => VACANT_CTX,
+                })
+                .collect();
+            let decode_tokens: u32 = slots
+                .iter()
+                .flatten()
+                .filter(|s| s.processed == s.prompt)
+                .count() as u32;
+            let tokens: u32 = allocs.iter().sum();
+            debug_assert!(tokens >= 1, "live iteration must process tokens");
 
-        // Post-iteration request state: prefill progress, token
-        // emission, completion, and eviction.
-        let mut completed_now = 0u32;
-        for (slot, &a) in slots.iter_mut().zip(&allocs) {
-            let Some(s) = slot.as_mut() else { continue };
-            if s.processed == s.prompt {
-                s.generated += 1;
-            } else {
-                s.processed += a;
+            // Run the three phases on the frozen plans. Attention always
+            // simulates: under a churning batch the slot-context vector is
+            // effectively unique per iteration, so caching it would only pay
+            // fingerprint cost for misses. QKV and MoE go through the report
+            // cache — their steady-state signatures repeat.
+            let kv = KvTrace {
+                lengths: slot_ctx.clone(),
+            };
+            let attn_bind = bind_attention(&attn_cfg, &attn_ports, &kv);
+            let attn = run_phase(&attn_plan, &attn_bind, &mut attn_pool, iter > 0)?;
+            engine_fires += attn.total_fires();
+            let mut routing = iteration_routing(model, cfg, iter, tokens as usize);
+            if cfg.moe_canonical {
+                // Canonical rebinding: order-permuted routings collapse to
+                // one exact cache key (see `ServeCfg::moe_canonical`).
+                // Replaying one order's report for another was measured to
+                // drift cycles, so only re-simulation of the canonical order
+                // is exact.
+                routing = canonical_routing(&routing);
+            }
+            let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
+            let moe = {
+                let warmed = moe_warm;
+                let replay = reports.replay_or_run(moe_report_key, &moe_bind, &mut || {
+                    run_phase(&moe_plan, &moe_bind, &mut moe_pool, warmed)
+                })?;
+                cache_stats.absorb(replay.resolution);
+                if replay.resolution == Resolution::Simulated {
+                    engine_fires += replay.report.total_fires();
+                    moe_warm = true;
+                }
+                replay.report
+            };
+            let qkv = {
+                // The QKV graph has no rebindable sources: the plan content
+                // key (model dims × token count × config) is the whole
+                // identity, bound under the empty binding.
+                let key = plan_content_key(qkv_fingerprint(model, tokens as usize), &sim_cfg);
+                let replay = reports.replay_or_run(key, &RunBinding::new(), &mut || {
+                    SimPlan::new(qkv_graph(model, tokens as usize)?, sim_cfg.clone())?.run()
+                })?;
+                cache_stats.absorb(replay.resolution);
+                if replay.resolution == Resolution::Simulated {
+                    engine_fires += replay.report.total_fires();
+                }
+                replay.report
+            };
+
+            let layer_cycles = qkv.cycles + attn.cycles + moe.cycles;
+            let iter_cycles = layer_cycles * model.layers;
+            let iter_traffic = qkv.offchip_traffic + attn.offchip_traffic + moe.offchip_traffic;
+            let fires = qkv.total_fires() + attn.total_fires() + moe.total_fires();
+            let runs = qkv.chan_runs + attn.chan_runs + moe.chan_runs;
+            let start = clock;
+            clock += iter_cycles;
+            busy_cycles += iter_cycles;
+            offchip_traffic += iter_traffic * model.layers;
+            total_fires += fires;
+            chan_runs += runs;
+
+            // Post-iteration request state: prefill progress, token
+            // emission, completion, and eviction.
+            let mut completed_now = 0u32;
+            for (slot, &a) in slots.iter_mut().zip(&allocs) {
+                let Some(s) = slot.as_mut() else { continue };
                 if s.processed == s.prompt {
-                    // Prefill done: this iteration produced the first
-                    // output token.
-                    s.first_token = Some(clock);
-                    s.generated = 1;
+                    s.generated += 1;
+                } else {
+                    s.processed += a;
+                    if s.processed == s.prompt {
+                        // Prefill done: this iteration produced the first
+                        // output token.
+                        s.first_token = Some(clock);
+                        s.generated = 1;
+                    }
+                }
+                if s.generated == s.output {
+                    outcomes.push(ServeOutcome {
+                        id: s.id,
+                        arrival: s.arrival,
+                        admitted: s.admitted,
+                        first_token: s.first_token.expect("completed after first token"),
+                        finished: clock,
+                        prompt: s.prompt,
+                        output: s.output,
+                    });
+                    completed_now += 1;
+                    evicted_total += 1;
+                    *slot = None;
                 }
             }
-            if s.generated == s.output {
-                outcomes.push(ServeOutcome {
-                    id: s.id,
-                    arrival: s.arrival,
-                    admitted: s.admitted,
-                    first_token: s.first_token.expect("completed after first token"),
-                    finished: clock,
-                    prompt: s.prompt,
-                    output: s.output,
-                });
-                completed_now += 1;
-                evicted_total += 1;
-                *slot = None;
-            }
+
+            iterations.push(ServeIteration {
+                iter,
+                start,
+                live,
+                admitted: admitted_now,
+                completed: completed_now,
+                tokens,
+                decode_tokens,
+                slot_ctx,
+                qkv_cycles: qkv.cycles,
+                attn_cycles: attn.cycles,
+                moe_cycles: moe.cycles,
+                layer_cycles,
+                fires,
+                chan_runs: runs,
+                offchip_traffic: iter_traffic,
+            });
+            iter += 1;
         }
 
-        iterations.push(ServeIteration {
-            iter,
-            start,
-            live,
-            admitted: admitted_now,
-            completed: completed_now,
-            tokens,
-            decode_tokens,
-            slot_ctx,
-            qkv_cycles: qkv.cycles,
-            attn_cycles: attn.cycles,
-            moe_cycles: moe.cycles,
-            layer_cycles,
-            fires,
-            chan_runs: runs,
-            offchip_traffic: iter_traffic,
-        });
-        iter += 1;
+        outcomes.sort_by_key(|o| o.id);
+        let ttft = Percentiles::of(outcomes.iter().map(|o| o.ttft() as f64).collect());
+        let tpot = Percentiles::of(
+            outcomes
+                .iter()
+                .filter(|o| o.output > 1)
+                .map(ServeOutcome::tpot)
+                .collect(),
+        );
+        let goodput = if clock == 0 {
+            0.0
+        } else {
+            outcomes.len() as f64 * 1e6 / clock as f64
+        };
+        let hbm_bytes_per_cycle = if busy_cycles == 0 {
+            0.0
+        } else {
+            offchip_traffic as f64 / busy_cycles as f64
+        };
+        let hbm_utilization = if offchip_peak_bw == 0 {
+            0.0
+        } else {
+            hbm_bytes_per_cycle / offchip_peak_bw as f64
+        };
+        Ok(ServeReport {
+            iterations,
+            outcomes,
+            total_cycles: clock,
+            busy_cycles,
+            offchip_traffic,
+            admitted_total,
+            evicted_total,
+            shed_total,
+            total_fires,
+            chan_runs,
+            engine_fires,
+            report_cache: cache_stats,
+            ttft,
+            tpot,
+            goodput_per_mcycle: goodput,
+            offered_per_mcycle: trace.offered_per_mcycle(),
+            hbm_bytes_per_cycle,
+            hbm_utilization,
+            truncated,
+        })
     }
-
-    outcomes.sort_by_key(|o| o.id);
-    let ttft = Percentiles::of(outcomes.iter().map(|o| o.ttft() as f64).collect());
-    let tpot = Percentiles::of(
-        outcomes
-            .iter()
-            .filter(|o| o.output > 1)
-            .map(ServeOutcome::tpot)
-            .collect(),
-    );
-    let goodput = if clock == 0 {
-        0.0
-    } else {
-        outcomes.len() as f64 * 1e6 / clock as f64
-    };
-    let hbm_bytes_per_cycle = if busy_cycles == 0 {
-        0.0
-    } else {
-        offchip_traffic as f64 / busy_cycles as f64
-    };
-    let hbm_utilization = if offchip_peak_bw == 0 {
-        0.0
-    } else {
-        hbm_bytes_per_cycle / offchip_peak_bw as f64
-    };
-    Ok(ServeReport {
-        iterations,
-        outcomes,
-        total_cycles: clock,
-        busy_cycles,
-        offchip_traffic,
-        admitted_total,
-        evicted_total,
-        shed_total,
-        total_fires,
-        chan_runs,
-        engine_fires,
-        report_cache: cache_stats,
-        ttft,
-        tpot,
-        goodput_per_mcycle: goodput,
-        offered_per_mcycle: trace.offered_per_mcycle(),
-        hbm_bytes_per_cycle,
-        hbm_utilization,
-        truncated,
-    })
 }
 
 #[cfg(test)]
@@ -1016,6 +979,22 @@ mod tests {
         })
     }
 
+    fn serve(
+        model: &ModelConfig,
+        variant: &E2eVariant,
+        trace: &RequestTrace,
+        cfg: &ServeCfg,
+    ) -> Result<ServeReport> {
+        ServeJob {
+            label: String::new(),
+            model: model.clone(),
+            variant: variant.clone(),
+            trace: trace.clone(),
+            cfg: cfg.clone(),
+        }
+        .run()
+    }
+
     fn cfg() -> ServeCfg {
         ServeCfg {
             slots: 4,
@@ -1030,7 +1009,7 @@ mod tests {
     fn drains_every_request_with_sane_latencies() {
         let trace = tiny_trace(10, 50_000.0, 1);
         let v = E2eVariant::static_schedule("s", 4);
-        let r = run_serve(&tiny(), &v, &trace, &cfg()).unwrap();
+        let r = serve(&tiny(), &v, &trace, &cfg()).unwrap();
         assert!(!r.truncated);
         assert_eq!(r.outcomes.len(), 10);
         assert_eq!(r.admitted_total, 10);
@@ -1054,7 +1033,7 @@ mod tests {
         let trace = tiny_trace(16, 5_000.0, 2); // heavy load: queueing
         let v = E2eVariant::static_schedule("s", 4);
         let c = cfg();
-        let r = run_serve(&tiny(), &v, &trace, &c).unwrap();
+        let r = serve(&tiny(), &v, &trace, &c).unwrap();
         for it in &r.iterations {
             assert!(
                 it.live <= c.slots as u32,
@@ -1082,13 +1061,13 @@ mod tests {
     fn ttft_slo_sheds_hopeless_waiters_deterministically() {
         let trace = tiny_trace(16, 5_000.0, 2); // heavy load: queueing
         let v = E2eVariant::static_schedule("s", 4);
-        let baseline = run_serve(&tiny(), &v, &trace, &cfg()).unwrap();
+        let baseline = serve(&tiny(), &v, &trace, &cfg()).unwrap();
         assert_eq!(baseline.shed_total, 0, "no SLO, nothing shed");
         let c = ServeCfg {
             ttft_slo: Some(0),
             ..cfg()
         };
-        let r = run_serve(&tiny(), &v, &trace, &c).unwrap();
+        let r = serve(&tiny(), &v, &trace, &c).unwrap();
         assert!(r.shed_total > 0, "tight SLO under heavy load must shed");
         assert_eq!(r.admitted_total + r.shed_total, 16);
         assert_eq!(r.outcomes.len(), r.admitted_total as usize);
@@ -1097,7 +1076,7 @@ mod tests {
         for o in &r.outcomes {
             assert_eq!(o.admitted, o.arrival, "queue delay within SLO");
         }
-        let rerun = run_serve(&tiny(), &v, &trace, &c).unwrap();
+        let rerun = serve(&tiny(), &v, &trace, &c).unwrap();
         assert_eq!(r, rerun);
     }
 
@@ -1105,8 +1084,8 @@ mod tests {
     fn same_seed_reruns_are_bit_identical() {
         let trace = tiny_trace(8, 20_000.0, 3);
         let v = E2eVariant::static_schedule("s", 4);
-        let a = run_serve(&tiny(), &v, &trace, &cfg()).unwrap();
-        let b = run_serve(&tiny(), &v, &trace, &cfg()).unwrap();
+        let a = serve(&tiny(), &v, &trace, &cfg()).unwrap();
+        let b = serve(&tiny(), &v, &trace, &cfg()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1114,7 +1093,7 @@ mod tests {
     fn chunked_prefill_bounds_per_iteration_prefill() {
         let trace = tiny_trace(6, 10_000.0, 4);
         let v = E2eVariant::static_schedule("s", 4);
-        let chunked = run_serve(
+        let chunked = serve(
             &tiny(),
             &v,
             &trace,
@@ -1124,7 +1103,7 @@ mod tests {
             },
         )
         .unwrap();
-        let whole = run_serve(
+        let whole = serve(
             &tiny(),
             &v,
             &trace,
@@ -1184,7 +1163,7 @@ mod tests {
             ..cfg()
         };
         let v = E2eVariant::static_schedule("s", 4);
-        let r = run_serve(&tiny(), &v, &trace, &c).unwrap();
+        let r = serve(&tiny(), &v, &trace, &c).unwrap();
         // Iteration 2: slot 0 decodes (1 token), slot 1 admits request 3
         // whose chunk takes the whole remaining budget, and slot 2's live
         // prefill (2 of 8 prompt tokens in) gets zero tokens — it must
@@ -1210,7 +1189,7 @@ mod tests {
         );
         let trace = tiny_trace(6, 20_000.0, 8);
         let v = E2eVariant::static_schedule("s", 4);
-        let r = run_serve(&tiny(), &v, &trace, &cfg()).unwrap();
+        let r = serve(&tiny(), &v, &trace, &cfg()).unwrap();
         let peak = SimConfig::default().hbm.bytes_per_cycle as f64;
         assert!(
             (r.hbm_utilization - r.hbm_bytes_per_cycle / peak).abs() < 1e-12,
@@ -1234,7 +1213,7 @@ mod tests {
             seed: 12,
         });
         let v = E2eVariant::static_schedule("s", 4);
-        let r = run_serve(&tiny(), &v, &trace, &cfg()).unwrap();
+        let r = serve(&tiny(), &v, &trace, &cfg()).unwrap();
         assert_eq!(r.outcomes.len(), 5);
         assert!(r.ttft.is_some());
         assert_eq!(r.tpot, None, "no multi-token outputs → no population");
@@ -1245,9 +1224,9 @@ mod tests {
         let trace = tiny_trace(2, 1_000.0, 5);
         let v = E2eVariant::static_schedule("s", 4);
         let m = tiny();
-        assert!(run_serve(&m, &v, &trace, &ServeCfg { slots: 0, ..cfg() }).is_err());
+        assert!(serve(&m, &v, &trace, &ServeCfg { slots: 0, ..cfg() }).is_err());
         assert!(
-            run_serve(
+            serve(
                 &m,
                 &v,
                 &trace,
@@ -1260,7 +1239,7 @@ mod tests {
             .is_err()
         );
         assert!(
-            run_serve(
+            serve(
                 &m,
                 &v,
                 &trace,
@@ -1271,14 +1250,33 @@ mod tests {
             )
             .is_err()
         );
-        assert!(run_serve(&m, &v, &RequestTrace { requests: vec![] }, &cfg()).is_err());
+        assert!(serve(&m, &v, &RequestTrace { requests: vec![] }, &cfg()).is_err());
+        // A zero-token prompt or output is rejected up front, naming the
+        // request: an empty prompt has no KV context to bind, and an
+        // empty output would never complete.
+        for (prompt, output) in [(4, 0), (0, 3)] {
+            let mut bad = trace.clone();
+            bad.requests[1].prompt = prompt;
+            bad.requests[1].output = output;
+            let c = ServeCfg {
+                max_iterations: 64,
+                ..cfg()
+            };
+            match serve(&m, &v, &bad, &c) {
+                Err(StepError::Config(msg)) => assert!(
+                    msg.contains(&format!("request {}", bad.requests[1].id)),
+                    "error does not name the request: {msg}"
+                ),
+                other => panic!("prompt {prompt} output {output} accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn truncation_is_reported() {
         let trace = tiny_trace(8, 5_000.0, 6);
         let v = E2eVariant::static_schedule("s", 4);
-        let r = run_serve(
+        let r = serve(
             &tiny(),
             &v,
             &trace,

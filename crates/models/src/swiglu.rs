@@ -199,10 +199,10 @@ pub fn build_gemm(g: &mut GraphBuilder, cfg: &GemmCfg) -> Result<StreamRef> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use step_sim::{SimConfig, Simulation};
+    use step_sim::{SimConfig, SimPlan};
 
     fn run(cfg: &SwigluCfg) -> step_sim::SimReport {
-        Simulation::new(swiglu_graph(cfg).unwrap(), SimConfig::validation())
+        SimPlan::new(swiglu_graph(cfg).unwrap(), SimConfig::validation())
             .unwrap()
             .run()
             .unwrap()
@@ -270,7 +270,7 @@ mod tests {
             },
         )
         .unwrap();
-        let report = Simulation::new(g.finish(), SimConfig::default())
+        let report = SimPlan::new(g.finish(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();

@@ -12,8 +12,8 @@
 //!    excluded), across thread counts.
 //! 2. **Canonical rebinding, proven not assumed**: across ≥16 routing
 //!    seeds (× thread counts), order-permuted MoE routings collapse
-//!    under [`canonical_routing`] to one binding and one
-//!    [`moe_canonical_key`], and replay as **exact** hits through
+//!    under [`canonical_routing`] to one canonical trace and one
+//!    binding, and replay as **exact** hits through
 //!    [`ReportCache::checked`] — which re-simulates every hit and
 //!    asserts bit-identity. The same matrix carries the *refutation*
 //!    that shaped the design: replaying an order-permuted binding
@@ -31,10 +31,8 @@
 use step_models::ModelConfig;
 use step_models::e2e::E2eVariant;
 use step_models::moe::{MoeCfg, moe_graph_with_ports};
-use step_models::phases::{bind_moe, canonical_routing, moe_canonical_key, moe_sim_config};
-use step_models::serving::{
-    FreshPlans, ServeCfg, ServeReport, moe_build_trace, run_serve, run_serve_memo,
-};
+use step_models::phases::{bind_moe, canonical_routing, moe_sim_config};
+use step_models::serving::{FreshPlans, ServeCfg, ServeJob, ServeReport, moe_build_trace};
 use step_sim::{ReportCache, Resolution, SimConfig, SimPlan, SimReport, plan_content_key};
 use step_traces::{
     ArrivalConfig, ArrivalPattern, LenDist, RequestTrace, RoutingConfig, RoutingTrace,
@@ -66,6 +64,16 @@ fn trace(requests: usize, seed: u64) -> RequestTrace {
     })
 }
 
+fn job(model: &ModelConfig, v: &E2eVariant, t: &RequestTrace, c: &ServeCfg) -> ServeJob {
+    ServeJob {
+        label: String::new(),
+        model: model.clone(),
+        variant: v.clone(),
+        trace: t.clone(),
+        cfg: c.clone(),
+    }
+}
+
 fn cfg(threads: usize) -> ServeCfg {
     ServeCfg {
         slots: 4,
@@ -82,16 +90,16 @@ fn cache_modes_and_thread_counts_are_report_identical() {
     let model = tiny();
     let v = E2eVariant::static_schedule("s", 4);
     let t = trace(8, 3);
-    let baseline = run_serve(&model, &v, &t, &cfg(1)).unwrap();
+    let baseline = job(&model, &v, &t, &cfg(1)).run().unwrap();
     let phase_requests = 2 * baseline.iterations.len() as u64; // QKV + MoE
     for threads in [1usize, 2, 4] {
-        let c = cfg(threads);
+        let serve_job = job(&model, &v, &t, &cfg(threads));
         for (mode, cache) in [
             ("disabled", ReportCache::disabled()),
             ("enabled", ReportCache::new()),
             ("checked", ReportCache::checked()),
         ] {
-            let got = run_serve_memo(&model, &v, &t, &c, &FreshPlans, &cache).unwrap();
+            let got = serve_job.run_memo(&FreshPlans, &cache).unwrap();
             assert_eq!(
                 got, baseline,
                 "threads={threads} mode={mode}: caching changed the report"
@@ -115,8 +123,8 @@ fn cache_modes_and_thread_counts_are_report_identical() {
         // Warm rerun over a shared cache: every phase request replays,
         // only attention still reaches the engine.
         let shared = ReportCache::new();
-        let cold = run_serve_memo(&model, &v, &t, &c, &FreshPlans, &shared).unwrap();
-        let warm = run_serve_memo(&model, &v, &t, &c, &FreshPlans, &shared).unwrap();
+        let cold = serve_job.run_memo(&FreshPlans, &shared).unwrap();
+        let warm = serve_job.run_memo(&FreshPlans, &shared).unwrap();
         assert_eq!(cold, baseline);
         assert_eq!(warm, baseline);
         assert_eq!(warm.report_cache.misses, 0, "warm rerun missed the cache");
@@ -165,7 +173,7 @@ fn aggregates(r: &SimReport) -> [u64; 9] {
 }
 
 /// Seeded Fisher–Yates permutation of the routing's token order — the
-/// exact equivalence [`moe_canonical_key`] claims to erase.
+/// exact equivalence [`canonical_routing`] claims to erase.
 fn permuted(routing: &RoutingTrace, rng: &mut Rng) -> RoutingTrace {
     let mut assignments = routing.assignments.clone();
     for i in (1..assignments.len()).rev() {
@@ -212,28 +220,22 @@ fn canonical_rebinding_is_proven_across_seeds_and_threads() {
                 skew: 0.8,
                 seed: seed * 31 + 5,
             });
-            let key = moe_canonical_key(&base);
             let canon = canonical_routing(&base);
             let cbind = bind_moe(&ports, model.hidden, &canon);
             let first = cache
-                .replay_or_run(plan_key, &cbind, &mut || plan.run_bound(&cbind))
+                .replay_or_run(plan_key, &cbind, &mut || plan.run_with(&cbind, None))
                 .unwrap();
             assert_eq!(first.resolution, Resolution::Simulated);
             let base_aggregates = aggregates(
                 &plan
-                    .run_bound(&bind_moe(&ports, model.hidden, &base))
+                    .run_with(&bind_moe(&ports, model.hidden, &base), None)
                     .unwrap(),
             );
             let mut rng = Rng(seed + 1);
             for round in 0..3 {
                 let p = permuted(&base, &mut rng);
                 // The canonical form erases exactly the token order:
-                // same key, same canonicalized trace, same binding.
-                assert_eq!(
-                    moe_canonical_key(&p),
-                    key,
-                    "seed {seed} round {round}: canonical key not order-invariant"
-                );
+                // same canonicalized trace, same binding.
                 let pcanon = canonical_routing(&p);
                 assert_eq!(
                     pcanon.assignments, canon.assignments,
@@ -241,7 +243,7 @@ fn canonical_rebinding_is_proven_across_seeds_and_threads() {
                 );
                 let pbind = bind_moe(&ports, model.hidden, &pcanon);
                 let got = cache
-                    .replay_or_run(plan_key, &pbind, &mut || plan.run_bound(&pbind))
+                    .replay_or_run(plan_key, &pbind, &mut || plan.run_with(&pbind, None))
                     .unwrap();
                 // An exact hit, bit-identical — re-simulated and
                 // asserted by the checked cache before we ever see it.
@@ -255,7 +257,11 @@ fn canonical_rebinding_is_proven_across_seeds_and_threads() {
                 // permuted binding is not even aggregate-equivalent to
                 // the base order — token adjacency moves run
                 // coalescing, and through scheduling, cycles/rounds.
-                let raw = aggregates(&plan.run_bound(&bind_moe(&ports, model.hidden, &p)).unwrap());
+                let raw = aggregates(
+                    &plan
+                        .run_with(&bind_moe(&ports, model.hidden, &p), None)
+                        .unwrap(),
+                );
                 if raw != base_aggregates {
                     refuted_permutations += 1;
                 }
@@ -320,11 +326,14 @@ fn canonical_serving_mode_lands_exact_hits_and_keeps_order_invariant_metrics() {
         moe_canonical: true,
         ..off.clone()
     };
-    let plain = run_serve_memo(&model, &v, &t, &off, &FreshPlans, &ReportCache::new()).unwrap();
+    let plain = job(&model, &v, &t, &off).run().unwrap();
     // Checked mode re-simulates every exact hit and asserts bit-identity
     // — running the whole serve loop through it is the end-to-end
     // version of the seed-matrix proof above.
-    let canon = run_serve_memo(&model, &v, &t, &on, &FreshPlans, &ReportCache::checked()).unwrap();
+    let canonical_job = job(&model, &v, &t, &on);
+    let canon = canonical_job
+        .run_memo(&FreshPlans, &ReportCache::checked())
+        .unwrap();
     // Rebinding lands the sharing in the cache's exact keys:
     // order-permuted iterations collapse to one binding before the cache
     // ever sees them, so canonical mode wins extra hits.
@@ -349,7 +358,7 @@ fn canonical_serving_mode_lands_exact_hits_and_keeps_order_invariant_metrics() {
     // Same-seed canonical-on reruns are bit-identical — fires and all —
     // whether the cache replays (enabled) or differentially re-simulates
     // (checked).
-    let rerun = run_serve_memo(&model, &v, &t, &on, &FreshPlans, &ReportCache::new()).unwrap();
+    let rerun = canonical_job.run().unwrap();
     assert_eq!(canon, rerun);
     assert_eq!(canon.total_fires, rerun.total_fires);
     assert_eq!(canon.chan_runs, rerun.chan_runs);

@@ -8,12 +8,11 @@
 //! - **Offline replay**: every serving iteration's admitted set is
 //!   rebuilt as a fresh one-shot simulation — the same build-time
 //!   graphs (envelope KV trace, token-budget MoE trace), a fresh
-//!   `SimPlan`, the iteration's binding — and must reproduce the
-//!   driver's per-iteration cycles, fires, and channel runs bit-exactly;
+//!   `SimPlan`, the iteration's binding, no pool — and must reproduce
+//!   the driver's pooled per-iteration cycles, fires, channel runs, and
+//!   off-chip traffic bit-exactly, so pooling is transparent;
 //! - **Thread independence**: same-seed serving runs are bit-identical
 //!   across 1, 2, and 4 worker threads;
-//! - **Pooling transparency**: pooled run state (the alloc-free steady
-//!   state) and fresh per-iteration run state produce identical reports;
 //! - **Scheduling invariants**: admission never exceeds the slot
 //!   budget, per-iteration tokens never exceed the token budget, and
 //!   every admitted request completes (no starvation);
@@ -35,10 +34,10 @@ use step_models::e2e::E2eVariant;
 use step_models::moe::{MoeCfg, MoePorts, Tiling, moe_graph, moe_graph_with_ports};
 use step_models::phases::{bind_attention, bind_moe, moe_sim_config, qkv_graph};
 use step_models::serving::{
-    PlanSource, ServeCfg, ServeReport, attn_plan_fingerprint, envelope_kv, iteration_routing,
-    moe_build_trace, moe_plan_fingerprint, run_serve, run_serve_with,
+    PlanSource, ServeCfg, ServeJob, ServeReport, attn_plan_fingerprint, envelope_kv,
+    iteration_routing, moe_build_trace, moe_plan_fingerprint,
 };
-use step_sim::{SimConfig, SimPlan};
+use step_sim::{ReportCache, SimConfig, SimPlan};
 use step_traces::{ArrivalConfig, ArrivalPattern, KvTrace, LenDist, RequestTrace, arrival_trace};
 
 fn tiny_model() -> ModelConfig {
@@ -80,8 +79,20 @@ fn variant() -> E2eVariant {
     E2eVariant::static_schedule("static", 4)
 }
 
+fn job(model: &ModelConfig, v: &E2eVariant, tr: &RequestTrace, cfg: &ServeCfg) -> ServeJob {
+    ServeJob {
+        label: String::new(),
+        model: model.clone(),
+        variant: v.clone(),
+        trace: tr.clone(),
+        cfg: cfg.clone(),
+    }
+}
+
 fn serve(cfg: &ServeCfg) -> ServeReport {
-    run_serve(&tiny_model(), &variant(), &trace(8, 20_000.0, 9), cfg).unwrap()
+    job(&tiny_model(), &variant(), &trace(8, 20_000.0, 9), cfg)
+        .run()
+        .unwrap()
 }
 
 /// Replays every driver iteration offline as fresh one-shot simulations
@@ -94,7 +105,7 @@ fn replay_offline(
     tr: &RequestTrace,
     cfg: &ServeCfg,
 ) -> ServeReport {
-    let report = run_serve(model, v, tr, cfg).unwrap();
+    let report = job(model, v, tr, cfg).run().unwrap();
     assert!(!report.iterations.is_empty());
 
     // The driver's build-time graphs, rebuilt from the public helpers.
@@ -116,7 +127,7 @@ fn replay_offline(
             lengths: it.slot_ctx.clone(),
         };
         let attn = attn_plan
-            .run_bound(&bind_attention(&attn_cfg, &attn_ports, &kv))
+            .run_with(&bind_attention(&attn_cfg, &attn_ports, &kv), None)
             .unwrap();
         assert_eq!(
             attn.cycles, it.attn_cycles,
@@ -127,7 +138,7 @@ fn replay_offline(
         let moe_plan = SimPlan::new(moe_graph.clone(), moe_sim_config()).unwrap();
         let routing = iteration_routing(model, cfg, it.iter, it.tokens as usize);
         let moe = moe_plan
-            .run_bound(&bind_moe(&moe_ports, model.hidden, &routing))
+            .run_with(&bind_moe(&moe_ports, model.hidden, &routing), None)
             .unwrap();
         assert_eq!(moe.cycles, it.moe_cycles, "iter {}: MoE cycles", it.iter);
 
@@ -168,9 +179,9 @@ fn replay_offline(
     report
 }
 
-/// Every driver iteration, replayed offline as fresh one-shot
+/// Every pooled driver iteration, replayed offline as fresh one-shot
 /// simulations of the same graphs and bindings, reproduces the driver's
-/// per-iteration cycles/fires/chan-runs bit-exactly.
+/// per-iteration cycles, fires, channel runs and traffic bit-exactly.
 #[test]
 fn offline_replay_matches_driver_iterations_bit_exactly() {
     replay_offline(
@@ -233,21 +244,6 @@ fn serving_is_thread_count_independent() {
     }
 }
 
-/// Pooled (steady-state alloc-free) and fresh per-iteration run state
-/// produce bit-identical serving reports.
-#[test]
-fn pooled_and_fresh_run_state_agree() {
-    let pooled = serve(&ServeCfg {
-        pooled: true,
-        ..serve_cfg()
-    });
-    let fresh = serve(&ServeCfg {
-        pooled: false,
-        ..serve_cfg()
-    });
-    assert_eq!(pooled, fresh);
-}
-
 /// Admission and token-budget invariants hold under overload, and every
 /// admitted request eventually completes.
 #[test]
@@ -256,7 +252,7 @@ fn overload_honors_slots_budget_and_drains() {
     let v = variant();
     let tr = trace(20, 2_000.0, 31); // arrivals far faster than service
     let cfg = serve_cfg();
-    let r = run_serve(&model, &v, &tr, &cfg).unwrap();
+    let r = job(&model, &v, &tr, &cfg).run().unwrap();
     assert!(!r.truncated);
     let mut live_seen_full = false;
     for it in &r.iterations {
@@ -384,10 +380,11 @@ fn serving_over_cached_plans_matches_fresh_plans() {
     let (tr, cfg) = (trace(6, 20_000.0, 9), serve_cfg());
     let plans = CachedPlans::default();
     for v in &all_variants() {
-        let fresh = run_serve(&model, v, &tr, &cfg).unwrap();
-        let cold = run_serve_with(&model, v, &tr, &cfg, &plans).unwrap();
+        let serve_job = job(&model, v, &tr, &cfg);
+        let fresh = serve_job.run().unwrap();
+        let cold = serve_job.run_memo(&plans, &ReportCache::new()).unwrap();
         let builds = plans.builds.get();
-        let warm = run_serve_with(&model, v, &tr, &cfg, &plans).unwrap();
+        let warm = serve_job.run_memo(&plans, &ReportCache::new()).unwrap();
         assert_eq!(plans.builds.get(), builds, "{}: warm run rebuilt", v.name);
         assert_eq!(cold, fresh, "{}", v.name);
         assert_eq!(warm, fresh, "{}", v.name);

@@ -16,22 +16,20 @@
 //!   cross-shard halves), and freezes the configuration. Every table is
 //!   linear in the graph's size. The resulting plan is **immutable** —
 //!   it can be wrapped in an `Arc` and run from many threads at once.
-//! - [`SimPlan::run`] (or [`SimPlan::run_bound`] with a per-run
-//!   [`RunBinding`]) materializes the cheap mutable state for one
+//! - [`SimPlan::run_with`] materializes the cheap mutable state for one
 //!   execution — node executors lowered from the graph, channel queues,
-//!   scratchpad arenas, scheduler ready-sets, the HBM ledger — runs it
-//!   to completion, and returns the [`SimReport`]. Every run of the
-//!   same plan (with the same binding) is bit-identical to a fresh
-//!   `Simulation::new(graph, cfg)?.run()?` of the same graph.
+//!   scratchpad arenas, scheduler ready-sets, the HBM ledger — or resets
+//!   the state parked in a [`RunPool`] in place, runs it to completion,
+//!   and returns the [`SimReport`]. Every run of the same plan with the
+//!   same binding is bit-identical, pooled or fresh, and equal to
+//!   `SimPlan::new(graph, cfg)?.run()` of a freshly built plan.
+//!   [`SimPlan::run`] is the one-shot shorthand: the empty binding on
+//!   fresh state.
 //!
 //! [`RunBinding`] supplies the per-run inputs: replacement token streams
 //! for `Source` nodes (**source rebinding** — drive one plan with many
-//! trace iterations without re-partitioning) and dense off-chip preloads
-//! for functional runs.
-//!
-//! [`Simulation`] remains as the one-shot convenience wrapper:
-//! `Simulation::new(graph, cfg)?.run()` builds a plan, runs it once, and
-//! throws it away.
+//! trace iterations without re-partitioning), dense off-chip preloads
+//! for functional runs, and run limits.
 //!
 //! # Execution model
 //!
@@ -889,8 +887,8 @@ struct CrossEdge {
     r_ch: u32,
 }
 
-/// Per-run inputs for [`SimPlan::run_bound`]: replacement token streams
-/// for `Source` nodes and dense off-chip preloads.
+/// Per-run inputs for [`SimPlan::run_with`]: replacement token streams
+/// for `Source` nodes, dense off-chip preloads, and [`RunLimits`].
 ///
 /// Source rebinding is what makes one plan serve many trace iterations:
 /// a decode loop binds each iteration's grown KV-request stream and
@@ -1160,8 +1158,8 @@ struct RunState {
 /// Parks one run's state between runs of the same plan, making
 /// steady-state reruns and sweep points allocation-free: every channel
 /// queue, outbox, ready set, ledger vector, and scratch buffer keeps its
-/// capacity and is reset in place by the next
-/// [`SimPlan::pooled_run_bound`].
+/// capacity and is reset in place by the next [`SimPlan::run_with`]
+/// handed this pool.
 ///
 /// The pool remembers which plan its state belongs to; handing it to a
 /// different plan releases that state and builds (and re-parks) fresh
@@ -1191,12 +1189,12 @@ static PLAN_IDS: AtomicU64 = AtomicU64::new(1);
 /// and every shard's channel topology.
 ///
 /// Build once with [`SimPlan::new`], run many times with
-/// [`SimPlan::run`] / [`SimPlan::run_bound`]. The plan is read-only
-/// during execution, so `Arc<SimPlan>` can be shared across threads and
-/// run concurrently; each run materializes its own `RunState`. Every
-/// run of the same plan with the same binding is bit-identical — to
-/// other runs of the plan and to a fresh
-/// `Simulation::new(graph, cfg)?.run()?`.
+/// [`SimPlan::run_with`]. The plan is read-only during execution, so
+/// `Arc<SimPlan>` can be shared across threads and run concurrently;
+/// each run owns its `RunState`, built fresh or reset from a
+/// [`RunPool`]. Every run of the same plan with the same binding is
+/// bit-identical — to other runs of the plan and to a run of a freshly
+/// built plan.
 ///
 /// Beyond its graph, a plan holds only tables linear in the graph's
 /// size (per-shard node, channel and port arrays, plus the cut edges),
@@ -1338,13 +1336,6 @@ impl SimPlan {
         })
     }
 
-    /// Process-unique plan identity — the key [`RunPool`] parking uses,
-    /// exposed so drivers that hold many plans (e.g. a sweep-service
-    /// worker) can keep one pool per plan in a map.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The planned graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -1360,91 +1351,68 @@ impl SimPlan {
         self.plans.len()
     }
 
-    /// Runs the plan once with its baked-in source streams.
-    ///
-    /// Takes `&self`: the plan is never mutated, so an `Arc<SimPlan>`
-    /// may run concurrently from many threads, each run with its own
-    /// state and bit-identical results.
+    /// Runs the plan once with its baked-in source streams on fresh
+    /// state: `run_with(&RunBinding::default(), None)`.
     ///
     /// # Errors
     ///
     /// Returns [`StepError::Deadlock`] if the graph stops making progress
     /// before finishing, or the first functional error raised by a node.
     pub fn run(&self) -> Result<SimReport> {
-        self.run_bound(&RunBinding::default())
+        self.run_with(&RunBinding::default(), None)
     }
 
-    /// Runs the plan once with per-run source streams and preloads.
+    /// Runs the plan once under `binding` (per-run source streams,
+    /// preloads and limits).
     ///
-    /// Single-shard plans run the wave scheduler inline with immediate
-    /// off-chip commitment (the legacy engine, bit for bit). Sharded
+    /// Takes `&self`: the plan is never mutated, so an `Arc<SimPlan>`
+    /// may run concurrently from many threads, each run with its own
+    /// state and bit-identical results. Single-shard plans run the wave
+    /// scheduler inline with immediate off-chip commitment. Sharded
     /// plans run sub-rounds over the shards — on `SimConfig::threads`
     /// workers when > 1 — separated by deterministic coordination
     /// barriers; see the module docs for the determinism contract.
+    ///
+    /// With `Some(pool)`, the run reuses the state parked in `pool` when
+    /// it belongs to this plan — channels, outboxes, ready sets, ledgers
+    /// and counters are reset in place, so steady-state reruns allocate
+    /// nothing beyond what the workload itself grows — and parks its
+    /// state there afterwards. With `None` it builds fresh state and
+    /// drops it. The report's [`SimReport::run_allocs`] /
+    /// [`SimReport::pool_resets`] say which path was taken; the
+    /// simulated results are bit-identical either way.
     ///
     /// # Errors
     ///
     /// Returns [`StepError::Config`] for a binding that targets a
     /// non-`Source` node, violates the source's stream rank, or preloads
-    /// a tensor whose data length is not `rows * cols`, plus the run
-    /// errors of [`SimPlan::run`].
-    pub fn run_bound(&self, binding: &RunBinding) -> Result<SimReport> {
-        self.validate_binding(binding)?;
-        let ctrl = RunCtrl::new(&binding.limits);
-        let mut state = self.build_state(binding);
-        self.drive(&mut state, &ctrl)?;
-        let report = self.build_report(&mut state);
-        ctrl.check_final(&report)?;
-        Ok(report)
-    }
-
-    /// Runs the plan once, parking the run state in `pool` for the next
-    /// run (see [`SimPlan::pooled_run_bound`]).
-    ///
-    /// # Errors
-    ///
-    /// The run errors of [`SimPlan::run`].
-    pub fn pooled_run(&self, pool: &mut RunPool) -> Result<SimReport> {
-        self.pooled_run_bound(&RunBinding::default(), pool)
-    }
-
-    /// Runs the plan once with per-run source streams and preloads,
-    /// reusing the run state parked in `pool` when it belongs to this
-    /// plan — channels, outboxes, ready sets, ledgers, and counters are
-    /// reset in place, so steady-state reruns allocate nothing beyond
-    /// what the workload itself grows. The report's
-    /// [`SimReport::run_allocs`] / [`SimReport::pool_resets`] say which
-    /// path was taken.
-    ///
-    /// Results are bit-identical to [`SimPlan::run_bound`] with the same
-    /// binding.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`SimPlan::run_bound`]. A failed run drops its
-    /// state instead of parking it.
-    pub fn pooled_run_bound(&self, binding: &RunBinding, pool: &mut RunPool) -> Result<SimReport> {
+    /// a tensor whose data length is not `rows * cols`;
+    /// [`StepError::Deadline`] or [`StepError::Cancelled`] when a limit
+    /// trips; plus the run errors of [`SimPlan::run`]. A failed run
+    /// drops its state instead of parking it.
+    pub fn run_with(&self, binding: &RunBinding, pool: Option<&mut RunPool>) -> Result<SimReport> {
         // Validate before taking the parked state: a rejected binding
         // must not cost the pool its buffers.
         self.validate_binding(binding)?;
         let ctrl = RunCtrl::new(&binding.limits);
+        let mut scratch = RunPool::new();
+        let pool = pool.unwrap_or(&mut scratch);
         // Another plan's parked state is released before the rebuild, so
         // the new state can reuse its memory.
         let parked = pool.state.take().filter(|_| pool.plan_id == self.id);
-        let (mut state, reused) = match parked {
+        let reused = parked.is_some();
+        let mut state = match parked {
             Some(mut st) => {
                 self.reset_state(&mut st, binding);
-                (st, true)
+                st
             }
-            None => (self.build_state(binding), false),
+            None => self.build_state(binding),
         };
         self.drive(&mut state, &ctrl)?;
-        let mut report = self.build_report(&mut state);
+        let report = self.build_report(&mut state, reused);
         // A deadline blow is a failed run: state drops instead of
         // parking, like every other error path.
         ctrl.check_final(&report)?;
-        report.run_allocs = u64::from(!reused);
-        report.pool_resets = u64::from(reused);
         pool.plan_id = self.id;
         pool.state = Some(state);
         Ok(report)
@@ -1843,7 +1811,9 @@ impl SimPlan {
         outcome
     }
 
-    fn build_report(&self, state: &mut RunState) -> SimReport {
+    /// Assembles the report of a finished run; `reused` says whether its
+    /// state came from a pool reset or a fresh build.
+    fn build_report(&self, state: &mut RunState, reused: bool) -> SimReport {
         let n = self.graph.nodes().len();
         let k = state.shards.len();
         let mut node_stats = vec![NodeStats::default(); n];
@@ -1902,68 +1872,11 @@ impl SimPlan {
             chan_runs,
             shards: k,
             sched: counters,
-            run_allocs: 1,
-            pool_resets: 0,
+            run_allocs: u64::from(!reused),
+            pool_resets: u64::from(reused),
             node_stats,
             sinks,
         }
-    }
-}
-
-/// A one-shot simulation: builds a [`SimPlan`], carries a [`RunBinding`],
-/// and runs once. The convenience path for single runs —
-/// `Simulation::new(graph, cfg)?.run()` — and the compatibility surface
-/// for code predating the plan/run split. Sweeps and multi-iteration
-/// drivers should hold a [`SimPlan`] and call [`SimPlan::run_bound`]
-/// instead, paying partition and topology layout once.
-pub struct Simulation {
-    plan: SimPlan,
-    binding: RunBinding,
-}
-
-impl Simulation {
-    /// Builds the execution plan for `graph` (see [`SimPlan::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StepError::Config`] if an operator cannot be executed.
-    pub fn new(graph: Graph, cfg: SimConfig) -> Result<Simulation> {
-        Ok(Simulation {
-            plan: SimPlan::new(graph, cfg)?,
-            binding: RunBinding::default(),
-        })
-    }
-
-    /// Registers a dense tensor in off-chip memory so loads return real
-    /// data (functional runs).
-    pub fn preload(&mut self, base_addr: u64, rows: usize, cols: usize, data: Vec<f32>) {
-        self.binding.preload(base_addr, rows, cols, data);
-    }
-
-    /// Replaces a `Source` node's token stream for this run (see
-    /// [`RunBinding::bind_source`]).
-    pub fn bind_source(&mut self, id: NodeId, tokens: Vec<Token>) {
-        self.binding.bind_source(id, tokens);
-    }
-
-    /// The underlying reusable plan.
-    pub fn plan(&self) -> &SimPlan {
-        &self.plan
-    }
-
-    /// Extracts the reusable plan, dropping any binding.
-    pub fn into_plan(self) -> SimPlan {
-        self.plan
-    }
-
-    /// Runs the graph to completion (see [`SimPlan::run_bound`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StepError::Deadlock`] if the graph stops making progress
-    /// before finishing, or the first functional error raised by a node.
-    pub fn run(self) -> Result<SimReport> {
-        self.plan.run_bound(&self.binding)
     }
 }
 

@@ -61,31 +61,31 @@
 //!   monolithic), and every shard's channel topology is laid out in
 //!   tables linear in the graph's size (channels with the edge each
 //!   carries, a flat port table), so a plan costs about what its graph
-//!   costs. [`engine::SimPlan::run`] / [`engine::SimPlan::run_bound`]
-//!   materialize the per-run state fresh: each operator is *compiled*
-//!   from the graph into a static-dispatch executor variant
-//!   ([`nodes::CompiledNode`]) with its `Io` edge ids rewritten to
-//!   shard-local channel slots — the inner fire loop dispatches with
-//!   one `match` instead of a vtable call — beside channel queues,
-//!   arenas, ready-sets and the HBM ledger;
-//!   [`engine::SimPlan::pooled_run`] /
-//!   [`engine::SimPlan::pooled_run_bound`] instead reuse the state
-//!   parked in an [`engine::RunPool`], resetting every queue, outbox,
-//!   ready set, and ledger *in place* so steady-state reruns and sweep
-//!   points are allocation-free — the pool owns the buffers between
-//!   runs; the report's [`engine::SimReport::run_allocs`] /
+//!   costs. [`engine::SimPlan::run_with`] is the one way to run it.
+//!   Handed no pool, it materializes the per-run state fresh: each
+//!   operator is *compiled* from the graph into a static-dispatch
+//!   executor variant ([`nodes::CompiledNode`]) with its `Io` edge ids
+//!   rewritten to shard-local channel slots — the inner fire loop
+//!   dispatches with one `match` instead of a vtable call — beside
+//!   channel queues, arenas, ready-sets and the HBM ledger. Handed an
+//!   [`engine::RunPool`], it instead reuses the state parked there,
+//!   resetting every queue, outbox, ready set, and ledger *in place*
+//!   so steady-state reruns and sweep points are allocation-free — the
+//!   pool owns the buffers between runs; the report's
+//!   [`engine::SimReport::run_allocs`] /
 //!   [`engine::SimReport::pool_resets`] counters say which path ran,
 //!   and CI pins `run_allocs == 0` on reused runs. Both paths are
-//!   bit-identical. **Sharing contract:** a plan is read-only during
-//!   execution, so `Arc<SimPlan>` can be run from many threads
-//!   concurrently, each run bit-identical to a fresh build (a
-//!   `RunPool` is per-driver, not shared). [`engine::RunBinding`]
-//!   carries per-run inputs — **source rebinding** (replacement token
-//!   streams for `Source` nodes, validated against the declared stream
-//!   rank) and functional preloads — so sweeps and decode loops drive
-//!   one plan with many trace iterations instead of paying graph +
-//!   partition + topology per point. [`engine::Simulation`] remains
-//!   the one-shot wrapper (`Simulation::new(graph, cfg)?.run()`).
+//!   bit-identical. [`engine::SimPlan::run`] is the one-shot shorthand
+//!   (`SimPlan::new(graph, cfg)?.run()`: empty binding, fresh state).
+//!   **Sharing contract:** a plan is read-only during execution, so
+//!   `Arc<SimPlan>` can be run from many threads concurrently, each run
+//!   bit-identical to a fresh build (a `RunPool` is per-driver, not
+//!   shared). [`engine::RunBinding`] carries per-run inputs — **source
+//!   rebinding** (replacement token streams for `Source` nodes,
+//!   validated against the declared stream rank), functional preloads
+//!   and run limits — so sweeps and decode loops drive one plan with
+//!   many trace iterations instead of paying graph + partition +
+//!   topology per point.
 //!
 //!   At run time, each shard runs a wake-list wave scheduler over its
 //!   nodes, and shards synchronize at deterministic barriers that
@@ -150,7 +150,7 @@
 //! ```
 //! use step_core::graph::GraphBuilder;
 //! use step_core::ops::LinearLoadCfg;
-//! use step_sim::{RunPool, SimConfig, SimPlan};
+//! use step_sim::{RunBinding, RunPool, SimConfig, SimPlan};
 //!
 //! let mut g = GraphBuilder::new();
 //! let trigger = g.unit_source(1);
@@ -165,9 +165,9 @@
 //! // …then run it as many times as needed; every run is bit-identical.
 //! // The first run compiles the executors, and pooled reruns reset the
 //! // parked state in place instead of building it again.
-//! let mut pool = RunPool::new();
-//! let report = plan.pooled_run(&mut pool).unwrap();
-//! let again = plan.pooled_run(&mut pool).unwrap();
+//! let (binding, mut pool) = (RunBinding::new(), RunPool::new());
+//! let report = plan.run_with(&binding, Some(&mut pool)).unwrap();
+//! let again = plan.run_with(&binding, Some(&mut pool)).unwrap();
 //! assert_eq!(report.offchip_traffic, 2 * 64 * 256 * 2); // load + store
 //! assert_eq!(report.cycles, again.cycles);
 //! assert_eq!((report.run_allocs, report.pool_resets), (1, 0));
@@ -189,7 +189,7 @@ pub mod stats;
 
 pub use cancel::CancelToken;
 pub use config::{HbmConfig, SimConfig};
-pub use engine::{RunBinding, RunLimits, RunPool, SimPlan, SimReport, Simulation};
+pub use engine::{RunBinding, RunLimits, RunPool, SimPlan, SimReport};
 pub use fingerprint::Fingerprint;
 pub use report_cache::{Replay, ReportCache, ReportCacheStats, Resolution, plan_content_key};
 pub use stats::NodeStats;

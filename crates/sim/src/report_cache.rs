@@ -215,11 +215,6 @@ impl ReportCache {
         ReportCache::with_mode(Mode::Disabled)
     }
 
-    /// Whether this cache re-simulates hits ([`ReportCache::checked`]).
-    pub fn is_checked(&self) -> bool {
-        self.mode == Mode::Checked
-    }
-
     /// Resolves one `(plan, binding)` request: replays a cached report
     /// when the cache holds one, otherwise runs `run` (which must
     /// simulate exactly this pair — pooled or fresh, both are

@@ -1,8 +1,8 @@
 //! Conformance suite for the compiled executor and the run-state pool.
 //!
-//! The contract under test: [`SimPlan::pooled_run_bound`] is a
-//! *host-side* choice — pooled reset-in-place state versus freshly built
-//! state — and must never reach a reported bit. Concretely:
+//! The contract under test: the pool handed to [`SimPlan::run_with`] is
+//! a *host-side* choice — pooled reset-in-place state versus freshly
+//! built state — and must never reach a reported bit. Concretely:
 //!
 //! 1. fresh runs of every model-builder family reproduce pinned golden
 //!    fingerprints at worker counts 1, 2, 4, and 8 — results, sinks, and
@@ -17,7 +17,9 @@
 //!    bound stream matches a fresh build around that stream, and a
 //!    subsequent unbound rerun plays the baked-in tokens again — and a
 //!    malformed binding fails with a typed error, fresh or pooled,
-//!    without costing the pool its state.
+//!    without costing the pool its state;
+//! 5. pooled preload reruns reset cleanly — each run's backing store
+//!    holds exactly its own binding's preloads, monolithic and sharded.
 
 use step_core::Graph;
 use step_core::elem::{Elem, ElemKind};
@@ -196,7 +198,7 @@ fn pooled_reruns_match_goldens_and_stay_alloc_free() {
         for threads in [1usize, 2, 4, 8] {
             let plan = SimPlan::new(graph.clone(), cfg(threads)).unwrap();
             let mut pool = RunPool::new();
-            let warmup = plan.pooled_run(&mut pool).unwrap();
+            let warmup = plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
             assert_eq!(
                 (warmup.run_allocs, warmup.pool_resets),
                 (1, 0),
@@ -208,7 +210,7 @@ fn pooled_reruns_match_goldens_and_stay_alloc_free() {
                 "{name}: threads={threads} pooled warmup diverged from the golden"
             );
             for rerun in 0..3 {
-                let r = plan.pooled_run(&mut pool).unwrap();
+                let r = plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
                 assert_eq!(
                     (r.run_allocs, r.pool_resets),
                     (0, 1),
@@ -232,8 +234,8 @@ fn pool_reset_is_identical_to_fresh_state() {
     let plan = SimPlan::new(graph, cfg(2)).unwrap();
     let fresh = fingerprint(&plan.run().unwrap());
     let mut pool = RunPool::new();
-    plan.pooled_run(&mut pool).unwrap();
-    let pooled = plan.pooled_run(&mut pool).unwrap();
+    plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
+    let pooled = plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
     assert_eq!((pooled.run_allocs, pooled.pool_resets), (0, 1));
     assert_eq!(
         fingerprint(&pooled),
@@ -252,11 +254,12 @@ fn pool_migrates_across_plans_by_rebuilding() {
     let p1 = SimPlan::new(g1, cfg(1)).unwrap();
     let p2 = SimPlan::new(g2, cfg(1)).unwrap();
     let mut pool = RunPool::new();
-    assert_eq!(p1.pooled_run(&mut pool).unwrap().run_allocs, 1);
-    assert_eq!(p1.pooled_run(&mut pool).unwrap().run_allocs, 0);
-    let migrated = p2.pooled_run(&mut pool).unwrap();
+    let mut pooled = |p: &SimPlan| p.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
+    assert_eq!(pooled(&p1).run_allocs, 1);
+    assert_eq!(pooled(&p1).run_allocs, 0);
+    let migrated = pooled(&p2);
     assert_eq!((migrated.run_allocs, migrated.pool_resets), (1, 0));
-    assert_eq!(p2.pooled_run(&mut pool).unwrap().run_allocs, 0);
+    assert_eq!(pooled(&p2).run_allocs, 0);
     assert_eq!(fingerprint(&migrated), fingerprint(&p2.run().unwrap()));
 }
 
@@ -299,13 +302,13 @@ fn pooled_rebinding_resets_cleanly() {
     let plan = SimPlan::new(graph, SimConfig::default()).unwrap();
     let mut pool = RunPool::new();
     // Warmup with the baked-in stream.
-    let warm = plan.pooled_run(&mut pool).unwrap();
+    let warm = plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
     assert_eq!(sink_values(&warm, sink), vec![0.0, 2.0, 0.0, 4.0]);
     // Pooled rerun with a rebound stream matches a fresh build around
     // that stream.
     let mut binding = RunBinding::new();
     binding.bind_source(src, source_tokens(&run_vals));
-    let bound = plan.pooled_run_bound(&binding, &mut pool).unwrap();
+    let bound = plan.run_with(&binding, Some(&mut pool)).unwrap();
     assert_eq!((bound.run_allocs, bound.pool_resets), (0, 1));
     assert_eq!(sink_values(&bound, sink), vec![5.0, 0.0, 7.0, 0.0]);
     let (fresh_graph, _, fresh_sink) = bindable_graph(&run_vals);
@@ -316,7 +319,7 @@ fn pooled_rebinding_resets_cleanly() {
     assert_eq!(sink_values(&fresh, fresh_sink), sink_values(&bound, sink));
     // The reset clears the binding: an unbound pooled rerun plays the
     // baked-in stream again.
-    let unbound = plan.pooled_run(&mut pool).unwrap();
+    let unbound = plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
     assert_eq!((unbound.run_allocs, unbound.pool_resets), (0, 1));
     assert_eq!(sink_values(&unbound, sink), vec![0.0, 2.0, 0.0, 4.0]);
     // And an invalid binding — a non-`Source` target, a preload whose
@@ -335,22 +338,93 @@ fn pooled_rebinding_resets_cleanly() {
         ("overflowing preload", &overflowing_preload),
     ] {
         assert!(
-            matches!(plan.run_bound(bad), Err(StepError::Config(_))),
+            matches!(plan.run_with(bad, None), Err(StepError::Config(_))),
             "{what}: fresh run not rejected"
         );
         assert!(
             matches!(
-                plan.pooled_run_bound(bad, &mut pool),
+                plan.run_with(bad, Some(&mut pool)),
                 Err(StepError::Config(_))
             ),
             "{what}: pooled run not rejected"
         );
-        let after = plan.pooled_run(&mut pool).unwrap();
+        let after = plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
         assert_eq!(
             (after.run_allocs, after.pool_resets),
             (0, 1),
             "{what}: rejected binding should not cost the pool its state"
         );
         assert_eq!(sink_values(&after, sink), vec![0.0, 2.0, 0.0, 4.0]);
+    }
+}
+
+/// Pooled reruns reset the backing store with the binding: preload A,
+/// then B, then none, then A again through one pool — monolithic and
+/// sharded — must each equal a fresh run of the same binding (dense A,
+/// dense B, phantom, dense A), with the first run building the state
+/// and every later one resetting it in place.
+#[test]
+fn pooled_preload_reruns_reset_cleanly() {
+    use step_core::func::{EwOp, MapFn};
+    use step_core::ops::LinearLoadCfg;
+    let preload = |values: &[f32]| {
+        let mut b = RunBinding::new();
+        b.preload(0x1000, 2, 4, values.to_vec());
+        b
+    };
+    let a: Vec<f32> = (0..8).map(|x| x as f32).collect();
+    let b: Vec<f32> = (0..8).map(|x| 10.0 + x as f32).collect();
+    let runs = [
+        (preload(&a), Some(&a)),
+        (preload(&b), Some(&b)),
+        (RunBinding::new(), None),
+        (preload(&a), Some(&a)),
+    ];
+    for shards in [1usize, 2] {
+        let mut g = GraphBuilder::new();
+        let trigger = g.unit_source(1);
+        let tiles = g
+            .linear_offchip_load(&trigger, LinearLoadCfg::new(0x1000, (2, 4), (2, 2)))
+            .unwrap();
+        let relu = g.map(&tiles, MapFn::Elementwise(EwOp::Relu), 64).unwrap();
+        let sink = g.sink(&relu).unwrap();
+        let sim_cfg = SimConfig {
+            shards,
+            ..SimConfig::default()
+        };
+        let plan = SimPlan::new(g.finish(), sim_cfg).unwrap();
+        assert_eq!(plan.shards(), shards);
+        let mut pool = RunPool::new();
+        let mut resets = Vec::new();
+        for (i, (binding, data)) in runs.iter().enumerate() {
+            let pooled = plan.run_with(binding, Some(&mut pool)).unwrap();
+            let fresh = plan.run_with(binding, None).unwrap();
+            assert_eq!(
+                fingerprint(&pooled),
+                fingerprint(&fresh),
+                "shards={shards} run {i}: pooled rerun diverged from a fresh run"
+            );
+            resets.push(pooled.pool_resets);
+            // The two 2x2 tiles of the 2x4 tensor, row-major per tile;
+            // relu keeps the non-negative preloads as they are.
+            let got: Vec<Option<Vec<f32>>> = pooled
+                .sink_tokens(sink)
+                .unwrap()
+                .iter()
+                .filter_map(|t| match t {
+                    Token::Val(Elem::Tile(t)) => Some(t.values().map(<[f32]>::to_vec)),
+                    _ => None,
+                })
+                .collect();
+            let want: Vec<Option<Vec<f32>>> = match data {
+                Some(d) => vec![
+                    Some(vec![d[0], d[1], d[4], d[5]]),
+                    Some(vec![d[2], d[3], d[6], d[7]]),
+                ],
+                None => vec![None, None],
+            };
+            assert_eq!(got, want, "shards={shards} run {i}: wrong sink tiles");
+        }
+        assert_eq!(resets, [0, 1, 1, 1], "shards={shards}: pool resets");
     }
 }

@@ -26,7 +26,7 @@ use step_models::ModelConfig;
 use step_models::attention::{AttentionCfg, ParallelStrategy, attention_graph};
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
 use step_models::swiglu::{SwigluCfg, swiglu_graph};
-use step_sim::{SimConfig, SimReport, Simulation};
+use step_sim::{SimConfig, SimPlan, SimReport};
 use step_traces::{KvTraceConfig, RoutingConfig, Variability, expert_routing, kv_lengths};
 
 fn small_model() -> ModelConfig {
@@ -97,7 +97,7 @@ fn workloads() -> Vec<(String, Graph)> {
 }
 
 fn run(graph: &Graph, threads: usize, shards: usize) -> SimReport {
-    Simulation::new(
+    SimPlan::new(
         graph.clone(),
         SimConfig {
             threads,
@@ -279,7 +279,7 @@ fn zero_hbm_banks_and_bandwidth_model_as_one() {
         };
         cfg.hbm.banks = banks;
         cfg.hbm.bytes_per_cycle = bytes_per_cycle;
-        Simulation::new(graph.clone(), cfg).unwrap().run().unwrap()
+        SimPlan::new(graph.clone(), cfg).unwrap().run().unwrap()
     };
     for shards in [1, 6] {
         let bpc = SimConfig::default().hbm.bytes_per_cycle;

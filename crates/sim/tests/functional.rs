@@ -10,7 +10,7 @@ use step_core::ops::{LinearLoadCfg, StreamifyCfg};
 use step_core::shape::{Dim, StreamShape};
 use step_core::tile::Tile;
 use step_core::token::{self, Token};
-use step_sim::{SimConfig, Simulation};
+use step_sim::{RunBinding, SimConfig, SimPlan};
 
 fn tile1(v: f32) -> Elem {
     Elem::Tile(Tile::splat(1, 1, v))
@@ -41,7 +41,7 @@ fn source_to_sink_passthrough() {
         )
         .unwrap();
     let sink = g.sink(&s).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -59,9 +59,10 @@ fn linear_load_reads_preloaded_tensor() {
         .linear_offchip_load(&r, LinearLoadCfg::new(0x1000, (2, 4), (2, 2)))
         .unwrap();
     let sink = g.sink(&tiles).unwrap();
-    let mut sim = Simulation::new(g.finish(), SimConfig::default()).unwrap();
-    sim.preload(0x1000, 2, 4, (0..8).map(|x| x as f32).collect());
-    let report = sim.run().unwrap();
+    let plan = SimPlan::new(g.finish(), SimConfig::default()).unwrap();
+    let mut binding = RunBinding::new();
+    binding.preload(0x1000, 2, 4, (0..8).map(|x| x as f32).collect());
+    let report = plan.run_with(&binding, None).unwrap();
     let toks = report.sink_tokens(sink).unwrap();
     token::validate(toks, 2).unwrap();
     // Two 2x2 tiles: left [[0,1],[4,5]] and right [[2,3],[6,7]].
@@ -93,7 +94,7 @@ fn linear_load_repeats_per_reference_and_shifts_stops() {
         .linear_offchip_load(&r, LinearLoadCfg::new(0, (2, 4), (2, 2)))
         .unwrap();
     let sink = g.sink(&tiles).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -124,7 +125,7 @@ fn map_matmul_computes_dense_values() {
         .unwrap();
     let out = g.map2(&a, &b, MapFn::Matmul, 1024).unwrap();
     let sink = g.sink(&out).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -155,7 +156,7 @@ fn partition_routes_chunks_per_selector() {
     let outs = g.partition(&s, &sel, 1, 2).unwrap();
     let sink0 = g.sink(&outs[0]).unwrap();
     let sink1 = g.sink(&outs[1]).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -187,7 +188,7 @@ fn partition_reassemble_roundtrip() {
     let refs: Vec<&_> = outs.iter().collect();
     let merged = g.reassemble(&refs, &sel2[1], 1).unwrap();
     let sink = g.sink(&merged).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -237,7 +238,7 @@ fn eager_merge_collects_all_and_reports_provenance() {
     let (data, sel) = g.eager_merge(&[&a, &b]).unwrap();
     let dsink = g.sink(&data).unwrap();
     let ssink = g.sink(&sel).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -273,7 +274,7 @@ fn bufferize_streamify_rereads_buffers() {
         .unwrap();
     let out = g.streamify(&bufs, &r, StreamifyCfg::default()).unwrap();
     let sink = g.sink(&out).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -300,7 +301,7 @@ fn reshape_pads_and_flags() {
     let (data, padding) = g.reshape(&s, 2, Some(tile1(-1.0))).unwrap();
     let dsink = g.sink(&data).unwrap();
     let psink = g.sink(&padding).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -330,7 +331,7 @@ fn promote_wraps_stream_once() {
         .unwrap();
     let p = g.promote(&s).unwrap();
     let sink = g.sink(&p).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -351,7 +352,7 @@ fn promote_on_empty_stream_stays_empty() {
         .unwrap();
     let p = g.promote(&s).unwrap();
     let sink = g.sink(&p).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -373,7 +374,7 @@ fn flatten_merges_levels() {
         .unwrap();
     let f = g.flatten(&s, 0, 1).unwrap();
     let sink = g.sink(&f).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -396,7 +397,7 @@ fn accum_retile_row_packs_dynamic_groups() {
         .unwrap();
     let a = g.accum(&s, 1, AccumFn::RetileRow, 64).unwrap();
     let sink = g.sink(&a).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -428,7 +429,7 @@ fn scan_emits_running_state_and_resets() {
         .unwrap();
     let sc = g.scan(&s, 1, AccumFn::AddTiles, 64).unwrap();
     let sink = g.sink(&sc).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -448,7 +449,7 @@ fn flat_map_splits_rows() {
         .unwrap();
     let fm = g.flat_map(&s, FlatMapFn::SplitRows { chunk: 2 }).unwrap();
     let sink = g.sink(&fm).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -476,7 +477,7 @@ fn expand_static_repeats_elements() {
         .unwrap();
     let e = g.expand_static(&s, 3).unwrap();
     let sink = g.sink(&e).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -516,7 +517,7 @@ fn expand_with_reference_follows_fig5() {
         .unwrap();
     let e = g.expand(&input, &reference, 2).unwrap();
     let sink = g.sink(&e).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -544,7 +545,7 @@ fn zip_misalignment_is_an_error() {
         .unwrap();
     let z = g.zip(&a, &b).unwrap();
     g.sink(&z).unwrap();
-    let err = Simulation::new(g.finish(), SimConfig::default())
+    let err = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run();
     assert!(err.is_err());
@@ -565,7 +566,7 @@ fn streamify_starved_of_buffers_fails() {
     let r = g.unit_source(2);
     let out = g.streamify(&bufs, &r, StreamifyCfg::default()).unwrap();
     g.sink(&out).unwrap();
-    let err = Simulation::new(g.finish(), SimConfig::default())
+    let err = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run();
     // The reference demands a second buffer that never arrives; the
@@ -593,11 +594,11 @@ fn simulation_is_deterministic() {
         g.sink(&mapped).unwrap();
         g.finish()
     };
-    let r1 = Simulation::new(build(), SimConfig::default())
+    let r1 = SimPlan::new(build(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
-    let r2 = Simulation::new(build(), SimConfig::default())
+    let r2 = SimPlan::new(build(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -694,10 +695,12 @@ fn simplified_moe_matches_reference() {
     let merged = g.reassemble(&refs, &sel2[1], 1).unwrap();
     let sink = g.sink(&merged).unwrap();
 
-    let mut sim = Simulation::new(g.finish(), SimConfig::default()).unwrap();
-    sim.preload(0x10_000, HIDDEN, OUT, w(0));
-    sim.preload(0x20_000, HIDDEN, OUT, w(1));
-    let report = sim.run().unwrap();
+    let plan = SimPlan::new(g.finish(), SimConfig::default()).unwrap();
+    let mut binding = RunBinding::new();
+    binding
+        .preload(0x10_000, HIDDEN, OUT, w(0))
+        .preload(0x20_000, HIDDEN, OUT, w(1));
+    let report = plan.run_with(&binding, None).unwrap();
 
     // Reference: per row, x_i x W_{expert(i)}.
     let toks = report.sink_tokens(sink).unwrap();

@@ -55,7 +55,7 @@ fn cycle_deadline_fails_identically_across_reruns_and_threads() {
     let mut errs = Vec::new();
     for threads in [1usize, 4, 1] {
         let plan = SimPlan::new(fanout_graph(4, 1024), cfg(threads, 4)).unwrap();
-        let err = plan.run_bound(&binding).unwrap_err();
+        let err = plan.run_with(&binding, None).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -74,7 +74,7 @@ fn cycle_deadline_fails_identically_across_reruns_and_threads() {
     // deadline (its blow point may differ — different schedule).
     let err = SimPlan::new(fanout_graph(4, 1024), cfg(1, 1))
         .unwrap()
-        .run_bound(&binding)
+        .run_with(&binding, None)
         .unwrap_err();
     assert!(matches!(
         err,
@@ -92,7 +92,7 @@ fn round_deadline_fails_identically_across_reruns_and_threads() {
     let mut errs = Vec::new();
     for threads in [1usize, 4, 1] {
         let plan = SimPlan::new(fanout_graph(4, 512), cfg(threads, 4)).unwrap();
-        let err = plan.run_bound(&binding).unwrap_err();
+        let err = plan.run_with(&binding, None).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -123,7 +123,7 @@ fn unarmed_and_unreachable_limits_change_nothing() {
         .cancel_token(CancelToken::new());
     let bounded = SimPlan::new(fanout_graph(2, 512), cfg(1, 2))
         .unwrap()
-        .run_bound(&binding)
+        .run_with(&binding, None)
         .unwrap();
     assert_eq!(
         (baseline.cycles, baseline.offchip_traffic, baseline.rounds),
@@ -141,7 +141,7 @@ fn pre_cancelled_token_stops_the_run_at_any_thread_count() {
     for (threads, shards) in [(1usize, 1usize), (1, 4), (4, 4)] {
         let err = SimPlan::new(fanout_graph(4, 256), cfg(threads, shards))
             .unwrap()
-            .run_bound(&binding)
+            .run_with(&binding, None)
             .unwrap_err();
         assert_eq!(
             err,
@@ -186,7 +186,7 @@ fn wall_deadline_zero_blows_on_a_long_run() {
     binding.wall_deadline_ms(0);
     let err = SimPlan::new(fanout_graph(4, 4096), cfg(1, 1))
         .unwrap()
-        .run_bound(&binding)
+        .run_with(&binding, None)
         .unwrap_err();
     assert!(
         matches!(
@@ -207,12 +207,12 @@ fn deadline_blow_drops_pooled_state_and_the_pool_recovers() {
     let mut pool = RunPool::default();
     let mut doomed = RunBinding::new();
     doomed.deadline_cycles(1);
-    assert!(plan.pooled_run_bound(&doomed, &mut pool).is_err());
+    assert!(plan.run_with(&doomed, Some(&mut pool)).is_err());
     // The failed run dropped its state instead of parking it; the next
     // run rebuilds cleanly and parks as usual.
-    let first = plan.pooled_run(&mut pool).unwrap();
+    let first = plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
     assert_eq!(first.run_allocs, 1, "failed runs must not park state");
-    let second = plan.pooled_run(&mut pool).unwrap();
+    let second = plan.run_with(&RunBinding::new(), Some(&mut pool)).unwrap();
     assert_eq!(second.run_allocs, 0, "recovered pool must reuse state");
     assert_eq!(first.cycles, second.cycles);
 }

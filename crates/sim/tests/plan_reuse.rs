@@ -7,7 +7,7 @@
 //!    (including the `sched` counters — the *schedule* must not leak
 //!    state between runs);
 //! 2. a reused plan is bit-identical to a fresh
-//!    `Simulation::new(graph, cfg)?.run()?` of the same graph, at
+//!    `SimPlan::new(graph, cfg)?.run()?` of the same graph, at
 //!    worker counts 1, 2, and 4;
 //! 3. an `Arc<SimPlan>` run concurrently from several threads yields
 //!    the same bits as running it sequentially;
@@ -28,7 +28,7 @@ use step_models::ModelConfig;
 use step_models::attention::{AttentionCfg, ParallelStrategy, attention_graph};
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
 use step_models::swiglu::{SwigluCfg, swiglu_graph};
-use step_sim::{RunBinding, SimConfig, SimPlan, SimReport, Simulation};
+use step_sim::{RunBinding, SimConfig, SimPlan, SimReport};
 use step_traces::{KvTraceConfig, RoutingConfig, Variability, expert_routing, kv_lengths};
 
 fn small_model() -> ModelConfig {
@@ -138,7 +138,7 @@ fn fingerprint(
 fn reused_plan_matches_fresh_build_at_every_thread_count() {
     for (name, graph) in workloads() {
         for threads in [1usize, 2, 4] {
-            let fresh = Simulation::new(graph.clone(), cfg(threads))
+            let fresh = SimPlan::new(graph.clone(), cfg(threads))
                 .unwrap()
                 .run()
                 .unwrap();
@@ -212,7 +212,7 @@ fn rebinding_baked_tokens_reproduces_unbound_run() {
     let unbound = plan.run().unwrap();
     let mut binding = RunBinding::new();
     binding.bind_source(src, source_tokens(&vals));
-    let bound = plan.run_bound(&binding).unwrap();
+    let bound = plan.run_with(&binding, None).unwrap();
     assert_eq!(fingerprint(&unbound), fingerprint(&bound));
     assert_eq!(sink_values(&bound, sink), vec![0.0, 2.0, 0.0, 4.0]);
 }
@@ -225,7 +225,7 @@ fn rebinding_matches_fresh_build_of_the_bound_stream() {
     let plan = SimPlan::new(graph, SimConfig::default()).unwrap();
     let mut binding = RunBinding::new();
     binding.bind_source(src, source_tokens(&run_vals));
-    let bound = plan.run_bound(&binding).unwrap();
+    let bound = plan.run_with(&binding, None).unwrap();
     assert_eq!(sink_values(&bound, sink), vec![5.0, 0.0, 7.0, 0.0]);
     // Bit-identical to building the graph fresh around the bound stream.
     let (fresh_graph, _, fresh_sink) = bindable_graph(&run_vals);
@@ -248,11 +248,17 @@ fn invalid_bindings_fail_fast() {
     // Not a source.
     let mut b = RunBinding::new();
     b.bind_source(sink, source_tokens(&[1.0]));
-    assert!(plan.run_bound(&b).is_err(), "sink accepted as bind target");
+    assert!(
+        plan.run_with(&b, None).is_err(),
+        "sink accepted as bind target"
+    );
     // Unknown node.
     let mut b = RunBinding::new();
     b.bind_source(NodeId(10_000), source_tokens(&[1.0]));
-    assert!(plan.run_bound(&b).is_err(), "out-of-range node accepted");
+    assert!(
+        plan.run_with(&b, None).is_err(),
+        "out-of-range node accepted"
+    );
     // Rank-violating stream (rank-1 stops into a rank-0 source).
     let mut b = RunBinding::new();
     b.bind_source(
@@ -264,37 +270,7 @@ fn invalid_bindings_fail_fast() {
         ],
     );
     assert!(
-        plan.run_bound(&b).is_err(),
+        plan.run_with(&b, None).is_err(),
         "rank-violating stream accepted"
-    );
-}
-
-#[test]
-fn preload_binding_matches_simulation_preload() {
-    use step_core::ops::LinearLoadCfg;
-    let build = |_: ()| {
-        let mut g = GraphBuilder::new();
-        let r = g.unit_source(1);
-        let tiles = g
-            .linear_offchip_load(&r, LinearLoadCfg::new(0x1000, (2, 4), (2, 2)))
-            .unwrap();
-        let sink = g.sink(&tiles).unwrap();
-        (g.finish(), sink)
-    };
-    let data: Vec<f32> = (0..8).map(|x| x as f32).collect();
-    let (graph, sink) = build(());
-    let mut sim = Simulation::new(graph, SimConfig::default()).unwrap();
-    sim.preload(0x1000, 2, 4, data.clone());
-    let via_sim = sim.run().unwrap();
-    let (graph, sink2) = build(());
-    assert_eq!(sink, sink2);
-    let plan = SimPlan::new(graph, SimConfig::default()).unwrap();
-    let mut b = RunBinding::new();
-    b.preload(0x1000, 2, 4, data);
-    let via_plan = plan.run_bound(&b).unwrap();
-    assert_eq!(fingerprint(&via_sim), fingerprint(&via_plan));
-    assert_eq!(
-        via_sim.sink_tokens(sink).unwrap(),
-        via_plan.sink_tokens(sink).unwrap()
     );
 }

@@ -12,7 +12,7 @@ use step_core::graph::GraphBuilder;
 use step_core::shape::StreamShape;
 use step_core::tile::Tile;
 use step_core::token::{self, Token};
-use step_sim::{SimConfig, Simulation};
+use step_sim::{SimConfig, SimPlan};
 
 const CASES: u64 = 48;
 
@@ -92,7 +92,7 @@ fn flatten_preserves_values_and_wellformedness() {
         let s = source_rank1(&mut g, &groups);
         let f = g.flatten(&s, 0, 1).unwrap();
         let sink = g.sink(&f).unwrap();
-        let report = Simulation::new(g.finish(), SimConfig::default())
+        let report = SimPlan::new(g.finish(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();
@@ -111,7 +111,7 @@ fn promote_preserves_values_and_raises_rank() {
         let s = source_rank1(&mut g, &groups);
         let p = g.promote(&s).unwrap();
         let sink = g.sink(&p).unwrap();
-        let report = Simulation::new(g.finish(), SimConfig::default())
+        let report = SimPlan::new(g.finish(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();
@@ -135,7 +135,7 @@ fn reshape_pads_to_chunk_multiples() {
             .unwrap();
         let dsink = g.sink(&data).unwrap();
         let psink = g.sink(&padding).unwrap();
-        let report = Simulation::new(g.finish(), SimConfig::default())
+        let report = SimPlan::new(g.finish(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();
@@ -178,7 +178,7 @@ fn partition_reassemble_roundtrip_preserves_order() {
         let refs: Vec<&_> = outs.iter().collect();
         let merged = g.reassemble(&refs, &self2[1], 1).unwrap();
         let sink = g.sink(&merged).unwrap();
-        let report = Simulation::new(g.finish(), SimConfig::default())
+        let report = SimPlan::new(g.finish(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();
@@ -202,7 +202,7 @@ fn expand_static_repeats_each_value() {
         let s = source_rank1(&mut g, &groups);
         let e = g.expand_static(&s, factor).unwrap();
         let sink = g.sink(&e).unwrap();
-        let report = Simulation::new(g.finish(), SimConfig::default())
+        let report = SimPlan::new(g.finish(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();
@@ -248,7 +248,7 @@ fn phantom_and_dense_runs_are_timing_identical() {
                 .unwrap();
             let m = g.map(&s, MapFn::Elementwise(EwOp::Silu), 16).unwrap();
             g.linear_offchip_store(&m, 0x10_0000).unwrap();
-            Simulation::new(g.finish(), SimConfig::default())
+            SimPlan::new(g.finish(), SimConfig::default())
                 .unwrap()
                 .run()
                 .unwrap()

@@ -16,7 +16,7 @@ use step_core::elem::{Elem, ElemKind, Selector};
 use step_core::graph::GraphBuilder;
 use step_core::shape::{Dim, StreamShape};
 use step_core::token::{self, Token};
-use step_sim::{SimConfig, Simulation};
+use step_sim::{SimConfig, SimPlan};
 
 const CASES: u64 = 32;
 
@@ -114,7 +114,7 @@ fn promote_flatten_roundtrip(
         g.set_capacity(&f, 1);
     }
     let sink = g.sink(&f).unwrap();
-    let report = Simulation::new(g.finish(), sim_cfg).unwrap().run().unwrap();
+    let report = SimPlan::new(g.finish(), sim_cfg).unwrap().run().unwrap();
     report.sink_tokens(sink).unwrap().to_vec()
 }
 
@@ -182,7 +182,7 @@ fn early_consumer_close_preserves_well_formedness() {
             .unwrap();
         let out = gb.reassemble(&[&a, &b], &sel, 1).unwrap();
         let sink = gb.sink(&out).unwrap();
-        let report = Simulation::new(gb.finish(), SimConfig::default())
+        let report = SimPlan::new(gb.finish(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();

@@ -396,18 +396,18 @@ fn exact_hits_replay_bit_identical_and_counters_pin() {
     let cache = ReportCache::new();
     let key = 0x51;
     let binding = bind(src, &[5.0, -6.0, 7.0, -8.0]);
-    let mut run = || plan.run_bound(&binding);
+    let mut run = || plan.run_with(&binding, None);
     let first = cache.replay_or_run(key, &binding, &mut run).unwrap();
     assert_eq!(first.resolution, Resolution::Simulated);
     let second = cache.replay_or_run(key, &binding, &mut run).unwrap();
     assert_eq!(second.resolution, Resolution::Exact);
     // The hit is the *same* stored report, not a re-run.
     assert!(Arc::ptr_eq(&first.report, &second.report));
-    assert_bit_identical(&first.report, &plan.run_bound(&binding).unwrap());
+    assert_bit_identical(&first.report, &plan.run_with(&binding, None).unwrap());
     // A different binding under the same plan key is its own entry.
     let other = bind(src, &[9.0, -1.0, 2.0, -3.0]);
     let got = cache
-        .replay_or_run(key, &other, &mut || plan.run_bound(&other))
+        .replay_or_run(key, &other, &mut || plan.run_with(&other, None))
         .unwrap();
     assert_eq!(got.resolution, Resolution::Simulated);
     // A different *plan* key never aliases: same binding, fresh miss.
@@ -440,7 +440,7 @@ fn concurrent_misses_coalesce_onto_one_engine_run() {
                         // Widen the race window so waiters actually
                         // coalesce instead of arriving after resolution.
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        plan.run_bound(&binding)
+                        plan.run_with(&binding, None)
                     })
                     .unwrap();
                 assert!(matches!(
@@ -470,12 +470,12 @@ fn failures_propagate_and_the_next_request_retries() {
     assert!(matches!(err, Err(StepError::Config(_))));
     // The failure is not sticky for new requests: the retry simulates.
     let got = cache
-        .replay_or_run(0x9, &binding, &mut || plan.run_bound(&binding))
+        .replay_or_run(0x9, &binding, &mut || plan.run_with(&binding, None))
         .unwrap();
     assert_eq!(got.resolution, Resolution::Simulated);
     // And the recovered slot serves hits again.
     let hit = cache
-        .replay_or_run(0x9, &binding, &mut || plan.run_bound(&binding))
+        .replay_or_run(0x9, &binding, &mut || plan.run_with(&binding, None))
         .unwrap();
     assert_eq!(hit.resolution, Resolution::Exact);
     assert_eq!(cache.stats(), ReportCacheStats { hits: 1, misses: 2 });
@@ -495,7 +495,7 @@ fn panicking_runs_become_typed_errors_not_hangs() {
         other => panic!("expected Panicked, got {other:?}"),
     }
     let got = cache
-        .replay_or_run(0xA, &binding, &mut || plan.run_bound(&binding))
+        .replay_or_run(0xA, &binding, &mut || plan.run_with(&binding, None))
         .unwrap();
     assert_eq!(got.resolution, Resolution::Simulated);
 }
@@ -508,7 +508,7 @@ fn disabled_mode_is_a_pure_passthrough() {
     let binding = bind(src, &[3.0, 4.0]);
     for _ in 0..3 {
         let got = cache
-            .replay_or_run(0xB, &binding, &mut || plan.run_bound(&binding))
+            .replay_or_run(0xB, &binding, &mut || plan.run_with(&binding, None))
             .unwrap();
         assert_eq!(got.resolution, Resolution::Simulated);
     }
@@ -525,7 +525,7 @@ fn non_cache_safe_bindings_bypass_storage() {
     binding.wall_deadline_ms(60_000);
     for _ in 0..2 {
         let got = cache
-            .replay_or_run(0xD, &binding, &mut || plan.run_bound(&binding))
+            .replay_or_run(0xD, &binding, &mut || plan.run_with(&binding, None))
             .unwrap();
         assert_eq!(got.resolution, Resolution::Simulated);
     }
@@ -544,12 +544,11 @@ fn checked_mode_refutes_a_key_that_does_not_identify_its_run() {
     let keyed = bind(src, &[1.0, 2.0, 3.0, 4.0]);
     let simulated = bind(src, &[1.0, 2.0]);
     let cache = ReportCache::checked();
-    assert!(cache.is_checked());
     cache
-        .replay_or_run(0x11, &keyed, &mut || plan.run_bound(&keyed))
+        .replay_or_run(0x11, &keyed, &mut || plan.run_with(&keyed, None))
         .unwrap();
     let refuted = catch_unwind(AssertUnwindSafe(|| {
-        cache.replay_or_run(0x11, &keyed, &mut || plan.run_bound(&simulated))
+        cache.replay_or_run(0x11, &keyed, &mut || plan.run_with(&simulated, None))
     }));
     assert!(
         refuted.is_err(),

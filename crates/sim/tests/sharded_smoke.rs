@@ -4,7 +4,7 @@ use step_core::error::StepError;
 use step_core::graph::{EdgeId, GraphBuilder, NodeId};
 use step_core::ops::LinearLoadCfg;
 use step_core::partition::{PartitionCfg, partition};
-use step_sim::{SimConfig, SimPlan, Simulation};
+use step_sim::{SimConfig, SimPlan};
 
 fn cfg(threads: usize, shards: usize) -> SimConfig {
     SimConfig {
@@ -111,16 +111,16 @@ fn deadlock_is_detected_not_hung_at_any_thread_count() {
 
 #[test]
 fn sharded_fanout_completes_and_matches_across_threads() {
-    let mono = Simulation::new(fanout_graph(8), cfg(1, 1))
+    let mono = SimPlan::new(fanout_graph(8), cfg(1, 1))
         .unwrap()
         .run()
         .unwrap();
-    let seq = Simulation::new(fanout_graph(8), cfg(1, 4))
+    let seq = SimPlan::new(fanout_graph(8), cfg(1, 4))
         .unwrap()
         .run()
         .unwrap();
     assert!(seq.shards > 1, "shards {}", seq.shards);
-    let par = Simulation::new(fanout_graph(8), cfg(4, 4))
+    let par = SimPlan::new(fanout_graph(8), cfg(4, 4))
         .unwrap()
         .run()
         .unwrap();

@@ -85,7 +85,8 @@ pub struct ArrivalConfig {
     pub mean_interarrival: f64,
     /// Arrival-time process.
     pub pattern: ArrivalPattern,
-    /// Prompt-length distribution.
+    /// Prompt-length distribution (min is clamped to at least 1 — every
+    /// request prefills at least one token).
     pub prompt: LenDist,
     /// Output-length distribution (tokens to generate; min is clamped to
     /// at least 1 — every request produces at least its first token).
@@ -114,7 +115,7 @@ pub struct Request {
     pub id: u32,
     /// Arrival time in cycles.
     pub arrival: u64,
-    /// Prompt length in tokens (prefill work).
+    /// Prompt length in tokens (prefill work; at least 1).
     pub prompt: u32,
     /// Output length in tokens (decode iterations; at least 1).
     pub output: u32,
@@ -235,7 +236,7 @@ pub fn arrival_trace(cfg: &ArrivalConfig) -> RequestTrace {
                 arrival = t.floor();
             }
         }
-        let prompt = cfg.prompt.sample(&mut rng);
+        let prompt = cfg.prompt.sample(&mut rng).max(1);
         let output = cfg.output.sample(&mut rng).max(1);
         requests.push(Request {
             id: id as u32,
@@ -269,6 +270,13 @@ mod tests {
             ..ArrivalConfig::default()
         });
         assert!(t.requests.iter().all(|r| r.output >= 1));
+        // Prompts clamp the same way: a zero-token prompt has no KV
+        // context to serve.
+        let t = arrival_trace(&ArrivalConfig {
+            prompt: LenDist::new(1.0, 1.0, 0, 8),
+            ..ArrivalConfig::default()
+        });
+        assert!(t.requests.iter().all(|r| r.prompt >= 1));
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         256,
         (0..64 * 256).map(|i| (i as f32 % 7.0) - 3.0).collect(),
     );
-    let report = plan.run_bound(&binding)?;
+    let report = plan.run_with(&binding, None)?;
     println!("cycles: {}", report.cycles);
     println!(
         "measured off-chip traffic: {} bytes",

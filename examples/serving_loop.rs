@@ -14,7 +14,7 @@
 
 use step::models::ModelConfig;
 use step::models::e2e::E2eVariant;
-use step::models::serving::{Percentiles, ServeCfg, run_serve};
+use step::models::serving::{Percentiles, ServeCfg, ServeJob};
 use step::traces::{ArrivalConfig, ArrivalPattern, LenDist, arrival_trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -57,7 +57,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.prefill_chunk,
     );
 
-    let report = run_serve(&model, &variant, &trace, &cfg)?;
+    let job = ServeJob {
+        label: "serving_loop".into(),
+        model,
+        variant,
+        trace,
+        cfg,
+    };
+    let report = job.run()?;
     println!(
         "\n{:>5} {:>10} {:>5} {:>4} {:>4} {:>7} {:>7} {:>10} {:>12}",
         "iter", "start", "live", "adm", "done", "tokens", "decode", "layer cyc", "slot ctx"

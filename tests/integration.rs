@@ -8,7 +8,7 @@ use step::models::ModelConfig;
 use step::models::attention::{AttentionCfg, ParallelStrategy, attention_graph};
 use step::models::moe::{MoeCfg, Tiling, expected_weight_traffic, moe_graph};
 use step::models::swiglu::{SwigluCfg, swiglu_graph};
-use step::sim::{SimConfig, Simulation};
+use step::sim::{SimConfig, SimPlan};
 use step::traces::{KvTraceConfig, RoutingConfig, Variability, expert_routing, kv_lengths};
 use step_symbolic::Env;
 
@@ -33,7 +33,7 @@ fn symbolic_traffic_matches_simulator_for_static_graphs() {
     let cfg = SwigluCfg::validation(32, 64);
     let graph = swiglu_graph(&cfg).unwrap();
     let (predicted, _) = metrics::analyze(&graph).eval(&Env::new()).unwrap();
-    let report = Simulation::new(graph, SimConfig::validation())
+    let report = SimPlan::new(graph, SimConfig::validation())
         .unwrap()
         .run()
         .unwrap();
@@ -50,7 +50,7 @@ fn simulator_tracks_fine_grained_reference() {
     for tb in [16u64, 32, 64] {
         for ti in [64u64, 256] {
             let cfg = SwigluCfg::validation(tb, ti);
-            let report = Simulation::new(swiglu_graph(&cfg).unwrap(), SimConfig::validation())
+            let report = SimPlan::new(swiglu_graph(&cfg).unwrap(), SimConfig::validation())
                 .unwrap()
                 .run()
                 .unwrap();
@@ -78,7 +78,7 @@ fn dynamic_tiling_dominates_static_frontier_on_small_moe() {
     });
     let run_one = |tiling| {
         let cfg = MoeCfg::new(model.clone(), tiling);
-        let r = Simulation::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
+        let r = SimPlan::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();
@@ -106,7 +106,7 @@ fn measured_weight_traffic_matches_reload_model() {
     });
     for tiling in [Tiling::Static { tile: 4 }, Tiling::Dynamic] {
         let cfg = MoeCfg::new(model.clone(), tiling);
-        let report = Simulation::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
+        let report = SimPlan::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();
@@ -128,14 +128,14 @@ fn time_multiplexing_trades_utilization_for_little_latency() {
     });
     let spatial = {
         let cfg = MoeCfg::new(model.clone(), Tiling::Static { tile: 8 });
-        Simulation::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
+        SimPlan::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap()
     };
     let muxed = {
         let cfg = MoeCfg::new(model.clone(), Tiling::Static { tile: 8 }).with_regions(2);
-        Simulation::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
+        SimPlan::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap()
@@ -159,7 +159,7 @@ fn dynamic_parallelization_orders_as_in_fig14_and_15() {
             ..KvTraceConfig::default()
         });
         let cfg = AttentionCfg::new(model.clone(), strategy);
-        Simulation::new(attention_graph(&cfg, &kv).unwrap(), SimConfig::default())
+        SimPlan::new(attention_graph(&cfg, &kv).unwrap(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap()
@@ -197,7 +197,7 @@ fn reports_are_reproducible_across_runs() {
     });
     let go = || {
         let cfg = MoeCfg::new(model.clone(), Tiling::Dynamic);
-        let r = Simulation::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
+        let r = SimPlan::new(moe_graph(&cfg, &trace).unwrap(), SimConfig::default())
             .unwrap()
             .run()
             .unwrap();
@@ -224,7 +224,7 @@ fn scheduler_fires_far_fewer_than_polling_would() {
     let cfg = MoeCfg::new(model.clone(), Tiling::Static { tile: 8 });
     let graph = moe_graph(&cfg, &trace).unwrap();
     let nodes = graph.nodes().len() as u64;
-    let report = Simulation::new(graph, SimConfig::default())
+    let report = SimPlan::new(graph, SimConfig::default())
         .unwrap()
         .run()
         .unwrap();

@@ -7,7 +7,7 @@ use step::core::ops::{LinearLoadCfg, StreamifyCfg};
 use step::core::shape::{Dim, StreamShape};
 use step::core::tile::Tile;
 use step::core::token::{self, Token};
-use step::sim::{SimConfig, Simulation};
+use step::sim::{SimConfig, SimPlan};
 
 fn addr(x: u64) -> Token {
     Token::Val(Elem::Addr(x))
@@ -65,7 +65,7 @@ fn fig2_linear_offchip_load() {
     assert_eq!(tiles.shape().dim_at_level(0).as_static(), Some(4));
     assert_eq!(tiles.kind(), &ElemKind::tile(64, 64));
     let sink = g.sink(&tiles).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -112,7 +112,7 @@ fn fig3_bufferize_streamify() {
         .unwrap();
     assert_eq!(out.shape().rank(), 3);
     let sink = g.sink(&out).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -171,7 +171,7 @@ fn fig4_reassemble_multi_hot() {
     let refs: Vec<&_> = inputs.iter().collect();
     let merged = g.reassemble(&refs, &sel, 1).unwrap();
     let sink = g.sink(&merged).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
@@ -233,7 +233,7 @@ fn fig5_expand() {
     let out = g.expand(&input, &reference, 2).unwrap();
     assert_eq!(out.shape().rank(), 2);
     let sink = g.sink(&out).unwrap();
-    let report = Simulation::new(g.finish(), SimConfig::default())
+    let report = SimPlan::new(g.finish(), SimConfig::default())
         .unwrap()
         .run()
         .unwrap();
