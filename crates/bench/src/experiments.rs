@@ -8,7 +8,7 @@ use crate::pareto::{Point, pareto_front, pid};
 use crate::roofline::fig1_bars;
 use crate::service::{SimPoint, SweepService, SweepUnit, UnitFailure};
 use crate::table::{f2, f3, print_table, write_csv};
-use step_hdl::{RefConfig, pearson, simulate_swiglu};
+use step_hdl::{RefConfig, mape, pearson, simulate_swiglu};
 use step_models::ModelConfig;
 use step_models::attention::{AttentionCfg, ParallelStrategy, attention_graph};
 use step_models::e2e::{E2eVariant, run_e2e};
@@ -131,6 +131,7 @@ pub fn fig8() -> (Vec<Fig8Row>, f64) {
     let xs: Vec<f64> = rows.iter().map(|r| r.step_cycles as f64).collect();
     let ys: Vec<f64> = rows.iter().map(|r| r.ref_cycles as f64).collect();
     let r = pearson(&xs, &ys);
+    let (mape_pct, worst, worst_pct) = mape(&xs, &ys);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|x| {
@@ -146,6 +147,12 @@ pub fn fig8() -> (Vec<Fig8Row>, f64) {
     let header = ["tile", "step cycles", "ref cycles", "step MB", "ref MB"];
     print_table("Fig 8: simulator validation (SwiGLU)", &header, &table);
     println!("Pearson r (cycles) = {}", f3(r));
+    let (tb, hidden, ti) = rows[worst].tiles;
+    println!(
+        "MAPE (cycles) = {}%, worst {}% at ({tb},{hidden},{ti})",
+        f3(mape_pct),
+        f2(worst_pct)
+    );
     write_csv("fig8", &header, &table);
     (rows, r)
 }

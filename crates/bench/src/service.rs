@@ -25,7 +25,7 @@
 //! - a `std::thread` worker pool (no external deps, per the workspace
 //!   convention). Each worker keeps one private [`RunPool`]: a point on
 //!   the plan the worker ran last resets the parked run state in place
-//!   — steady-state sweep points are allocation-free
+//!   — steady-state sweep points allocate no run state
 //!   (`SimReport::run_allocs == 0`) — and a point on another plan
 //!   rebuilds it, so a worker holds one run state however many plans a
 //!   sweep touches;

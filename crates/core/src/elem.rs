@@ -236,7 +236,7 @@ impl fmt::Display for Elem {
 
 /// Static descriptor of a stream's element type, with (possibly symbolic)
 /// tile shapes. Used for build-time type checking and metric equations.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ElemKind {
     /// Tiles of `rows x cols` elements; dims may be dynamic (dynamic
     /// tiling).

@@ -15,6 +15,9 @@ use crate::func::{AccumFn, FlatMapFn, MapFn};
 use crate::ops::{LinearLoadCfg, OpKind, RandomAccessCfg, SinkCfg, SourceCfg, StreamifyCfg};
 use crate::shape::{Dim, StreamShape};
 use crate::token::{self, Token};
+use std::collections::HashSet;
+use std::hash::Hash;
+use std::sync::Arc;
 use step_symbolic::SymbolTable;
 
 /// Identifier of a node within a [`Graph`].
@@ -31,12 +34,13 @@ pub struct EdgeId(pub u32);
 pub struct FeedbackKey(NodeId);
 
 /// A handle to a not-yet-consumed output stream of a node under
-/// construction. Carries the inferred symbolic shape and element kind.
+/// construction. Carries the inferred symbolic shape and element kind,
+/// sharing them with its [`Edge`].
 #[derive(Debug, Clone)]
 pub struct StreamRef {
     edge: EdgeId,
-    shape: StreamShape,
-    kind: ElemKind,
+    shape: Arc<StreamShape>,
+    kind: Arc<ElemKind>,
 }
 
 impl StreamRef {
@@ -77,10 +81,11 @@ pub struct Edge {
     /// Consuming node and input port (`None` until connected; `finish`
     /// auto-sinks dangling edges).
     pub dst: Option<(NodeId, u16)>,
-    /// Symbolic stream shape.
-    pub shape: StreamShape,
-    /// Element kind.
-    pub kind: ElemKind,
+    /// Symbolic stream shape, interned by the builder: every edge of a
+    /// graph with an equal shape shares this allocation.
+    pub shape: Arc<StreamShape>,
+    /// Element kind, interned like `shape`.
+    pub kind: Arc<ElemKind>,
     /// FIFO capacity in tokens (hardware queue depth).
     pub capacity: usize,
 }
@@ -163,6 +168,10 @@ pub struct GraphBuilder {
     syms: SymbolTable,
     default_capacity: usize,
     pending_feedback: Vec<NodeId>,
+    /// Every distinct edge shape and element kind built so far, so equal
+    /// ones share one allocation; dropped by `finish`.
+    shapes: HashSet<Arc<StreamShape>>,
+    kinds: HashSet<Arc<ElemKind>>,
 }
 
 impl Default for GraphBuilder {
@@ -210,6 +219,8 @@ impl GraphBuilder {
             syms: SymbolTable::new(),
             default_capacity: 16,
             pending_feedback: Vec::new(),
+            shapes: HashSet::new(),
+            kinds: HashSet::new(),
         }
     }
 
@@ -268,14 +279,21 @@ impl GraphBuilder {
         Ok(id)
     }
 
-    fn add_output(&mut self, node: NodeId, shape: StreamShape, kind: ElemKind) -> StreamRef {
+    fn add_output(
+        &mut self,
+        node: NodeId,
+        shape: impl Interned<StreamShape>,
+        kind: impl Interned<ElemKind>,
+    ) -> StreamRef {
         let edge = EdgeId(self.edges.len() as u32);
         let port = self.nodes[node.0 as usize].outputs.len() as u16;
+        let shape = shape.intern(&mut self.shapes);
+        let kind = kind.intern(&mut self.kinds);
         self.edges.push(Edge {
             src: (node, port),
             dst: None,
-            shape: shape.clone(),
-            kind: kind.clone(),
+            shape: Arc::clone(&shape),
+            kind: Arc::clone(&kind),
             capacity: self.default_capacity,
         });
         self.nodes[node.0 as usize].outputs.push(edge);
@@ -397,7 +415,7 @@ impl GraphBuilder {
         raddr: &StreamRef,
         cfg: RandomAccessCfg,
     ) -> Result<StreamRef> {
-        if !matches!(raddr.kind, ElemKind::Addr) {
+        if !matches!(*raddr.kind, ElemKind::Addr) {
             return Err(StepError::ElemType(
                 "RandomOffChipLoad needs an address stream".into(),
             ));
@@ -420,7 +438,7 @@ impl GraphBuilder {
         wdata: &StreamRef,
         cfg: RandomAccessCfg,
     ) -> Result<StreamRef> {
-        if !matches!(waddr.kind, ElemKind::Addr) {
+        if !matches!(*waddr.kind, ElemKind::Addr) {
             return Err(StepError::ElemType(
                 "RandomOffChipStore needs an address stream".into(),
             ));
@@ -481,7 +499,7 @@ impl GraphBuilder {
         reference: &StreamRef,
         cfg: StreamifyCfg,
     ) -> Result<StreamRef> {
-        let (inner, buf_shape) = match &bufs.kind {
+        let (inner, buf_shape) = match &*bufs.kind {
             ElemKind::Buffer { inner, shape } => ((**inner).clone(), shape.clone()),
             _ => {
                 return Err(StepError::ElemType(
@@ -524,7 +542,7 @@ impl GraphBuilder {
         rank: u8,
         num_consumers: u32,
     ) -> Result<Vec<StreamRef>> {
-        match &sel.kind {
+        match &*sel.kind {
             ElemKind::Selector { num_targets } if *num_targets == num_consumers => {}
             ElemKind::Selector { num_targets } => {
                 return Err(StepError::Config(format!(
@@ -590,7 +608,7 @@ impl GraphBuilder {
         if inputs.is_empty() {
             return Err(StepError::Config("Reassemble needs inputs".into()));
         }
-        match &sel.kind {
+        match &*sel.kind {
             ElemKind::Selector { num_targets } if *num_targets as usize == inputs.len() => {}
             ElemKind::Selector { num_targets } => {
                 return Err(StepError::Config(format!(
@@ -846,7 +864,7 @@ impl GraphBuilder {
         count: u64,
         stride: u64,
     ) -> Result<StreamRef> {
-        if !matches!(s.kind, ElemKind::Selector { .. } | ElemKind::Addr) {
+        if !matches!(*s.kind, ElemKind::Selector { .. } | ElemKind::Addr) {
             return Err(StepError::ElemType(
                 "AddrGen needs a selector or address stream".into(),
             ));
@@ -930,8 +948,8 @@ impl GraphBuilder {
             },
             &[s],
         )?;
-        let data = self.add_output(node, shape.clone(), kind);
-        let padding = self.add_output(node, shape, ElemKind::Bool);
+        let data = self.add_output(node, shape, kind);
+        let padding = self.add_output(node, Arc::clone(&data.shape), ElemKind::Bool);
         Ok((data, padding))
     }
 
@@ -1008,7 +1026,7 @@ impl GraphBuilder {
         if !shapes_compatible(&a.shape, &b.shape) {
             return Err(StepError::Shape(format!("zip: {} vs {}", a.shape, b.shape)));
         }
-        let kind = ElemKind::Tuple(vec![a.kind.clone(), b.kind.clone()]);
+        let kind = ElemKind::Tuple(vec![(*a.kind).clone(), (*b.kind).clone()]);
         let shape = a.shape.clone();
         let node = self.add_node(OpKind::Zip, &[a, b])?;
         Ok(self.add_output(node, shape, kind))
@@ -1056,7 +1074,8 @@ impl GraphBuilder {
     /// # Errors
     ///
     /// Returns [`StepError::Config`] if the key was already fulfilled or
-    /// the stream is consumed, and [`StepError::Shape`] on shape mismatch.
+    /// the stream is consumed, [`StepError::Shape`] on shape mismatch,
+    /// and [`StepError::ElemType`] on element-kind mismatch.
     pub fn fulfill_feedback(&mut self, key: FeedbackKey, s: &StreamRef) -> Result<()> {
         let pos = self
             .pending_feedback
@@ -1064,12 +1083,17 @@ impl GraphBuilder {
             .position(|&n| n == key.0)
             .ok_or_else(|| StepError::Config("feedback already fulfilled".into()))?;
         let node = key.0;
-        let out_edge = self.nodes[node.0 as usize].outputs[0];
-        let expected = self.edges[out_edge.0 as usize].shape.clone();
-        if !shapes_compatible(&expected, &s.shape) {
+        let expected = &self.edges[self.nodes[node.0 as usize].outputs[0].0 as usize];
+        if !shapes_compatible(&expected.shape, &s.shape) {
             return Err(StepError::Shape(format!(
                 "feedback shape {} vs {}",
-                expected, s.shape
+                expected.shape, s.shape
+            )));
+        }
+        if !kinds_compatible(&expected.kind, &s.kind) {
+            return Err(StepError::ElemType(format!(
+                "feedback kind {:?} vs {:?}",
+                expected.kind, s.kind
             )));
         }
         let e = &mut self.edges[s.edge.0 as usize];
@@ -1085,7 +1109,9 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph, auto-terminating any unconnected streams with
-    /// non-recording sinks.
+    /// non-recording sinks. The graph keeps no spare capacity: its node and
+    /// edge vectors, every node's port lists and every `Source`'s tokens
+    /// are shrunk to fit, and the builder's intern sets are dropped.
     ///
     /// # Panics
     ///
@@ -1113,10 +1139,43 @@ impl GraphBuilder {
                 label: "auto-sink".to_string(),
             });
         }
+        for node in &mut self.nodes {
+            node.inputs.shrink_to_fit();
+            node.outputs.shrink_to_fit();
+            if let OpKind::Source(cfg) = &mut node.op {
+                cfg.tokens.shrink_to_fit();
+            }
+        }
+        self.nodes.shrink_to_fit();
+        self.edges.shrink_to_fit();
         Graph {
             nodes: self.nodes,
             edges: self.edges,
         }
+    }
+}
+
+/// An edge type on its way into `GraphBuilder::add_output`: a freshly
+/// inferred value, interned there, or an input stream's `Arc`, which the
+/// same builder interned already.
+trait Interned<T> {
+    fn intern(self, set: &mut HashSet<Arc<T>>) -> Arc<T>;
+}
+
+impl<T: Eq + Hash> Interned<T> for T {
+    fn intern(self, set: &mut HashSet<Arc<T>>) -> Arc<T> {
+        if let Some(shared) = set.get(&self) {
+            return Arc::clone(shared);
+        }
+        let shared = Arc::new(self);
+        set.insert(Arc::clone(&shared));
+        shared
+    }
+}
+
+impl<T> Interned<T> for Arc<T> {
+    fn intern(self, _: &mut HashSet<Arc<T>>) -> Arc<T> {
+        self
     }
 }
 
@@ -1572,5 +1631,51 @@ mod tests {
         let _ = g.accum(&a2, 1, AccumFn::AddTiles, 256).unwrap();
         let graph = g.finish();
         assert_eq!(graph.allocated_compute(), 512 + 256);
+    }
+
+    #[test]
+    fn fulfill_feedback_checks_the_element_kind() {
+        let mut g = GraphBuilder::new();
+        let (_, key) = g.feedback(
+            StreamShape::fixed(&[4]),
+            ElemKind::Selector { num_targets: 2 },
+        );
+        let units = g.unit_source(4);
+        assert!(matches!(
+            g.fulfill_feedback(key, &units),
+            Err(StepError::ElemType(m)) if m.contains("feedback kind")
+        ));
+        let sel = g.selector_source(vec![Selector::one(0); 4], 2).unwrap();
+        g.fulfill_feedback(key, &sel).unwrap();
+    }
+
+    #[test]
+    fn finished_graphs_share_equal_edge_types_and_keep_no_spare_capacity() {
+        let mut g = GraphBuilder::new();
+        let s = tile_source(&mut g, 4, 16, 16);
+        let outs = g.fork(&s, 2).unwrap();
+        // Equal types share one allocation, whether passed through from an
+        // input stream or inferred afresh; unequal ones do not.
+        let twin = tile_source(&mut g, 4, 16, 16);
+        let relu = g.map(&outs[0], MapFn::Elementwise(EwOp::Relu), 64).unwrap();
+        let small = tile_source(&mut g, 5, 8, 8);
+        for o in outs.iter().chain([&twin, &relu]) {
+            assert!(Arc::ptr_eq(&o.shape, &s.shape));
+            assert!(Arc::ptr_eq(&o.kind, &s.kind));
+        }
+        assert!(!Arc::ptr_eq(&small.shape, &s.shape));
+        assert!(!Arc::ptr_eq(&small.kind, &s.kind));
+        let graph = g.finish();
+        let edge = graph.edge(outs[1].edge());
+        assert!(Arc::ptr_eq(&edge.shape, &s.shape) && Arc::ptr_eq(&edge.kind, &s.kind));
+        assert_eq!(graph.nodes.len(), graph.nodes.capacity());
+        assert_eq!(graph.edges.len(), graph.edges.capacity());
+        for n in &graph.nodes {
+            assert_eq!(n.inputs.len(), n.inputs.capacity());
+            assert_eq!(n.outputs.len(), n.outputs.capacity());
+            if let OpKind::Source(cfg) = &n.op {
+                assert_eq!(cfg.tokens.len(), cfg.tokens.capacity());
+            }
+        }
     }
 }

@@ -82,14 +82,14 @@ pub fn analyze(graph: &Graph) -> GraphMetrics {
 fn out_edge(graph: &Graph, node: &Node, port: usize) -> Option<(Expr, ElemKind)> {
     node.outputs.get(port).map(|e| {
         let edge = graph.edge(*e);
-        (edge.shape.cardinality(), edge.kind.clone())
+        (edge.shape.cardinality(), (*edge.kind).clone())
     })
 }
 
 fn in_edge(graph: &Graph, node: &Node, port: usize) -> Option<(Expr, ElemKind)> {
     node.inputs.get(port).map(|e| {
         let edge = graph.edge(*e);
-        (edge.shape.cardinality(), edge.kind.clone())
+        (edge.shape.cardinality(), (*edge.kind).clone())
     })
 }
 

@@ -246,7 +246,7 @@ pub fn partition(graph: &Graph, cfg: &PartitionCfg) -> Partition {
 
     // Phase 1: arena-sharing groups are indivisible.
     for e in graph.edges() {
-        if matches!(e.kind, ElemKind::Buffer { .. })
+        if matches!(*e.kind, ElemKind::Buffer { .. })
             && let Some((dst, _)) = e.dst
         {
             dsu.union(e.src.0.0, dst.0);
@@ -467,7 +467,7 @@ mod tests {
             },
         );
         for (i, e) in graph.edges().iter().enumerate() {
-            if matches!(e.kind, ElemKind::Buffer { .. }) {
+            if matches!(*e.kind, ElemKind::Buffer { .. }) {
                 let (a, b) = (e.src.0, e.dst.unwrap().0);
                 assert_eq!(
                     p.shard_of[a.0 as usize], p.shard_of[b.0 as usize],

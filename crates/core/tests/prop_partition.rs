@@ -246,7 +246,7 @@ fn buffer_edges_are_never_cut_and_cut_metadata_is_consistent() {
         let p = partition(&graph, &cfg);
 
         for (i, e) in graph.edges().iter().enumerate() {
-            if matches!(e.kind, ElemKind::Buffer { .. })
+            if matches!(*e.kind, ElemKind::Buffer { .. })
                 && let Some((dst, _)) = e.dst
             {
                 assert_eq!(

@@ -247,6 +247,28 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
+/// Mean absolute percentage error of `xs` against the reference series
+/// `refs`, with the worst point: `(MAPE %, index of the largest error,
+/// that error %)`. On ties the first such point is the worst.
+///
+/// # Panics
+///
+/// Panics if the series differ in length or are empty.
+pub fn mape(xs: &[f64], refs: &[f64]) -> (f64, usize, f64) {
+    assert_eq!(xs.len(), refs.len(), "series must align");
+    assert!(!xs.is_empty(), "need at least one point");
+    let mut sum = 0.0;
+    let (mut worst, mut worst_pct) = (0, 0.0);
+    for (i, (x, r)) in xs.iter().zip(refs).enumerate() {
+        let err = (x - r).abs() / r * 100.0;
+        sum += err;
+        if err > worst_pct {
+            (worst, worst_pct) = (i, err);
+        }
+    }
+    (sum / xs.len() as f64, worst, worst_pct)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +314,17 @@ mod tests {
         assert!((pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]) - 1.0).abs() < 1e-9);
         assert!((pearson(&[1.0, 2.0, 3.0], &[6.0, 4.0, 2.0]) + 1.0).abs() < 1e-9);
         assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]), 0.0);
+    }
+
+    #[test]
+    fn mape_basics() {
+        // Errors 10%, 50% and 0% against the reference.
+        let (m, worst, worst_pct) = mape(&[110.0, 100.0, 40.0], &[100.0, 200.0, 40.0]);
+        assert!((m - 20.0).abs() < 1e-9);
+        assert_eq!((worst, worst_pct), (1, 50.0));
+        // A 100% overshoot and a 100% undershoot tie: the first is worst.
+        assert_eq!(mape(&[20.0, 0.0], &[10.0, 10.0]), (100.0, 0, 100.0));
+        assert_eq!(mape(&[5.0], &[5.0]), (0.0, 0, 0.0));
     }
 
     #[test]

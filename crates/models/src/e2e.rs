@@ -220,7 +220,7 @@ pub struct DecodeReport {
 /// keeps a [`RunPool`], so after the first iteration materializes the
 /// run state, later iterations reset it in place ([`SimPlan::run_with`]
 /// handed the pool) instead of reallocating channels and ledgers — the
-/// steady-state loop is allocation-free per run.
+/// steady-state loop allocates no run state.
 ///
 /// # Errors
 ///

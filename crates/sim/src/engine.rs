@@ -356,25 +356,6 @@ impl Sched {
     }
 }
 
-/// The capacity spec of one shard-local channel.
-#[derive(Debug, Clone, Copy)]
-struct ChanSpec {
-    /// FIFO capacity in tokens.
-    capacity: usize,
-    /// Whether this is the reader half of a cross-shard edge.
-    cross_reader: bool,
-}
-
-impl ChanSpec {
-    fn build(self, latency: u64) -> Channel {
-        if self.cross_reader {
-            Channel::cross_reader(self.capacity, latency)
-        } else {
-            Channel::new(self.capacity, latency)
-        }
-    }
-}
-
 /// The immutable topology of one shard: which nodes it owns, which
 /// graph edge each local channel carries, and which channels are the
 /// reader halves of incoming cut edges. Shared by every run of the plan;
@@ -382,13 +363,11 @@ impl ChanSpec {
 struct ShardPlan {
     /// Global node ids, ascending; local index ↔ position here.
     node_ids: Vec<u32>,
-    /// Per-local-channel capacity spec (run state builds the queues).
-    chans: Vec<ChanSpec>,
     /// Local channel → graph edge id (a cut edge's writer and reader
-    /// halves both name their edge).
+    /// halves both name their edge), which gives the channel's capacity.
     edge_of: Vec<u32>,
-    /// Local channel → local reader/writer node (`u32::MAX` = remote or
-    /// none).
+    /// Local channel → local reader/writer node (`u32::MAX` = remote).
+    /// Only the reader half of a cut edge has no local writer.
     reader_of: Vec<u32>,
     writer_of: Vec<u32>,
     /// Every local node's ports as local channel indices, inputs then
@@ -423,6 +402,13 @@ impl ShardPlan {
             nodes::Blocked::Output(e) => nodes::Blocked::Output(unmap(e)),
             nodes::Blocked::Hbm => nodes::Blocked::Hbm,
         }
+    }
+
+    /// Local channel `c`'s capacity, and whether it is the reader half of
+    /// a cut edge.
+    fn chan_spec(&self, graph: &Graph, c: usize) -> (usize, bool) {
+        let capacity = graph.edges()[self.edge_of[c] as usize].capacity;
+        (capacity, self.writer_of[c] == u32::MAX)
     }
 }
 
@@ -1155,11 +1141,12 @@ struct RunState {
     counters: SchedCounters,
 }
 
-/// Parks one run's state between runs of the same plan, making
-/// steady-state reruns and sweep points allocation-free: every channel
-/// queue, outbox, ready set, ledger vector, and scratch buffer keeps its
+/// Parks one run's state between runs of the same plan, so steady-state
+/// reruns and sweep points allocate no run state: every channel queue,
+/// outbox, ready set, ledger vector, and scratch buffer keeps its
 /// capacity and is reset in place by the next [`SimPlan::run_with`]
-/// handed this pool.
+/// handed this pool. The values a run computes (such as the tuples
+/// `Zip` emits) still allocate.
 ///
 /// The pool remembers which plan its state belongs to; handing it to a
 /// different plan releases that state and builds (and re-parks) fresh
@@ -1255,7 +1242,6 @@ impl SimPlan {
         // each edge's (writer, reader) local channel — the same channel
         // twice for an intra-shard edge — while the port tables are laid
         // out; the plan keeps only the per-shard tables.
-        let mut chans: Vec<Vec<ChanSpec>> = vec![Vec::new(); k];
         let mut edge_of: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut reader_of: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut writer_of: Vec<Vec<u32>> = vec![Vec::new(); k];
@@ -1270,22 +1256,18 @@ impl SimPlan {
                 .0 as usize;
             let (ws, rs) = (plan.shard_of[src] as usize, plan.shard_of[dst] as usize);
             // Adds a channel carrying this edge to shard `s`.
-            let mut add = |s: usize, cross_reader: bool, writer: u32, reader: u32| {
-                chans[s].push(ChanSpec {
-                    capacity: edge.capacity,
-                    cross_reader,
-                });
+            let mut add = |s: usize, writer: u32, reader: u32| {
                 edge_of[s].push(ei as u32);
                 writer_of[s].push(writer);
                 reader_of[s].push(reader);
-                chans[s].len() as u32 - 1
+                edge_of[s].len() as u32 - 1
             };
             if ws == rs {
-                let c = add(ws, false, local_node[src], local_node[dst]);
+                let c = add(ws, local_node[src], local_node[dst]);
                 halves.push((c, c));
             } else {
-                let w_ch = add(ws, false, local_node[src], u32::MAX);
-                let r_ch = add(rs, true, u32::MAX, local_node[dst]);
+                let w_ch = add(ws, local_node[src], u32::MAX);
+                let r_ch = add(rs, u32::MAX, local_node[dst]);
                 halves.push((w_ch, r_ch));
                 cross.push(CrossEdge {
                     w_shard: ws as u32,
@@ -1316,7 +1298,6 @@ impl SimPlan {
                 .collect();
             shard_plans.push(ShardPlan {
                 node_ids: frozen(ids),
-                chans: frozen(std::mem::take(&mut chans[s])),
                 edge_of: frozen(std::mem::take(&mut edge_of[s])),
                 reader_of: frozen(std::mem::take(&mut reader_of[s])),
                 writer_of: frozen(std::mem::take(&mut writer_of[s])),
@@ -1488,10 +1469,12 @@ impl SimPlan {
                 nodes.push(node);
             }
             let m = sp.node_ids.len();
-            let channels = sp
-                .chans
-                .iter()
-                .map(|c| c.build(self.cfg.channel_latency))
+            let latency = self.cfg.channel_latency;
+            let channels = (0..sp.edge_of.len())
+                .map(|c| match sp.chan_spec(&self.graph, c) {
+                    (capacity, true) => Channel::cross_reader(capacity, latency),
+                    (capacity, false) => Channel::new(capacity, latency),
+                })
                 .collect();
             let undone = nodes.iter().filter(|nd| !nd.done()).count();
             shards.push(Mutex::new(Shard {
@@ -1545,8 +1528,9 @@ impl SimPlan {
                     node.bind_source(toks.clone());
                 }
             }
-            for (ch, spec) in s.channels.iter_mut().zip(&sp.chans) {
-                ch.reset(spec.capacity, spec.cross_reader);
+            for (c, ch) in s.channels.iter_mut().enumerate() {
+                let (capacity, cross_reader) = sp.chan_spec(&self.graph, c);
+                ch.reset(capacity, cross_reader);
             }
             s.arena.reset();
             s.sched.reset(m);

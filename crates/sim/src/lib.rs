@@ -70,7 +70,8 @@
 //!   channel queues, arenas, ready-sets and the HBM ledger. Handed an
 //!   [`engine::RunPool`], it instead reuses the state parked there,
 //!   resetting every queue, outbox, ready set, and ledger *in place*
-//!   so steady-state reruns and sweep points are allocation-free — the
+//!   so steady-state reruns and sweep points allocate no run state (the
+//!   values a run computes, such as `Zip` tuples, still allocate) — the
 //!   pool owns the buffers between runs; the report's
 //!   [`engine::SimReport::run_allocs`] /
 //!   [`engine::SimReport::pool_resets`] counters say which path ran,

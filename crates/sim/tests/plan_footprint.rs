@@ -6,8 +6,11 @@
 //! per shard × per edge, and never a stored copy of every node's
 //! executor. A counting global allocator measures the heap bytes the
 //! graph build retains and then the bytes [`SimPlan::new`] retains
-//! beyond that graph, and the test bounds their ratio. Heap bytes are
-//! exact and host-independent, unlike RSS, so CI can gate on them.
+//! beyond that graph, and the test bounds their ratio. The graphs
+//! themselves have byte budgets too: a finished graph shares equal edge
+//! shapes and element kinds and keeps no spare vector capacity. Heap
+//! bytes are exact and host-independent, unlike RSS, so CI can gate on
+//! them.
 //!
 //! Counts are kept per thread: the test harness runs tests on parallel
 //! threads, and each test counts only what its own thread allocates.
@@ -23,6 +26,13 @@ use step_traces::{RoutingConfig, expert_routing};
 /// The most a plan may retain beyond its graph, as a share of the
 /// graph's own bytes.
 const MAX_PLAN_SHARE: f64 = 0.25;
+
+/// The most the batch-64 static(32) layer graphs below may hold, in heap
+/// bytes: about 1.2× what they hold with interned edge types and no
+/// spare capacity (1,051,116 B and 75,268 B), and about half of what
+/// they held with an inline shape and kind per edge.
+const QWEN3_GRAPH_BUDGET: isize = 1_300_000;
+const MIXTRAL_GRAPH_BUDGET: isize = 100_000;
 
 thread_local! {
     /// Heap bytes this thread holds: allocated minus freed.
@@ -122,6 +132,13 @@ fn assert_linear(name: &str, (graph, plan, _): (isize, isize, usize)) {
     );
 }
 
+fn assert_graph_within(name: &str, (graph, _, _): (isize, isize, usize), budget: isize) {
+    assert!(
+        graph <= budget,
+        "{name}: the graph holds {graph} B, over its {budget} B budget"
+    );
+}
+
 #[test]
 fn a_sharded_plan_costs_about_its_graph() {
     // Qwen3's 128 experts shard into over a hundred shards: a table per
@@ -134,6 +151,7 @@ fn a_sharded_plan_costs_about_its_graph() {
     let fp = moe_b64_static32(ModelConfig::qwen3_30b_a3b(), cfg);
     assert!(fp.2 > 100, "expected a widely sharded plan, got {}", fp.2);
     assert_linear("qwen3 b64 static(32)", fp);
+    assert_graph_within("qwen3 b64 static(32)", fp, QWEN3_GRAPH_BUDGET);
 }
 
 #[test]
@@ -146,4 +164,5 @@ fn a_monolithic_plan_costs_about_its_graph() {
     let fp = moe_b64_static32(ModelConfig::mixtral_8x7b(), cfg);
     assert_eq!(fp.2, 1, "expected a monolithic plan");
     assert_linear("mixtral b64 static(32)", fp);
+    assert_graph_within("mixtral b64 static(32)", fp, MIXTRAL_GRAPH_BUDGET);
 }
