@@ -26,19 +26,22 @@
 //! (path override: `BENCH_SCHED_OUT`), the perf-trajectory artifact CI
 //! uploads.
 //!
-//! `--reuse N` appends the plan-reuse section: the heaviest config's
-//! `SimPlan` is frozen once into a single-worker
-//! [`step_bench::SweepService`]'s plan cache and run `N` times through
-//! it (the first run compiles the executors and builds the worker's
-//! pooled state, later runs reset that state in place), reporting the
-//! graph-build / partition+topology / per-run wall split and the
-//! amortization ratio (build+run divided by the amortized per-run
-//! wall). Counters of every reused run are held to the same
-//! pinned budgets as the fresh-build rows, must be bit-identical across
-//! runs, every pooled rerun must report `run_allocs == 0` /
+//! `--reuse N` appends the plan-reuse section on the heaviest config.
+//! Its `SimPlan` is frozen once into a single-worker
+//! [`step_bench::SweepService`]'s plan cache, then run `N` times directly
+//! on that plan with one [`step_sim::RunPool`]: the first run compiles
+//! the executors and builds the pooled state, later runs reset that state
+//! in place. The section reports the graph-build / partition+topology /
+//! per-run wall split and the amortization ratio (build+run divided by
+//! the amortized per-run wall). Counters of every rerun are held to the
+//! same pinned budgets as the fresh-build rows and must be bit-identical
+//! across runs, and every pooled rerun must report `run_allocs == 0` /
 //! `pool_resets == 1` (the alloc-free guard — a counter, so it cannot
-//! flake), and the cache counters must end at exactly
-//! `{hits: N, misses: 1, builds: 1}` — wall-clock is reported but never
+//! flake). Then `N` identical points go through the service: point 0
+//! runs on the worker and points 1..N−1 replay its report from the
+//! service's report cache. The plan cache must end at exactly
+//! `{hits: N, misses: 1, builds: 1}` and the report cache at
+//! `{hits: N−1, misses: 1}` — wall-clock is reported but never
 //! asserted.
 
 use std::time::Instant;
@@ -46,7 +49,7 @@ use step_bench::{CacheStats, SimPoint, SweepService, SweepUnit};
 use step_core::StepError;
 use step_models::ModelConfig;
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
-use step_sim::{Fingerprint, SimConfig, SimPlan, SimReport};
+use step_sim::{Fingerprint, ReportCacheStats, RunBinding, RunPool, SimConfig, SimPlan, SimReport};
 use step_traces::{RoutingConfig, RoutingTrace, expert_routing};
 
 /// Maximum allowed ratio of sharded single-thread total fires to
@@ -75,20 +78,19 @@ fn run_once(cfg: &MoeCfg, trace: &RoutingTrace, sim_cfg: SimConfig) -> (SimRepor
 }
 
 /// The plan-reuse section (`--reuse N`): freeze the heaviest config's
-/// plan once into a single-worker [`SweepService`]'s cache, run `N`
-/// points against it, and report the build-vs-run wall split. Returns
-/// the JSON line for the artifact.
+/// plan once into a single-worker [`SweepService`]'s cache, rerun it `N`
+/// times on one pool, then submit `N` identical points to the service.
+/// Returns the JSON line for the artifact.
 ///
 /// The cache is pre-warmed with an explicit checkout of the pre-built
-/// graph (isolating partition/topology time as `plan_ms`; compiling
-/// the executors falls in the first run's `run_ms_first`), so
-/// the `N` submitted points are all hits — their build closures *fail*,
-/// which turns "warm points never rebuild" into a hard assertion rather
-/// than a counter we merely read. The single worker keeps one `RunPool`
-/// per plan, so every rerun must report `run_allocs == 0` /
-/// `pool_resets == 1` (the alloc-free guard — a counter, so it cannot
-/// flake), and the cache must end at exactly
-/// `{hits: N, misses: 1, builds: 1}` — the counters CI pins.
+/// graph (isolating partition/topology time as `plan_ms`; compiling the
+/// executors falls in the first run's `run_ms_first`). The direct
+/// reruns carry the pooled-rerun guard: every rerun after the first must
+/// report `run_allocs == 0` / `pool_resets == 1`. The `N` submitted
+/// points are all plan-cache hits — their build closures *fail*, which
+/// turns "warm points never rebuild" into a hard assertion rather than a
+/// counter we merely read — and all but the first replay from the
+/// report cache. Both caches' counters are pinned exactly.
 fn reuse_section(json: bool, runs: usize) -> String {
     let model = ModelConfig::qwen3_30b_a3b();
     let trace = expert_routing(&RoutingConfig {
@@ -114,18 +116,54 @@ fn reuse_section(json: bool, runs: usize) -> String {
     let sim_cfg = SimConfig::default();
     let t0 = Instant::now();
     let mut prebuilt = Some(graph);
-    svc.cache()
+    let plan = svc
+        .cache()
         .checkout(builder, &sim_cfg, &mut || {
             Ok(prebuilt.take().expect("pre-warm builds once"))
         })
         .expect("plan");
     let plan_ms = ms(t0);
-    // Compiled + pooled, via the service: the steady-state path. Reruns
-    // reset the worker's parked state in place; the counters prove it.
+    // Compiled + pooled, straight on the frozen plan: the steady-state
+    // run path. Reruns reset the parked state in place; the counters
+    // prove it.
+    let mut pool = RunPool::new();
+    let mut walls: Vec<f64> = Vec::with_capacity(runs);
+    let mut first: Option<SimReport> = None;
+    let (mut run_allocs, mut pool_resets) = (0u64, 0u64);
+    for k in 0..runs {
+        let t0 = Instant::now();
+        let r = plan
+            .run_with(&RunBinding::default(), Some(&mut pool))
+            .expect("pooled rerun");
+        walls.push(ms(t0));
+        run_allocs += r.run_allocs;
+        pool_resets += r.pool_resets;
+        if k > 0 {
+            // The alloc-free guard: after warmup, every rerun reuses the
+            // parked state. A counter, not a wall-clock — cannot flake.
+            assert_eq!(
+                (r.run_allocs, r.pool_resets),
+                (0, 1),
+                "pooled rerun {k} rebuilt state instead of resetting in place"
+            );
+        }
+        match &first {
+            None => {
+                // Counters-only budget: a reused run answers to the same
+                // pinned budgets as a fresh build of the same config.
+                guard_counters("reused", &r, B64_STATIC_FIRES.1, B64_STATIC_CHAN_RUNS.1);
+                first = Some(r);
+            }
+            Some(w) => assert_same_run(&format!("reused-plan run {k}"), &r, w),
+        }
+    }
+    let r = first.expect("at least one run");
+    // Through the service: point 0 runs on the worker, the rest replay
+    // its report.
     let units: Vec<SweepUnit> = (0..runs)
         .map(|k| {
             SweepUnit::Sim(SimPoint {
-                label: format!("reuse run {k}"),
+                label: format!("reuse point {k}"),
                 builder,
                 cfg: sim_cfg.clone(),
                 build: Box::new(|| {
@@ -142,68 +180,50 @@ fn reuse_section(json: bool, runs: usize) -> String {
         eprintln!("error: {e}");
         std::process::exit(1);
     });
+    for res in &results {
+        let served = res.report.sim().expect("reuse points are sim units");
+        assert_same_run(&res.label, served, &r);
+    }
+    let stats = svc.cache().stats();
     assert_eq!(
-        svc.cache().stats(),
+        stats,
         CacheStats {
             hits: runs as u64,
             misses: 1,
             builds: 1,
             failures: 0
         },
-        "reuse section cache counters moved"
+        "reuse section plan-cache counters moved"
     );
-    let mut walls: Vec<f64> = Vec::with_capacity(runs);
-    let mut first: Option<SimReport> = None;
-    let (mut run_allocs, mut pool_resets) = (0u64, 0u64);
-    for (k, res) in results.iter().enumerate() {
-        let r = res.report.sim().expect("reuse points are sim units");
-        walls.push(res.wall_ms);
-        run_allocs += r.run_allocs;
-        pool_resets += r.pool_resets;
-        if k > 0 {
-            // The alloc-free guard: after warmup, every rerun reuses the
-            // parked state. A counter, not a wall-clock — cannot flake.
-            assert_eq!(
-                (r.run_allocs, r.pool_resets),
-                (0, 1),
-                "pooled rerun {k} rebuilt state instead of resetting in place"
-            );
-        }
-        match &first {
-            None => {
-                // Counters-only budget: a reused run answers to the same
-                // pinned budgets as a fresh build of the same config.
-                guard_counters("reused", r, B64_STATIC_FIRES.1, B64_STATIC_CHAN_RUNS.1);
-                first = Some(r.clone());
-            }
-            Some(w) => {
-                assert_eq!(
-                    (r.cycles, r.offchip_traffic, r.total_fires(), r.chan_runs),
-                    (w.cycles, w.offchip_traffic, w.total_fires(), w.chan_runs),
-                    "reused-plan run {k} diverged from run 0"
-                );
-            }
-        }
-    }
-    let r = first.expect("at least one run");
+    let replays = svc.reports().stats();
+    assert_eq!(
+        replays,
+        ReportCacheStats {
+            hits: runs as u64 - 1,
+            misses: 1
+        },
+        "reuse section report-cache counters moved"
+    );
     let run_mean = walls.iter().sum::<f64>() / walls.len() as f64;
     let run_min = walls.iter().cloned().fold(f64::INFINITY, f64::min);
     let build_ms = graph_ms + plan_ms;
     let build_plus_run = build_ms + walls[0];
     let amort = build_plus_run / run_mean.max(1e-9);
-    let stats = svc.cache().stats();
     let line = format!(
         "{{\"mode\":\"reuse\",\"batch\":64,\"tiling\":\"static(8)\",\"runs\":{runs},\
          \"graph_ms\":{graph_ms:.1},\"plan_ms\":{plan_ms:.1},\"run_ms_first\":{:.1},\
          \"run_ms_mean\":{run_mean:.1},\"run_ms_min\":{run_min:.1},\
          \"run_allocs\":{run_allocs},\"pool_resets\":{pool_resets},\
          \"cache_hits\":{},\"cache_misses\":{},\"cache_builds\":{},\
+         \"report_hits\":{},\"report_misses\":{},\
          \"build_plus_run_ms\":{build_plus_run:.1},\"amortization\":{amort:.2},\
          \"cycles\":{},\"fires\":{},\"chan_runs\":{}}}",
         walls[0],
         stats.hits,
         stats.misses,
         stats.builds,
+        replays.hits,
+        replays.misses,
         r.cycles,
         r.total_fires(),
         r.chan_runs,
@@ -212,21 +232,37 @@ fn reuse_section(json: bool, runs: usize) -> String {
         println!("{line}");
     } else {
         println!(
-            "\nplan reuse (batch 64 / static 8, {runs} runs via 1-worker sweep service): graph {graph_ms:.1}ms + partition/topology {plan_ms:.1}ms, pooled runs mean {run_mean:.1}ms (min {run_min:.1}ms)"
+            "\nplan reuse (batch 64 / static 8, {runs} pooled runs of one cached plan): graph {graph_ms:.1}ms + partition/topology {plan_ms:.1}ms, pooled runs mean {run_mean:.1}ms (min {run_min:.1}ms)"
         );
         println!(
             "pool: {run_allocs} state build(s), {pool_resets} in-place reset(s); \
-             cache: {} hit(s), {} miss(es), {} build(s)",
-            stats.hits, stats.misses, stats.builds
+             {runs} service points: plan cache {} hit(s), {} miss(es), {} build(s); \
+             report cache {} hit(s), {} miss(es)",
+            stats.hits, stats.misses, stats.builds, replays.hits, replays.misses
         );
         println!(
             "build+run {build_plus_run:.1}ms vs amortized per-run {run_mean:.1}ms: {amort:.2}x"
         );
         println!(
-            "reused runs bit-identical, alloc-free, cache-served, and within counter budgets: ok"
+            "reused runs bit-identical, alloc-free, and within counter budgets; repeated points replayed: ok"
         );
     }
     line
+}
+
+/// Bit-identity of a reused or replayed run against the first run, on
+/// the counters the budgets gate.
+fn assert_same_run(what: &str, r: &SimReport, first: &SimReport) {
+    assert_eq!(
+        (r.cycles, r.offchip_traffic, r.total_fires(), r.chan_runs),
+        (
+            first.cycles,
+            first.offchip_traffic,
+            first.total_fires(),
+            first.chan_runs
+        ),
+        "{what} diverged from run 0"
+    );
 }
 
 fn json_line(

@@ -327,8 +327,8 @@ fn timeshare_row(regions: u32, report: &SimReport) -> TimeshareRow {
 /// Figs 12/13: sweep the number of regions sharing a configuration for
 /// the Qwen3-30B-A3B MoE layer (batch 64), on the process-wide
 /// [`SweepService`]. Fig 12's static(32) column and Fig 13 submit
-/// identical cells, so whichever runs second is served entirely from
-/// the warm plan cache.
+/// identical cells, so whichever runs second replays every report from
+/// the service's report cache without running the engine.
 pub fn timeshare_sweep(
     tiling: Tiling,
     seed: u64,
@@ -346,25 +346,7 @@ pub fn timeshare_sweep_on(
     tiling: Tiling,
     seed: u64,
 ) -> std::result::Result<Vec<TimeshareRow>, UnitFailure> {
-    let model = ModelConfig::qwen3_30b_a3b();
-    let trace = expert_routing(&RoutingConfig {
-        experts: model.experts,
-        top_k: model.top_k,
-        batch: 64,
-        skew: 0.8,
-        seed,
-    });
-    let units: Vec<SweepUnit> = TIMESHARE_REGIONS
-        .iter()
-        .map(|&regions| {
-            moe_point(
-                format!("regions({regions})"),
-                timeshare_cfg(&model, tiling, regions),
-                trace.clone(),
-            )
-        })
-        .collect();
-    let results = svc.run_all(units)?;
+    let results = svc.run_all(timeshare_units(tiling, seed))?;
     Ok(TIMESHARE_REGIONS
         .iter()
         .zip(&results)
@@ -375,6 +357,29 @@ pub fn timeshare_sweep_on(
             )
         })
         .collect())
+}
+
+/// The Fig 12/13 cells of `tiling` as sweep units, in region-axis order
+/// (128, 64, 32, 16, 8, 4 regions).
+pub fn timeshare_units(tiling: Tiling, seed: u64) -> Vec<SweepUnit> {
+    let model = ModelConfig::qwen3_30b_a3b();
+    let trace = expert_routing(&RoutingConfig {
+        experts: model.experts,
+        top_k: model.top_k,
+        batch: 64,
+        skew: 0.8,
+        seed,
+    });
+    TIMESHARE_REGIONS
+        .iter()
+        .map(|&regions| {
+            moe_point(
+                format!("regions({regions})"),
+                timeshare_cfg(&model, tiling, regions),
+                trace.clone(),
+            )
+        })
+        .collect()
 }
 
 /// Prints/writes Fig 12 (utilization + cycles) or Fig 13 (resources).

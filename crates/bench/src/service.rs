@@ -13,22 +13,26 @@
 //!   plan. Concurrent misses on one key are **single-flight**: the first
 //!   requester builds, the rest wait on the same build and share the
 //!   result;
-//! - a [`step_sim::ReportCache`] shared across serve jobs, next to the
-//!   plan cache and under the same single-flight discipline: serving
-//!   iterations whose QKV or MoE signature repeats — within a job or
-//!   across jobs sharing a cell configuration — replay a cached
-//!   [`SimReport`] instead of running the engine
-//!   ([`step_models::serving::ServeJob::run_memo`]). Like the plan cache
-//!   its counters are request-scoped and scheduler-independent, failed
-//!   runs park a sticky `Failed` slot that the next request retakes, and
-//!   panics resolve to typed errors instead of stranding waiters;
+//! - a [`step_sim::ReportCache`] every unit resolves through, next to
+//!   the plan cache and under the same single-flight discipline. A sim
+//!   point checks its plan out, then resolves its run under
+//!   `(plan_content_key(builder, cfg), binding)`: a repeated point —
+//!   Fig 13 re-plots Fig 12's static(32) column — replays the first
+//!   run's [`SimReport`] instead of running the engine. Serve jobs
+//!   memoize their QKV and MoE phase reports in the same cache
+//!   ([`step_models::serving::ServeJob::run_memo`]). Its counters are
+//!   request-scoped and scheduler-independent, bindings with a wall
+//!   deadline or cancel token always run and are never stored, failed
+//!   runs park a sticky `Failed` slot that the next request retakes
+//!   (so a failure is never replayed), and panics resolve to typed
+//!   errors instead of stranding waiters;
 //! - a `std::thread` worker pool (no external deps, per the workspace
-//!   convention). Each worker keeps one private [`RunPool`]: a point on
+//!   convention). Each worker keeps one private [`RunPool`]: a run on
 //!   the plan the worker ran last resets the parked run state in place
-//!   — steady-state sweep points allocate no run state
-//!   (`SimReport::run_allocs == 0`) — and a point on another plan
+//!   — steady-state runs allocate no run state
+//!   (`SimReport::run_allocs == 0`) — and a run on another plan
 //!   rebuilds it, so a worker holds one run state however many plans a
-//!   sweep touches;
+//!   sweep touches. A report-cache hit leaves the pool untouched;
 //! - in-order result streaming: [`SweepService::submit`] returns a
 //!   [`ResultStream`] that yields results in **submission order**
 //!   regardless of completion order, by reassembling the workers'
@@ -42,12 +46,13 @@
 //! — `crates/bench/tests/service_conformance.rs` holds every rewired
 //! sweep to that, at 1/2/4/8 workers and across warm-cache reruns. Wall
 //! clock is never asserted (the 1-CPU CI box makes it meaningless);
-//! instead CI pins the [`CacheStats`] counters, whose semantics are
-//! deliberately scheduler-independent: the *first* request for a key is
-//! the miss (and, once built, the build), and every other request —
-//! including waiters coalesced behind an in-flight build — is a hit. A
-//! warm cache therefore always shows `builds == distinct keys` and zero
-//! further builds on rerun, whatever the worker count. Each request is
+//! instead CI pins the [`CacheStats`] and [`step_sim::ReportCacheStats`]
+//! counters, whose semantics are deliberately scheduler-independent: the
+//! *first* request for a key is the miss (and, once built, the build),
+//! and every other request — including waiters coalesced behind an
+//! in-flight build — is a hit. A warm cache therefore always shows
+//! `builds == distinct keys` and zero further builds on rerun, whatever
+//! the worker count. Each request is
 //! counted once, when it resolves: a returned plan, or the error of the
 //! build it coalesced onto, is a hit; taking the build claim is a miss —
 //! also for a waiter that wakes to a *newer* failed slot and retakes the
@@ -89,7 +94,7 @@ use std::time::Instant;
 use step_core::sync::{lock, panic_message, wait};
 use step_core::{Graph, Result, StepError};
 use step_models::serving::{PlanSource, ServeJob, ServeReport};
-use step_sim::{ReportCache, RunBinding, RunPool, SimConfig, SimPlan, SimReport};
+use step_sim::{ReportCache, RunBinding, RunPool, SimConfig, SimPlan, SimReport, plan_content_key};
 
 /// Cache key: what a frozen plan is a pure function of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -334,17 +339,21 @@ impl SweepUnit {
 /// A unit's report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UnitReport {
-    /// Report of a [`SweepUnit::Sim`] point.
-    Sim(SimReport),
-    /// Report of a [`SweepUnit::Serve`] job.
-    Serve(ServeReport),
+    /// Report of a [`SweepUnit::Sim`] point: the service's
+    /// [`ReportCache`] entry itself, so a repeated point shares the
+    /// first run's report instead of copying it. Its host-side
+    /// `run_allocs` / `pool_resets` record that first run.
+    Sim(Arc<SimReport>),
+    /// Report of a [`SweepUnit::Serve`] job (boxed: it is many times the
+    /// size of a sim unit's shared report).
+    Serve(Box<ServeReport>),
 }
 
 impl UnitReport {
     /// The simulation report, if this unit was a sim point.
     pub fn sim(&self) -> Option<&SimReport> {
         match self {
-            UnitReport::Sim(r) => Some(r),
+            UnitReport::Sim(r) => Some(r.as_ref()),
             UnitReport::Serve(_) => None,
         }
     }
@@ -352,7 +361,7 @@ impl UnitReport {
     /// The serving report, if this unit was a serve job.
     pub fn serve(&self) -> Option<&ServeReport> {
         match self {
-            UnitReport::Serve(r) => Some(r),
+            UnitReport::Serve(r) => Some(r.as_ref()),
             UnitReport::Sim(_) => None,
         }
     }
@@ -369,8 +378,9 @@ pub struct PointResult {
     pub label: String,
     /// The unit's report.
     pub report: UnitReport,
-    /// Host wall-clock of the unit's run on its worker, milliseconds.
-    /// Diagnostic only — never part of any determinism or CI check.
+    /// Host wall-clock of the unit on its worker, milliseconds: plan
+    /// checkout plus run, or about 0 for a report-cache hit. Diagnostic
+    /// only — never part of any determinism or CI check.
     pub wall_ms: f64,
 }
 
@@ -465,8 +475,9 @@ struct QueueState {
 
 struct ServiceInner {
     cache: PlanCache,
-    /// Shared report memoization for serve jobs (plans come from
-    /// `cache`, steady-state phase *reports* come from here).
+    /// Shared report memoization for every unit (plans come from
+    /// `cache`, repeated sim points and steady-state serve phases
+    /// replay their *reports* from here).
     reports: ReportCache,
     queue: Mutex<QueueState>,
     work_ready: Condvar,
@@ -477,7 +488,8 @@ struct ServiceInner {
     depth: usize,
 }
 
-/// The long-lived sweep service: a plan cache plus a worker pool.
+/// The long-lived sweep service: a plan cache and a report cache shared
+/// by a worker pool.
 ///
 /// Submit a batch of [`SweepUnit`]s with [`SweepService::submit`] (an
 /// ordered [`ResultStream`] comes back) or [`SweepService::run_all`]
@@ -551,9 +563,10 @@ impl SweepService {
         &self.inner.cache
     }
 
-    /// The shared report cache serve jobs memoize their QKV and MoE
-    /// phase reports in (cumulative counters for CI pins). Sim points
-    /// don't consult it — their reports are one-shot by construction.
+    /// The shared report cache every unit resolves through: sim points
+    /// under `(plan content key, binding)`, serve jobs per QKV and MoE
+    /// phase (cumulative counters for CI pins). It never evicts, so it
+    /// retains one report per distinct cache-safe point.
     pub fn reports(&self) -> &ReportCache {
         &self.inner.reports
     }
@@ -774,10 +787,15 @@ fn run_unit(
             let plan = cache
                 .checkout(point.builder, &point.cfg, &mut point.build)
                 .map_err(classify_build)?;
-            let report = plan
-                .run_with(&point.binding.unwrap_or_default(), Some(pool))
+            let binding = point.binding.unwrap_or_default();
+            let replay = reports
+                .replay_or_run(
+                    plan_content_key(point.builder, &point.cfg),
+                    &binding,
+                    &mut || plan.run_with(&binding, Some(pool)),
+                )
                 .map_err(classify_run)?;
-            Ok(UnitReport::Sim(report))
+            Ok(UnitReport::Sim(replay.report))
         }
         SweepUnit::Serve(job) => {
             let src = TaggedSource {
@@ -785,7 +803,7 @@ fn run_unit(
                 build_error: std::cell::Cell::new(false),
             };
             match job.run_memo(&src, reports) {
-                Ok(report) => Ok(UnitReport::Serve(report)),
+                Ok(report) => Ok(UnitReport::Serve(Box::new(report))),
                 Err(e) if src.build_error.get() => Err(classify_build(e)),
                 Err(e) => Err(classify_run(e)),
             }
@@ -799,6 +817,7 @@ mod tests {
     use std::cell::RefCell;
     use step_core::graph::GraphBuilder;
     use step_core::ops::LinearLoadCfg;
+    use step_sim::ReportCacheStats;
 
     thread_local! {
         /// Set by a test on the thread whose checkout should announce
@@ -866,6 +885,14 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 15);
         assert_eq!(svc.cache().len(), 1);
+        // One engine run; every other point replays or coalesces on it.
+        assert_eq!(
+            svc.reports().stats(),
+            ReportCacheStats {
+                hits: 15,
+                misses: 1
+            }
+        );
     }
 
     #[test]
@@ -885,23 +912,160 @@ mod tests {
         assert_eq!(after_warm.misses, 4);
         assert_eq!(after_warm.hits, after_cold.hits + 4);
         for (c, w) in cold.iter().zip(&warm) {
-            let (c, w) = (c.report.sim().unwrap(), w.report.sim().unwrap());
-            assert_eq!((c.cycles, c.offchip_traffic), (w.cycles, w.offchip_traffic));
+            assert!(Arc::ptr_eq(shared(c), shared(w)), "warm rerun re-ran");
+        }
+        assert_eq!(
+            svc.reports().stats(),
+            ReportCacheStats { hits: 4, misses: 4 }
+        );
+    }
+
+    /// A `tiles` point run under `binding`.
+    fn bound(label: &str, tiles: u64, binding: RunBinding) -> SweepUnit {
+        match point(label, tiles) {
+            SweepUnit::Sim(p) => SweepUnit::Sim(SimPoint {
+                binding: Some(binding),
+                ..p
+            }),
+            SweepUnit::Serve(_) => unreachable!(),
+        }
+    }
+
+    /// A binding that arms a cycle deadline of `limit` — a distinct
+    /// report-cache key per limit, and one that never fires when the
+    /// limit is generous.
+    fn cycle_limit(limit: u64) -> RunBinding {
+        let mut b = RunBinding::new();
+        b.deadline_cycles(limit);
+        b
+    }
+
+    /// The shared report behind a sim unit's result.
+    fn shared(r: &PointResult) -> &Arc<SimReport> {
+        match &r.report {
+            UnitReport::Sim(report) => report,
+            UnitReport::Serve(_) => panic!("{} is not a sim unit", r.label),
         }
     }
 
     #[test]
     fn single_worker_warm_points_are_alloc_free() {
         let svc = SweepService::new(1);
-        let mk = || vec![point("a", 3), point("a", 3), point("a", 3)];
-        let results = svc.run_all(mk()).unwrap();
-        let allocs: Vec<u64> = results
+        let results = svc
+            .run_all(vec![
+                bound("a", 3, cycle_limit(1 << 20)),
+                bound("b", 3, cycle_limit((1 << 20) + 1)),
+                bound("c", 3, cycle_limit((1 << 20) + 2)),
+                bound("a again", 3, cycle_limit(1 << 20)),
+            ])
+            .unwrap();
+        let allocs: Vec<u64> = results[..3]
             .iter()
             .map(|r| r.report.sim().unwrap().run_allocs)
             .collect();
-        // First point builds the worker's pool; later points reset it in
-        // place.
+        // First point builds the worker's pool; later points with other
+        // bindings reset it in place.
         assert_eq!(allocs, vec![1, 0, 0]);
+        // The repeat of the first point replays its report.
+        assert!(Arc::ptr_eq(shared(&results[0]), shared(&results[3])));
+        assert_eq!(
+            svc.reports().stats(),
+            ReportCacheStats { hits: 1, misses: 3 }
+        );
+    }
+
+    /// A repeated point replays the very report its first run stored,
+    /// without running the engine: the worker's pool still parks the
+    /// state of the plan it ran last, so the next run of that plan
+    /// resets it in place instead of rebuilding it.
+    #[test]
+    fn repeated_point_replays_its_report_and_leaves_the_pool_untouched() {
+        let svc = SweepService::new(1);
+        let results = svc
+            .run_all(vec![
+                point("a", 3),
+                point("b", 4),
+                point("a again", 3),
+                bound("b bound", 4, cycle_limit(1 << 20)),
+            ])
+            .unwrap();
+        assert!(Arc::ptr_eq(shared(&results[0]), shared(&results[2])));
+        let last = results[3].report.sim().unwrap();
+        assert_eq!(
+            (last.run_allocs, last.pool_resets),
+            (0, 1),
+            "the replay must not rebuild the pool for another plan"
+        );
+        assert_eq!(
+            svc.reports().stats(),
+            ReportCacheStats { hits: 1, misses: 3 }
+        );
+        // The plan is still checked out for the repeat.
+        assert_eq!(svc.cache().stats().hits, 2);
+    }
+
+    /// Bindings whose outcome depends on the host — a wall deadline or a
+    /// cancel token — run every time and are never replayed.
+    #[test]
+    fn host_dependent_bindings_always_run() {
+        let svc = SweepService::new(1);
+        let wall = || {
+            let mut b = RunBinding::new();
+            b.wall_deadline_ms(60_000);
+            b
+        };
+        let cancel = || {
+            let mut b = RunBinding::new();
+            b.cancel_token(step_sim::CancelToken::new());
+            b
+        };
+        let results = svc
+            .run_all(vec![
+                bound("wall", 3, wall()),
+                bound("wall again", 3, wall()),
+                bound("cancel", 3, cancel()),
+                bound("cancel again", 3, cancel()),
+            ])
+            .unwrap();
+        for pair in results.chunks(2) {
+            assert!(!Arc::ptr_eq(shared(&pair[0]), shared(&pair[1])));
+            // The repeat really ran: it reset the worker's parked state.
+            assert_eq!(pair[1].report.sim().unwrap().pool_resets, 1);
+        }
+        assert_eq!(
+            svc.reports().stats(),
+            ReportCacheStats { hits: 0, misses: 4 }
+        );
+        assert!(svc.reports().is_empty(), "impure runs are never stored");
+    }
+
+    /// A failed run is retaken by the next identical point, never
+    /// replayed: that point fails again, on its own run.
+    #[test]
+    fn failed_run_is_retaken_not_replayed() {
+        let svc = SweepService::new(1);
+        let results: Vec<_> = svc
+            .submit(vec![
+                bound("doomed", 3, cycle_limit(1)),
+                bound("doomed again", 3, cycle_limit(1)),
+            ])
+            .collect();
+        for r in &results {
+            assert!(
+                matches!(
+                    r,
+                    Err(UnitFailure {
+                        error: UnitError::DeadlineExceeded(StepError::Deadline { limit: 1, .. }),
+                        ..
+                    })
+                ),
+                "got: {r:?}"
+            );
+        }
+        assert_eq!(
+            svc.reports().stats(),
+            ReportCacheStats { hits: 0, misses: 2 }
+        );
     }
 
     #[test]

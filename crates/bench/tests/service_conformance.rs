@@ -1,9 +1,11 @@
 //! Differential conformance for the sweep service: every sweep that was
 //! rewired onto [`step_bench::SweepService`] is held **bit-identical**
-//! to the serial loop it replaced — at 1/2/4/8 workers, and across
-//! warm-cache reruns — and the [`step_bench::CacheStats`] counters are
-//! pinned exactly (their semantics are scheduler-independent, so the
-//! pins hold at any worker count; see the service module docs).
+//! to the serial loop it replaced — at 1/2/4/8 workers, across
+//! warm-cache reruns, and where repeated points replay cached reports —
+//! and the [`step_bench::CacheStats`] and [`step_sim::ReportCacheStats`]
+//! counters are pinned exactly (their semantics are
+//! scheduler-independent, so the pins hold at any worker count; see the
+//! service module docs).
 //!
 //! Wall-clock is never asserted. Pool-reuse counters (`run_allocs`,
 //! `pool_resets`) are deliberately *not* part of any comparison here:
@@ -14,17 +16,18 @@
 //! carry derived metrics, which the determinism contract makes pure
 //! functions of (graph, config, binding).
 
+use std::sync::Arc;
 use step_bench::experiments::{
     ServeRow, TilingRow, TimeshareRow, serve_axis, serve_cfg, serve_sweep_on, serve_trace,
-    tiling_sweep_on, timeshare_sweep_on,
+    tiling_sweep_on, timeshare_sweep_on, timeshare_units,
 };
-use step_bench::{CacheStats, SimPoint, SweepService, SweepUnit};
+use step_bench::{CacheStats, SimPoint, SweepService, SweepUnit, UnitReport};
 use step_models::ModelConfig;
 use step_models::e2e::E2eVariant;
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
 use step_models::phases::moe_sim_config;
 use step_models::serving::ServeJob;
-use step_sim::{Fingerprint, SimConfig, SimPlan, SimReport};
+use step_sim::{Fingerprint, ReportCacheStats, SimConfig, SimPlan, SimReport};
 use step_traces::{RoutingConfig, expert_routing};
 
 fn run(graph: step_core::Graph, cfg: SimConfig) -> SimReport {
@@ -95,16 +98,38 @@ fn timeshare_sweep_serial(tiling: Tiling, seed: u64) -> Vec<TimeshareRow> {
                 moe_graph(&cfg, &trace).expect("valid MoE"),
                 moe_sim_config(),
             );
-            TimeshareRow {
-                regions,
-                cycles: report.cycles,
-                compute_util: report.compute_utilization(),
-                allocated_compute: report.allocated_compute,
-                onchip: report.onchip_memory,
-                bw_util: report.offchip_bw_utilization(),
-            }
+            timeshare_row(regions, &report)
         })
         .collect()
+}
+
+fn timeshare_row(regions: u32, report: &SimReport) -> TimeshareRow {
+    TimeshareRow {
+        regions,
+        cycles: report.cycles,
+        compute_util: report.compute_utilization(),
+        allocated_compute: report.allocated_compute,
+        onchip: report.onchip_memory,
+        bw_util: report.offchip_bw_utilization(),
+    }
+}
+
+/// Bit-equality of two Fig 12/13 rows; utilizations are ratios of
+/// counters, so they compare bit-equal, not approximately.
+fn assert_same_row(want: &TimeshareRow, got: &TimeshareRow, what: &str) {
+    assert_eq!(
+        (
+            want.regions,
+            want.cycles,
+            want.allocated_compute,
+            want.onchip
+        ),
+        (got.regions, got.cycles, got.allocated_compute, got.onchip),
+        "{what} diverged at regions={}",
+        want.regions
+    );
+    assert_eq!(want.compute_util.to_bits(), got.compute_util.to_bits());
+    assert_eq!(want.bw_util.to_bits(), got.bw_util.to_bits());
 }
 
 /// The serial loop `serve_sweep` replaced: fresh plans per cell.
@@ -169,7 +194,8 @@ fn tiling_sweep_matches_serial_at_every_worker_count() {
 /// The Fig 12/13 region sweep must match its serial loop, and — because
 /// Fig 12's static(32) column and Fig 13 submit identical cells — a
 /// second submission on the same service must be served entirely from
-/// the warm cache: identical rows, zero further builds.
+/// the warm caches: identical rows, zero further builds, every report
+/// replayed.
 #[test]
 fn timeshare_sweep_matches_serial_and_warm_rerun_builds_nothing() {
     let serial = timeshare_sweep_serial(Tiling::Static { tile: 32 }, 7);
@@ -178,16 +204,7 @@ fn timeshare_sweep_matches_serial_and_warm_rerun_builds_nothing() {
         timeshare_sweep_on(&svc, Tiling::Static { tile: 32 }, 7).expect("timeshare sweep runs");
     assert_eq!(cold.len(), serial.len());
     for (s, r) in serial.iter().zip(&cold) {
-        assert_eq!(s.regions, r.regions, "service reordered the region axis");
-        assert_eq!(
-            (s.cycles, s.allocated_compute, s.onchip),
-            (r.cycles, r.allocated_compute, r.onchip),
-            "service diverged from the serial loop at regions={}",
-            s.regions
-        );
-        // Utilizations are ratios of counters — bit-equal, not approx.
-        assert_eq!(s.compute_util.to_bits(), r.compute_util.to_bits());
-        assert_eq!(s.bw_util.to_bits(), r.bw_util.to_bits());
+        assert_same_row(s, r, "service (vs the serial loop)");
     }
     assert_eq!(
         svc.cache().stats(),
@@ -201,14 +218,7 @@ fn timeshare_sweep_matches_serial_and_warm_rerun_builds_nothing() {
     let warm =
         timeshare_sweep_on(&svc, Tiling::Static { tile: 32 }, 7).expect("timeshare sweep runs");
     for (c, w) in cold.iter().zip(&warm) {
-        assert_eq!(
-            (c.regions, c.cycles, c.allocated_compute, c.onchip),
-            (w.regions, w.cycles, w.allocated_compute, w.onchip),
-            "warm-cache rerun diverged at regions={}",
-            c.regions
-        );
-        assert_eq!(c.compute_util.to_bits(), w.compute_util.to_bits());
-        assert_eq!(c.bw_util.to_bits(), w.bw_util.to_bits());
+        assert_same_row(c, w, "warm-cache rerun");
     }
     assert_eq!(
         svc.cache().stats(),
@@ -220,6 +230,61 @@ fn timeshare_sweep_matches_serial_and_warm_rerun_builds_nothing() {
         },
         "warm rerun must be all hits and build nothing"
     );
+    assert_eq!(
+        svc.reports().stats(),
+        ReportCacheStats { hits: 6, misses: 6 },
+        "the warm rerun replays every report"
+    );
+}
+
+/// One batch holding the timeshare static(32) column twice — Fig 12's
+/// cells plus their Fig 13 repeat — must equal the serial loop at every
+/// worker count, with each repeat replaying its twin's report. Under the
+/// single-flight counting rule the first request per key is the miss and
+/// every other one a hit, so both caches' counters are exact whether a
+/// repeat finds its twin's report stored or coalesces onto its run.
+#[test]
+fn repeated_timeshare_points_replay_cached_reports_at_every_worker_count() {
+    let tiling = Tiling::Static { tile: 32 };
+    let serial = timeshare_sweep_serial(tiling, 7);
+    for workers in [1usize, 2, 4, 8] {
+        let svc = SweepService::new(workers);
+        let mut units = timeshare_units(tiling, 7);
+        units.extend(timeshare_units(tiling, 7));
+        let results = svc.run_all(units).expect("timeshare batch runs");
+        let reports: Vec<&Arc<SimReport>> = results
+            .iter()
+            .map(|r| match &r.report {
+                UnitReport::Sim(report) => report,
+                UnitReport::Serve(_) => panic!("timeshare points are sim units"),
+            })
+            .collect();
+        let (fig12, fig13) = reports.split_at(serial.len());
+        for ((s, first), repeat) in serial.iter().zip(fig12).zip(fig13) {
+            let what = format!("workers={workers} (vs the serial loop)");
+            assert_same_row(s, &timeshare_row(s.regions, first), &what);
+            assert!(
+                Arc::ptr_eq(first, repeat),
+                "workers={workers}: the repeat at regions={} re-ran",
+                s.regions
+            );
+        }
+        assert_eq!(
+            svc.reports().stats(),
+            ReportCacheStats { hits: 6, misses: 6 },
+            "workers={workers} report-cache counters moved"
+        );
+        assert_eq!(
+            svc.cache().stats(),
+            CacheStats {
+                hits: 6,
+                misses: 6,
+                builds: 6,
+                failures: 0
+            },
+            "workers={workers} plan-cache counters moved"
+        );
+    }
 }
 
 /// The quick serving cell through the service must reproduce the serial

@@ -23,10 +23,39 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 /// let b = t.fresh("D");
 /// assert_ne!(a, b); // same label, distinct symbols
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone)]
 pub struct Symbol {
     id: u64,
     name: Arc<str>,
+}
+
+// Identity, hashing and order are the id's alone: ids are unique, so the
+// name never decides a comparison, and skipping it keeps hashing a
+// symbol to one integer.
+impl PartialEq for Symbol {
+    fn eq(&self, other: &Symbol) -> bool {
+        self.id == other.id
+    }
+}
+
+impl Eq for Symbol {}
+
+impl std::hash::Hash for Symbol {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.id.hash(state);
+    }
+}
+
+impl PartialOrd for Symbol {
+    fn partial_cmp(&self, other: &Symbol) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Symbol {
+    fn cmp(&self, other: &Symbol) -> std::cmp::Ordering {
+        self.id.cmp(&other.id)
+    }
 }
 
 impl Symbol {
