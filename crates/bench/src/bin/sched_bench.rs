@@ -21,10 +21,8 @@
 //!
 //! Run with: `cargo run --release -p step-bench --bin sched_bench`
 //! Optionally `THREADS="1 2 4 8"` to pick the thread axis, and `--json`
-//! to emit one JSON object per run (machine-readable counters) instead
-//! of the table; `--json` also writes the rows to `BENCH_sched.json`
-//! (path override: `BENCH_SCHED_OUT`), the perf-trajectory artifact CI
-//! uploads.
+//! to print one JSON object per run (machine-readable counters) to
+//! stdout instead of the table.
 //!
 //! `--reuse N` appends the plan-reuse section on the heaviest config.
 //! Its `SimPlan` is frozen once into a single-worker
@@ -80,7 +78,6 @@ fn run_once(cfg: &MoeCfg, trace: &RoutingTrace, sim_cfg: SimConfig) -> (SimRepor
 /// The plan-reuse section (`--reuse N`): freeze the heaviest config's
 /// plan once into a single-worker [`SweepService`]'s cache, rerun it `N`
 /// times on one pool, then submit `N` identical points to the service.
-/// Returns the JSON line for the artifact.
 ///
 /// The cache is pre-warmed with an explicit checkout of the pre-built
 /// graph (isolating partition/topology time as `plan_ms`; compiling the
@@ -91,7 +88,7 @@ fn run_once(cfg: &MoeCfg, trace: &RoutingTrace, sim_cfg: SimConfig) -> (SimRepor
 /// turns "warm points never rebuild" into a hard assertion rather than a
 /// counter we merely read — and all but the first replay from the
 /// report cache. Both caches' counters are pinned exactly.
-fn reuse_section(json: bool, runs: usize) -> String {
+fn reuse_section(json: bool, runs: usize) {
     let model = ModelConfig::qwen3_30b_a3b();
     let trace = expert_routing(&RoutingConfig {
         experts: model.experts,
@@ -247,7 +244,6 @@ fn reuse_section(json: bool, runs: usize) -> String {
             "reused runs bit-identical, alloc-free, and within counter budgets; repeated points replayed: ok"
         );
     }
-    line
 }
 
 /// Bit-identity of a reused or replayed run against the first run, on
@@ -325,9 +321,6 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|_| vec![1, 2, 4, 8]);
-    // `--json` also writes the rows to a JSON-lines artifact (the perf
-    // trajectory CI uploads; override the path with BENCH_SCHED_OUT).
-    let mut artifact: Vec<String> = Vec::new();
     if !json {
         println!(
             "{:>6} {:>10} {:>6} {:>8} {:>12} {:>12} {:>12} {:>11} {:>11} {:>10} {:>8}",
@@ -368,9 +361,10 @@ fn main() {
                 guard_counters("mono", &mono, B64_STATIC_FIRES.0, B64_STATIC_CHAN_RUNS.0);
             }
             if json {
-                let line = json_line(batch, &tiling_name, "mono", 1, &mono, mono_wall);
-                println!("{line}");
-                artifact.push(line);
+                println!(
+                    "{}",
+                    json_line(batch, &tiling_name, "mono", 1, &mono, mono_wall)
+                );
             } else {
                 println!(
                     "{batch:>6} {tiling:>10} {:>6} {:>8} {:>12} {:>12} {:>12} {:>11} {:>11} {mono_wall:>10.1} {:>8}",
@@ -428,9 +422,10 @@ fn main() {
                 }
                 let speedup = base.map(|(_, _, w)| w / wall).unwrap_or(1.0);
                 if json {
-                    let line = json_line(batch, &tiling_name, "sharded", threads, &r, wall);
-                    println!("{line}");
-                    artifact.push(line);
+                    println!(
+                        "{}",
+                        json_line(batch, &tiling_name, "sharded", threads, &r, wall)
+                    );
                 } else {
                     println!(
                         "{batch:>6} {tiling:>10} {:>6} {threads:>8} {:>12} {:>12} {:>12} {:>11} {:>11} {wall:>10.1} {speedup:>7.2}x",
@@ -446,15 +441,9 @@ fn main() {
         }
     }
     if let Some(runs) = reuse {
-        artifact.push(reuse_section(json, runs.max(1)));
+        reuse_section(json, runs.max(1));
     }
-    if json {
-        let path = std::env::var("BENCH_SCHED_OUT").unwrap_or_else(|_| "BENCH_sched.json".into());
-        let mut body = artifact.join("\n");
-        body.push('\n');
-        std::fs::write(&path, body).expect("write bench artifact");
-        eprintln!("wrote {path}");
-    } else {
+    if !json {
         println!("\nresults identical across all thread counts: ok");
         println!("sharded/mono fire ratio <= {FIRE_BUDGET} on every config: ok");
         println!("batch64/static8 fires and channel-op budgets: ok");

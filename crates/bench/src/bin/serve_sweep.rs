@@ -25,9 +25,8 @@
 //! and can never flake on a noisy runner. Wall-clock is never asserted.
 //!
 //! Run with: `cargo run --release -p step-bench --bin serve_sweep`
-//! (`--quick` for the CI cell, `--json` to append one JSON row per cell
-//! to `BENCH_sched.json` — path override: `BENCH_SCHED_OUT` — the perf
-//! artifact CI uploads).
+//! (`--quick` for the CI cell, `--json` to print one JSON row per cell
+//! to stdout instead of the table).
 
 use step_bench::experiments::{ServeRow, report_serve, serve_sweep};
 use step_bench::{CacheStats, SweepService};
@@ -192,24 +191,9 @@ fn main() {
     }
 
     if json {
-        let path = std::env::var("BENCH_SCHED_OUT").unwrap_or_else(|_| "BENCH_sched.json".into());
-        let mut body = String::new();
         for r in &rows {
-            let line = json_line(r);
-            println!("{line}");
-            body.push_str(&line);
-            body.push('\n');
+            println!("{}", json_line(r));
         }
-        // Appends: sched_bench owns the file's head, the serving rows
-        // ride along in the same artifact.
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(body.as_bytes()))
-            .expect("append bench artifact");
-        eprintln!("appended {} row(s) to {path}", rows.len());
     } else {
         report_serve(
             if quick {

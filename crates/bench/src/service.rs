@@ -10,22 +10,15 @@
 //!   [`SimConfig::fingerprint`])** — the config fingerprint excludes
 //!   `threads`, the one knob the engine's determinism contract excludes,
 //!   so sweep points that differ only in worker mapping share one frozen
-//!   plan. Concurrent misses on one key are **single-flight**: the first
-//!   requester builds, the rest wait on the same build and share the
-//!   result;
+//!   plan. Concurrent misses on one key share one build;
 //! - a [`step_sim::ReportCache`] every unit resolves through, next to
-//!   the plan cache and under the same single-flight discipline. A sim
-//!   point checks its plan out, then resolves its run under
-//!   `(plan_content_key(builder, cfg), binding)`: a repeated point —
-//!   Fig 13 re-plots Fig 12's static(32) column — replays the first
-//!   run's [`SimReport`] instead of running the engine. Serve jobs
+//!   the plan cache. A sim point checks its plan out, then resolves its
+//!   run under `(plan_content_key(builder, cfg), binding)`: a repeated
+//!   point — Fig 13 re-plots Fig 12's static(32) column — replays the
+//!   first run's [`SimReport`] instead of running the engine. Serve jobs
 //!   memoize their QKV and MoE phase reports in the same cache
-//!   ([`step_models::serving::ServeJob::run_memo`]). Its counters are
-//!   request-scoped and scheduler-independent, bindings with a wall
-//!   deadline or cancel token always run and are never stored, failed
-//!   runs park a sticky `Failed` slot that the next request retakes
-//!   (so a failure is never replayed), and panics resolve to typed
-//!   errors instead of stranding waiters;
+//!   ([`step_models::serving::ServeJob::run_memo`]). Bindings with a
+//!   wall deadline or cancel token always run and are never stored;
 //! - a `std::thread` worker pool (no external deps, per the workspace
 //!   convention). Each worker keeps one private [`RunPool`]: a run on
 //!   the plan the worker ran last resets the parked run state in place
@@ -47,16 +40,8 @@
 //! sweep to that, at 1/2/4/8 workers and across warm-cache reruns. Wall
 //! clock is never asserted (the 1-CPU CI box makes it meaningless);
 //! instead CI pins the [`CacheStats`] and [`step_sim::ReportCacheStats`]
-//! counters, whose semantics are deliberately scheduler-independent: the
-//! *first* request for a key is the miss (and, once built, the build),
-//! and every other request — including waiters coalesced behind an
-//! in-flight build — is a hit. A warm cache therefore always shows
-//! `builds == distinct keys` and zero further builds on rerun, whatever
-//! the worker count. Each request is
-//! counted once, when it resolves: a returned plan, or the error of the
-//! build it coalesced onto, is a hit; taking the build claim is a miss —
-//! also for a waiter that wakes to a *newer* failed slot and retakes the
-//! claim — so `misses == builds + failures` under any interleaving.
+//! counters. Both caches are [`SingleFlight`]s and count by its rule,
+//! so the pins hold at any worker count.
 //!
 //! # Failure semantics
 //!
@@ -68,11 +53,10 @@
 //!   [`UnitError::Panicked`] result and its worker keeps serving. Locks
 //!   recover from poisoning ([`step_core::sync`]) instead of
 //!   `.expect`-aborting.
-//! - **Single-flight failure recovery** — a failed or panicked build
-//!   moves its cache slot to a `Failed` state that wakes every
-//!   coalesced waiter with the error; the *next* checkout of the key
-//!   retakes the build. [`CacheStats::failures`] counts failed builds,
-//!   scheduler-independently.
+//! - **Single-flight failure recovery** — a failed or panicked build or
+//!   run reaches every request coalesced on it, and the next request
+//!   for the key runs again, never replays it ([`SingleFlight`]).
+//!   [`CacheStats::failures`] counts failed builds.
 //! - **Typed results** — the stream yields
 //!   `Result<PointResult, UnitFailure>`: every error carries its unit's
 //!   label and a [`UnitError`] taxonomy
@@ -83,15 +67,15 @@
 //!   units, rejects new submissions with [`UnitError::Shutdown`], and
 //!   joins the workers (as does `Drop`).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{AssertUnwindSafe, catch_unwind};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, mpsc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use step_core::sync::{lock, panic_message, wait};
+pub use step_core::sync::CacheStats;
+use step_core::sync::{SingleFlight, lock, panic_message, wait};
 use step_core::{Graph, Result, StepError};
 use step_models::serving::{PlanSource, ServeJob, ServeReport};
 use step_sim::{ReportCache, RunBinding, RunPool, SimConfig, SimPlan, SimReport, plan_content_key};
@@ -105,47 +89,9 @@ pub struct PlanKey {
     pub sim: u64,
 }
 
-/// Cumulative [`PlanCache`] counters. Scheduler-independent by
-/// construction (see the module docs), so CI pins them exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Requests served from a present or in-flight plan.
-    pub hits: u64,
-    /// Requests that found no entry (or a failed one) and took on the
-    /// build.
-    pub misses: u64,
-    /// Plans actually frozen. Equals `misses` unless a build failed.
-    pub builds: u64,
-    /// Builds that returned an error or panicked. `misses == builds +
-    /// failures` always; like the others, independent of worker
-    /// scheduling, so the chaos suite pins it exactly.
-    pub failures: u64,
-}
-
-/// A plan's cache slot: ready, claimed by an in-flight build, or failed.
-///
-/// Build claims are stamped with a cache-wide epoch so a waiter can
-/// tell *its* build's outcome from a later retake: it sleeps while the
-/// slot is `Building` with its epoch, then receives the error iff the
-/// slot is `Failed` with that same epoch — otherwise the world moved on
-/// and it re-dispatches.
-enum Slot {
-    /// A requester is building this plan; waiters sleep on the cache
-    /// condvar until it lands or fails.
-    Building {
-        epoch: u64,
-    },
-    Ready(Arc<SimPlan>),
-    /// The claimed build failed. Sticky until the next checkout retakes
-    /// the claim, so waiters that coalesced on the failed build all
-    /// observe the error instead of sleeping forever.
-    Failed {
-        error: StepError,
-        epoch: u64,
-    },
-}
-
-/// A shared, single-flight cache of frozen [`SimPlan`]s.
+/// A shared, single-flight cache of frozen [`SimPlan`]s: a
+/// [`SingleFlight`] keyed by [`PlanKey`], whose claim, failure and
+/// counting rules it follows.
 ///
 /// Plans are cached with `threads` normalized to 1: the knob is outside
 /// the determinism contract (results are identical at any thread count)
@@ -153,13 +99,7 @@ enum Slot {
 /// concurrently, not from sharding single runs.
 #[derive(Default)]
 pub struct PlanCache {
-    slots: Mutex<HashMap<PlanKey, Slot>>,
-    ready: Condvar,
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    builds: AtomicU64,
-    failures: AtomicU64,
+    plans: SingleFlight<PlanKey, Arc<SimPlan>>,
 }
 
 impl PlanCache {
@@ -169,17 +109,14 @@ impl PlanCache {
     }
 
     /// Checks out the plan for `(builder, cfg)`, building it via `build`
-    /// on a miss. Concurrent requests for one key coalesce onto a single
-    /// build — exactly one `Building` claim exists per key at any
-    /// moment, so builder invocations for a key are strictly serialized.
+    /// and freezing it on a miss. Concurrent requests for one key share
+    /// one build, under [`SingleFlight`]'s rules.
     ///
     /// # Errors
     ///
-    /// A failed or panicked build (surfaced as
-    /// [`StepError::Panicked`]) propagates to the requester that ran it
-    /// **and** to every waiter coalesced on that build; the next
-    /// checkout of the key retakes the claim and retries. No waiter
-    /// ever blocks past its build's resolution.
+    /// A failed or panicked build (surfaced as [`StepError::Panicked`]),
+    /// returned to the requester that ran it and to every requester
+    /// coalesced on it; the next checkout of the key builds again.
     pub fn checkout(
         &self,
         builder: u64,
@@ -190,103 +127,30 @@ impl PlanCache {
             builder,
             sim: cfg.fingerprint(),
         };
-        let mut slots = lock(&self.slots);
-        // Hit or miss is decided where the request resolves — one count
-        // per call, however many condvar wakeups happen first. A waiter
-        // that wakes to a *newer* failed slot goes on to take the claim
-        // itself, and that claim is its miss.
-        let my_epoch = loop {
-            match slots.get(&key) {
-                Some(Slot::Ready(plan)) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(plan.clone());
-                }
-                Some(&Slot::Building { epoch }) => {
-                    #[cfg(test)]
-                    tests::signal_wait();
-                    // Sleep until *this* build resolves (epoch match —
-                    // a later retake must not re-capture us)…
-                    while matches!(slots.get(&key), Some(Slot::Building { epoch: e }) if *e == epoch)
-                    {
-                        slots = wait(&self.ready, slots);
-                    }
-                    // …then propagate its failure to every coalesced
-                    // waiter (a hit on that build's outcome), or
-                    // re-dispatch on the new slot state.
-                    if let Some(Slot::Failed { error, epoch: e }) = slots.get(&key)
-                        && *e == epoch
-                    {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Err(error.clone());
-                    }
-                }
-                Some(Slot::Failed { .. }) | None => {
-                    // Fresh key, or a failure left by a resolved build:
-                    // take the claim (a retry counts as a new miss).
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                    slots.insert(key, Slot::Building { epoch });
-                    break epoch;
-                }
-            }
-        };
-        drop(slots);
-
-        // Builder invocation is panic-isolated: a dying build closure
-        // (or plan freeze) becomes a typed error that resolves the slot
-        // instead of leaving waiters asleep forever.
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            build().and_then(|graph| {
+        self.plans
+            .get_or_run(key, || {
                 let normalized = SimConfig {
                     threads: 1,
                     ..cfg.clone()
                 };
-                SimPlan::new(graph, normalized).map(Arc::new)
+                SimPlan::new(build()?, normalized).map(Arc::new)
             })
-        }))
-        .unwrap_or_else(|p| Err(StepError::Panicked(panic_message(p.as_ref()))));
-        let mut slots = lock(&self.slots);
-        let result = match built {
-            Ok(plan) => {
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                slots.insert(key, Slot::Ready(plan.clone()));
-                Ok(plan)
-            }
-            Err(e) => {
-                self.failures.fetch_add(1, Ordering::Relaxed);
-                slots.insert(
-                    key,
-                    Slot::Failed {
-                        error: e.clone(),
-                        epoch: my_epoch,
-                    },
-                );
-                Err(e)
-            }
-        };
-        drop(slots);
-        self.ready.notify_all();
-        result
+            .map(|(plan, _)| plan)
     }
 
     /// Cumulative counters since construction.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-        }
+        self.plans.stats()
     }
 
     /// Distinct plans currently cached (ready, building, or failed).
     pub fn len(&self) -> usize {
-        lock(&self.slots).len()
+        self.plans.len()
     }
 
     /// Whether the cache holds no plans.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.plans.is_empty()
     }
 }
 
@@ -814,26 +678,10 @@ fn run_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use step_core::graph::GraphBuilder;
     use step_core::ops::LinearLoadCfg;
     use step_sim::ReportCacheStats;
-
-    thread_local! {
-        /// Set by a test on the thread whose checkout should announce
-        /// that it is about to sleep on an in-flight build.
-        static WAIT_PROBE: RefCell<Option<mpsc::Sender<()>>> = const { RefCell::new(None) };
-    }
-
-    /// Test seam: signals, under the slots lock, that this thread's
-    /// checkout is about to sleep on an in-flight build.
-    pub(super) fn signal_wait() {
-        WAIT_PROBE.with(|probe| {
-            if let Some(tx) = &*probe.borrow() {
-                let _ = tx.send(());
-            }
-        });
-    }
 
     /// A tiny off-chip load/store graph whose traffic scales with
     /// `tiles` — distinct `tiles` values are distinct plans.
@@ -1290,52 +1138,5 @@ mod tests {
         assert_eq!(stats.builds, 1);
         assert_eq!(stats.misses, stats.builds + stats.failures);
         assert_eq!(cache.len(), 1);
-    }
-
-    /// A checkout that sleeps on one build and wakes to a *newer*
-    /// failure — the build it waited on failed, then a later checkout
-    /// retook the key and failed too — takes the claim itself, so it
-    /// counts a miss, not a hit, and `misses == builds + failures`
-    /// holds. The interleaving is forced with a channel: the waiter
-    /// signals under the slots lock just before it sleeps, and the test,
-    /// playing both earlier claimants, can take the lock to rewrite the
-    /// slot only once the waiter is asleep.
-    #[test]
-    fn waiter_woken_by_a_newer_failure_counts_its_own_claim_as_a_miss() {
-        let cache = PlanCache::new();
-        let cfg = SimConfig::default();
-        let key = PlanKey {
-            builder: 9,
-            sim: cfg.fingerprint(),
-        };
-        lock(&cache.slots).insert(key, Slot::Building { epoch: 1 });
-        cache.epoch.store(2, Ordering::Relaxed);
-        let (tx, asleep) = mpsc::channel();
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| {
-                WAIT_PROBE.with(|probe| *probe.borrow_mut() = Some(tx));
-                cache.checkout(9, &cfg, &mut || tiny_graph(2))
-            });
-            asleep.recv().expect("the waiter signals before it sleeps");
-            lock(&cache.slots).insert(
-                key,
-                Slot::Failed {
-                    error: StepError::Config("retake failed".into()),
-                    epoch: 2,
-                },
-            );
-            cache.ready.notify_all();
-            let plan = waiter.join().expect("waiter thread");
-            assert!(plan.is_ok(), "the waiter retakes the claim and builds");
-        });
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 0,
-                misses: 1,
-                builds: 1,
-                failures: 0
-            }
-        );
     }
 }

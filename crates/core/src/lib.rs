@@ -23,7 +23,8 @@
 //! - [`partition`] — slack-guided partitioning of program graphs into
 //!   connected shards for the parallel simulator,
 //! - [`sync`] — poisoning-recovering lock helpers shared by the
-//!   panic-isolating simulator and service layers.
+//!   panic-isolating simulator and service layers, and the
+//!   single-flight cache their plan and report caches wrap.
 //!
 //! Execution (functional semantics + cycle-approximate timing) lives in the
 //! `step-sim` crate; `step-hdl` provides the fine-grained reference

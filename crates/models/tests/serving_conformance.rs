@@ -22,9 +22,8 @@
 //!   ports equal the builder's, and serving over cached plans equals
 //!   serving over fresh ones.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
+use step_core::sync::SingleFlight;
 use step_core::{Graph, Result};
 use step_models::ModelConfig;
 use step_models::attention::{
@@ -272,10 +271,7 @@ fn overload_honors_slots_budget_and_drains() {
 /// A [`PlanSource`] that freezes each `(fingerprint, config)` once and
 /// hands the same plan back on every later request.
 #[derive(Default)]
-struct CachedPlans {
-    plans: RefCell<HashMap<(u64, u64), Arc<SimPlan>>>,
-    builds: Cell<u64>,
-}
+struct CachedPlans(SingleFlight<(u64, u64), Arc<SimPlan>>);
 
 impl PlanSource for CachedPlans {
     fn plan(
@@ -284,14 +280,11 @@ impl PlanSource for CachedPlans {
         cfg: &SimConfig,
         build: &mut dyn FnMut() -> Result<Graph>,
     ) -> Result<Arc<SimPlan>> {
-        let key = (fingerprint, cfg.fingerprint());
-        if let Some(plan) = self.plans.borrow().get(&key) {
-            return Ok(plan.clone());
-        }
-        self.builds.set(self.builds.get() + 1);
-        let plan = Arc::new(SimPlan::new(build()?, cfg.clone())?);
-        self.plans.borrow_mut().insert(key, plan.clone());
-        Ok(plan)
+        self.0
+            .get_or_run((fingerprint, cfg.fingerprint()), || {
+                SimPlan::new(build()?, cfg.clone()).map(Arc::new)
+            })
+            .map(|(plan, _)| plan)
     }
 }
 
@@ -364,7 +357,7 @@ fn ports_read_by_label_from_cached_plans_match_the_builders() {
     }
     // One build per distinct attention strategy and MoE schedule: the
     // second request of each was served from the cache.
-    assert_eq!(plans.builds.get(), 3 + 4);
+    assert_eq!(plans.0.stats().builds, 3 + 4);
     // A graph without the labels is a typed error, not a panic.
     let unlabelled = qkv_graph(&model, 4).unwrap();
     assert!(AttentionPorts::of(&unlabelled).is_err());
@@ -383,9 +376,14 @@ fn serving_over_cached_plans_matches_fresh_plans() {
         let serve_job = job(&model, v, &tr, &cfg);
         let fresh = serve_job.run().unwrap();
         let cold = serve_job.run_memo(&plans, &ReportCache::new()).unwrap();
-        let builds = plans.builds.get();
+        let builds = plans.0.stats().builds;
         let warm = serve_job.run_memo(&plans, &ReportCache::new()).unwrap();
-        assert_eq!(plans.builds.get(), builds, "{}: warm run rebuilt", v.name);
+        assert_eq!(
+            plans.0.stats().builds,
+            builds,
+            "{}: warm run rebuilt",
+            v.name
+        );
         assert_eq!(cold, fresh, "{}", v.name);
         assert_eq!(warm, fresh, "{}", v.name);
     }
