@@ -46,11 +46,13 @@
 //! (send credits + in-flight mailbox) and a reader half (the receiving
 //! FIFO), and the coordinator shuttles tokens, freed-slot credits, close
 //! and finish flags between the halves at each barrier in edge-id order.
-//! Off-chip accesses are issued as requests during a sub-round and
-//! committed against the HBM ledger at the barrier in `(time, node, seq)`
-//! order. When the whole system is quiescent the coordinator advances the
-//! horizon to the earliest pending channel event, exactly like the
-//! monolithic engine.
+//! Off-chip accesses are issued as requests during a sub-round, queued
+//! per node as runs in issue order, and committed against the HBM ledger
+//! at the barrier by a K-way merge over the nodes' queue heads, in
+//! `(time, node, seq)` order; each completion lands in its node's
+//! response queue as it is serviced. When the whole system is quiescent
+//! the coordinator advances the horizon to the earliest pending channel
+//! event, exactly like the monolithic engine.
 //!
 //! Three optimizations keep the barrier protocol off the hot path; none
 //! can be observed through the thread count:
@@ -103,7 +105,7 @@ use crate::cancel::CancelToken;
 use crate::channel::{Channel, event};
 use crate::config::SimConfig;
 use crate::fingerprint::Fingerprint;
-use crate::hbm::{Hbm, HbmRequest};
+use crate::hbm::{Hbm, Merge, ReqRun};
 use crate::nodes::{self, Chans, CompiledNode, Ctx, HbmPort, HbmSink, SimNode};
 use crate::run::TimeRun;
 use crate::stats::{NodeStats, SchedCounters};
@@ -434,9 +436,12 @@ struct Shard {
     undone: usize,
     rounds: u64,
     // Off-chip request plumbing (per local node).
-    hbm_reqs: Vec<HbmRequest>,
     hbm_seq: Vec<u64>,
+    hbm_reqs: Vec<VecDeque<ReqRun>>,
     hbm_resp: Vec<VecDeque<nodes::RespRun>>,
+    /// Local nodes whose request queue filled since the last barrier
+    /// commit, which empties every queue.
+    hbm_queued: Vec<u32>,
 }
 
 impl Shard {
@@ -585,21 +590,17 @@ impl Shard {
         hbm: &mut Option<&mut Hbm>,
         wakes: &mut Vec<u32>,
     ) -> Result<bool> {
+        let was_empty = self.hbm_reqs[i].is_empty();
         let sink = match hbm {
             Some(h) => HbmSink::Immediate(h),
-            None => HbmSink::Queued(&mut self.hbm_reqs),
+            None => HbmSink::Queued(&mut self.hbm_reqs[i]),
         };
         // Executors carry shard-local channel indices, rewritten when
         // the run lowered them, so channel access needs no edge
         // translation.
         let mut ctx = Ctx {
             chans: Chans::new(&mut self.channels),
-            hbm: HbmPort::new(
-                sink,
-                plan.node_ids[i],
-                &mut self.hbm_seq[i],
-                &mut self.hbm_resp[i],
-            ),
+            hbm: HbmPort::new(sink, &mut self.hbm_seq[i], &mut self.hbm_resp[i]),
             arena: &mut self.arena,
             store,
             cfg,
@@ -618,6 +619,9 @@ impl Shard {
         })?;
         if let Some(t0) = t0 {
             self.fire_ns[i] += t0.elapsed().as_nanos() as u64;
+        }
+        if was_empty && !self.hbm_reqs[i].is_empty() {
+            self.hbm_queued.push(i as u32);
         }
         if p {
             // Publish a conservative lower bound on this node's future
@@ -1192,9 +1196,6 @@ pub struct SimPlan {
     cfg: SimConfig,
     plans: Vec<ShardPlan>,
     cross: Vec<CrossEdge>,
-    /// Node (global id) → owning shard / local index.
-    shard_of: Vec<u32>,
-    local_of: Vec<u32>,
     /// Process-unique identity for [`RunPool`] matching.
     id: u64,
 }
@@ -1311,8 +1312,6 @@ impl SimPlan {
             cfg,
             plans: shard_plans,
             cross: frozen(cross),
-            shard_of: plan.shard_of,
-            local_of: local_node,
             id: PLAN_IDS.fetch_add(1, Ordering::Relaxed),
         })
     }
@@ -1495,9 +1494,10 @@ impl SimPlan {
                 calendar: BinaryHeap::new(),
                 undone,
                 rounds: 0,
-                hbm_reqs: Vec::new(),
                 hbm_seq: vec![0; m],
+                hbm_reqs: vec![VecDeque::new(); m],
                 hbm_resp: vec![VecDeque::new(); m],
+                hbm_queued: Vec::new(),
             }));
         }
         let store = SharedStore::new();
@@ -1539,11 +1539,14 @@ impl SimPlan {
             s.calendar.clear();
             s.undone = s.nodes.iter().filter(|nd| !nd.done()).count();
             s.rounds = 0;
-            s.hbm_reqs.clear();
             s.hbm_seq.fill(0);
+            for q in &mut s.hbm_reqs {
+                q.clear();
+            }
             for resp in &mut s.hbm_resp {
                 resp.clear();
             }
+            s.hbm_queued.clear();
         }
         state.hbm.reset();
         state.store.reset();
@@ -1875,11 +1878,11 @@ enum CoordStep {
     Solo(u32),
 }
 
-/// One coordination barrier: shuttles cross-shard state, commits the
-/// off-chip batch, raises each shard's effective horizon to its
-/// cut-slack allowance (barrier elision), and — if the system is fully
-/// quiescent — advances the global horizon. Fills `active` with the
-/// shards to run next.
+/// One coordination barrier: shuttles cross-shard state, commits every
+/// queued off-chip request by merging the nodes' request queues, raises
+/// each shard's effective horizon to its cut-slack allowance (barrier
+/// elision), and — if the system is fully quiescent — advances the
+/// global horizon. Fills `active` with the shards to run next.
 ///
 /// Runs with exclusive access between sub-rounds (every shard guard is
 /// taken once up front); every action is ordered by stable keys (edge
@@ -1969,28 +1972,30 @@ fn coordinate(
         }
     }
 
-    // Commit the off-chip batch in (time, node, seq) order and wake the
-    // requesters.
-    let mut batch = Vec::new();
-    for s in gs.iter_mut() {
-        batch.append(&mut s.hbm_reqs);
-    }
-    if !batch.is_empty() {
-        for (node, seq, done) in hbm.service_batch(batch) {
-            let shard = plan.shard_of[node as usize] as usize;
-            let local = plan.local_of[node as usize] as usize;
-            let s = &mut gs[shard];
-            // Per-node issue times are monotone, so sorted service
-            // delivers each node's responses in seq order.
-            debug_assert!(
-                s.hbm_resp[local]
-                    .back()
-                    .is_none_or(|r| r.seq0 + r.done.count <= seq)
-            );
-            nodes::push_response(&mut s.hbm_resp[local], seq, done);
-            s.wake(local as u32);
+    // Commit the queued off-chip requests in (time, node, seq) order,
+    // merging the nodes' queues, and wake each requester once per
+    // completion.
+    let mut merge = Merge::new();
+    for (s, (sp, g)) in plan.plans.iter().zip(gs.iter_mut()).enumerate() {
+        let g: &mut Shard = g;
+        for l in g.hbm_queued.drain(..) {
+            merge.add(sp.node_ids[l as usize], (s, l), &g.hbm_reqs[l as usize]);
         }
     }
+    merge.commit(
+        hbm,
+        &mut gs[..],
+        |gs, (s, l)| &mut gs[s].hbm_reqs[l as usize],
+        |gs, (s, l), seq, done| {
+            let g = &mut gs[s];
+            let resp = &mut g.hbm_resp[l as usize];
+            // A node's queue is in issue order, so the merge delivers its
+            // responses in seq order.
+            debug_assert!(resp.back().is_none_or(|r| r.seq0 + r.done.count <= seq));
+            nodes::push_response(resp, seq, done);
+            g.wake(l);
+        },
+    );
 
     let undone: usize = gs.iter().map(|s| s.undone).sum();
     if undone == 0 {

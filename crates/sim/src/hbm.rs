@@ -19,63 +19,179 @@
 //! in simulated time correctly uses leftover early capacity even when
 //! issued late. The README's "Substitutions" section gives the
 //! argument for this model in place of Ramulator.
+//!
+//! Ledger outcomes depend on commitment order. Monolithic plans, and a
+//! sharded sub-round with exactly one runnable shard (the off-chip fast
+//! path), commit each access as it is issued: the sole accessor's host
+//! order is itself a pure function of the plan. Other sharded sub-rounds
+//! queue each node's requests as [`ReqRun`]s, and the engine commits them
+//! at the next barrier by merging the nodes' queues in `(time, node, seq)`
+//! order — a total order that is a pure function of the simulation plan,
+//! never of worker interleaving.
 
 use crate::config::HbmConfig;
+use crate::run::TimeRun;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Bus-ledger window size in cycles.
 const WINDOW: u64 = 64;
 
-/// Skip-chain sentinel: window has no skip pointer.
-const NO_SKIP: u64 = u64::MAX;
+/// Tag bit of an exhausted window's ledger slot. A window never regains
+/// capacity, so its slot holds a skip pointer instead: `EXHAUSTED |
+/// next`, where `next` is the first window at or after it that may still
+/// hold capacity.
+const EXHAUSTED: u64 = 1 << 63;
 
-/// One queued off-chip access, issued by a node during a shard sub-round
-/// and committed by the engine at the next barrier.
-///
-/// Ledger outcomes depend on commitment order, so the sharded engine
-/// commits each barrier's batch in `(time, node, seq)` order — a total
-/// order that is a pure function of the simulation plan, never of worker
-/// interleaving. Single-shard plans keep the legacy immediate-commit
-/// path, which is the same thing with batches of one; a sharded
-/// sub-round with exactly one runnable shard also commits immediately
-/// (the off-chip fast path) — the sole accessor's host order is itself
-/// a pure function of the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HbmRequest {
-    /// Issue time (the requesting node's local clock).
-    pub time: u64,
-    /// Requesting node (global id; sort tiebreak and response routing).
-    pub node: u32,
-    /// Per-node issue sequence number (ties requests to responses).
-    pub seq: u64,
-    /// Byte address.
-    pub addr: u64,
-    /// Transfer size in bytes.
-    pub bytes: u64,
-    /// Write (`true`) or read.
-    pub write: bool,
+/// A run of one node's queued off-chip requests: requests `seq0..seq0 +
+/// time.count`, issued at the (arithmetic) times `time` to the addresses
+/// `addr, addr + addr_stride, …`, each moving `bytes` in one direction.
+/// Requests coalesce into runs as they queue, the way completions
+/// coalesce into [`RespRun`](crate::nodes::RespRun)s, so a pipelined
+/// burst of tile reads costs one queue entry instead of one per request.
+#[derive(Debug, Clone, Copy)]
+pub struct ReqRun {
+    /// First request sequence number covered.
+    seq0: u64,
+    /// Issue times (the requesting node's local clock), one per request.
+    time: TimeRun,
+    /// Address of the first request.
+    addr: u64,
+    /// Address increment between consecutive requests, wrapping (a
+    /// descending run has a stride past `2^63`).
+    addr_stride: u64,
+    /// Transfer size of every request in bytes.
+    bytes: u64,
+    /// Write (`true`) or read, for every request.
+    write: bool,
+}
+
+/// Appends request `seq` to a node's queue, extending the tail run when
+/// the sequence, size, direction, address stride and time stride all
+/// continue.
+pub(crate) fn push_request(
+    q: &mut VecDeque<ReqRun>,
+    seq: u64,
+    addr: u64,
+    bytes: u64,
+    time: u64,
+    write: bool,
+) {
+    // The barrier commit merges per-node queues, which yields `(time,
+    // node, seq)` order only if each queue is in time order.
+    debug_assert!(
+        q.back().is_none_or(|r| r.time.last() <= time),
+        "off-chip request {seq} issued at {time}, before the node's last queued request"
+    );
+    if let Some(b) = q.back_mut()
+        && b.seq0 + b.time.count == seq
+        && b.bytes == bytes
+        && b.write == write
+    {
+        let last = b
+            .addr
+            .wrapping_add((b.time.count - 1).wrapping_mul(b.addr_stride));
+        let step = addr.wrapping_sub(last);
+        if (b.time.count == 1 || step == b.addr_stride) && b.time.try_extend(TimeRun::single(time))
+        {
+            b.addr_stride = step;
+            return;
+        }
+    }
+    q.push_back(ReqRun {
+        seq0: seq,
+        time: TimeRun::single(time),
+        addr,
+        addr_stride: 0,
+        bytes,
+        write,
+    });
+}
+
+/// A barrier commit: a K-way merge over the heads of the nodes' request
+/// queues, keyed `(time, node)` with the node's global id. Each queue is
+/// already in `(time, seq)` order (a node's issue clock is monotone), so
+/// the merge commits exactly the `(time, node, seq)` order a sort of
+/// every request would, with no batch, index or result vector. `S` is
+/// the caller's handle to a queue.
+pub(crate) struct Merge<S> {
+    heads: BinaryHeap<Reverse<(u64, u32, S)>>,
+}
+
+impl<S: Copy + Ord> Merge<S> {
+    /// An empty merge.
+    pub(crate) fn new() -> Merge<S> {
+        Merge {
+            heads: BinaryHeap::new(),
+        }
+    }
+
+    /// Adds node `node`'s queue `q`, which `slot` addresses; an empty
+    /// queue is skipped. Add each queue at most once.
+    pub(crate) fn add(&mut self, node: u32, slot: S, q: &VecDeque<ReqRun>) {
+        if let Some(head) = q.front() {
+            self.heads.push(Reverse((head.time.start, node, slot)));
+        }
+    }
+
+    /// Services every request of the added queues against `hbm` in
+    /// `(time, node, seq)` order, leaving the queues empty. `queue`
+    /// resolves a slot to its queue in `cx`; each completion goes to
+    /// `complete(cx, slot, seq, done)` as soon as it is serviced.
+    pub(crate) fn commit<C: ?Sized>(
+        mut self,
+        hbm: &mut Hbm,
+        cx: &mut C,
+        queue: impl Fn(&mut C, S) -> &mut VecDeque<ReqRun>,
+        mut complete: impl FnMut(&mut C, S, u64, u64),
+    ) {
+        while let Some(mut top) = self.heads.peek_mut() {
+            let Reverse((time, _, slot)) = *top;
+            let q = queue(cx, slot);
+            let run = q.front_mut().expect("a merge head is a queued request");
+            let seq = run.seq0;
+            let done = hbm.access(run.addr, run.bytes, time, run.write);
+            let next = if run.time.count > 1 {
+                run.seq0 += 1;
+                run.time = run.time.advance(1);
+                run.addr = run.addr.wrapping_add(run.addr_stride);
+                Some(run.time.start)
+            } else {
+                q.pop_front();
+                q.front().map(|r| r.time.start)
+            };
+            match next {
+                Some(t) => top.0.0 = t,
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+            complete(cx, slot, seq, done);
+        }
+    }
 }
 
 /// The shared off-chip memory timing model.
 #[derive(Debug)]
 pub struct Hbm {
     cfg: HbmConfig,
-    /// Remaining transfer capacity (bytes) per time window, directly
-    /// indexed by `window - win_base` (windows outside the vector are
-    /// untouched and hold full capacity). Traffic is dense around the
-    /// touched span, so a flat vector beats hashing on the hottest path
-    /// of the whole simulator (one lookup per access); the base offset
-    /// keeps a run whose first access lands at a late simulated time
-    /// from materializing every window since zero.
+    /// One slot per time window, directly indexed by `window - win_base`
+    /// (windows outside the vector are untouched and hold full
+    /// capacity): the remaining transfer capacity in bytes, or, once the
+    /// window is exhausted, a skip pointer `EXHAUSTED | next` to the first
+    /// window at or after it that may still hold capacity. Skip pointers
+    /// hold *absolute* window numbers and are path-compressed, so a
+    /// saturated stretch is crossed in amortized O(1) instead of rescanned
+    /// by every access. Traffic is dense around the touched span, so a
+    /// flat vector beats hashing on the hottest path of the whole
+    /// simulator (one lookup per access); the base offset keeps a run
+    /// whose first access lands at a late simulated time from
+    /// materializing every window since zero.
     windows: Vec<u64>,
-    /// Skip pointers past exhausted windows (`w -> first window >= w that
-    /// may still have capacity`, [`NO_SKIP`] = none), path-compressed and
-    /// holding *absolute* window numbers, indexed like `windows`. A
-    /// window never regains capacity, so a saturated stretch is crossed
-    /// in amortized O(1) instead of rescanned by every access.
-    skip: Vec<u64>,
-    /// Absolute window number of `windows[0]`/`skip[0]`; set on first
-    /// touch, lowered (with a front fill) if an earlier-stamped request
-    /// arrives later.
+    /// Absolute window number of `windows[0]`; set on first touch,
+    /// lowered (with a front fill) if an earlier-stamped request arrives
+    /// later.
     win_base: u64,
     open_rows: Vec<Option<u64>>,
     /// `log2(row_bytes)` when it is a power of two: replaces the row
@@ -106,7 +222,6 @@ impl Hbm {
         Hbm {
             cfg,
             windows: Vec::new(),
-            skip: Vec::new(),
             win_base: u64::MAX,
             open_rows: vec![None; banks as usize],
             row_shift,
@@ -123,11 +238,10 @@ impl Hbm {
     }
 
     /// Resets the ledger to its just-built state in place, keeping the
-    /// window and skip vectors' capacity (the run-state pool's
-    /// alloc-free rerun contract).
+    /// window vector's capacity (the run-state pool's alloc-free rerun
+    /// contract).
     pub fn reset(&mut self) {
         self.windows.clear();
-        self.skip.clear();
         self.win_base = u64::MAX;
         self.open_rows.fill(None);
         self.total_bytes = 0;
@@ -139,11 +253,15 @@ impl Hbm {
         self.row_hits = 0;
     }
 
+    /// A window's transfer capacity in bytes, kept below the
+    /// [`EXHAUSTED`] tag.
     fn window_capacity(&self) -> u64 {
-        WINDOW * self.cfg.bytes_per_cycle.max(1)
+        WINDOW
+            .saturating_mul(self.cfg.bytes_per_cycle.max(1))
+            .min(EXHAUSTED - 1)
     }
 
-    /// Index of window `w`, growing (or front-filling) the vectors so it
+    /// Index of window `w`, growing (or front-filling) the vector so it
     /// is valid. Untouched windows materialize at full capacity.
     fn index_of(&mut self, w: u64) -> usize {
         let cap = self.window_capacity();
@@ -156,36 +274,22 @@ impl Hbm {
             // set by the first access and clocks mostly advance.
             let grow = (self.win_base - w) as usize;
             self.windows.splice(0..0, std::iter::repeat_n(cap, grow));
-            self.skip.splice(0..0, std::iter::repeat_n(NO_SKIP, grow));
             self.win_base = w;
         }
         let idx = (w - self.win_base) as usize;
         if idx >= self.windows.len() {
             self.windows.resize(idx + 1, cap);
-            self.skip.resize(idx + 1, NO_SKIP);
         }
         idx
     }
 
-    /// Remaining capacity slot for `w`.
-    fn window_mut(&mut self, w: u64) -> &mut u64 {
-        let idx = self.index_of(w);
-        &mut self.windows[idx]
-    }
-
-    /// Records that `w` is exhausted: searches resume at `w + 1`.
-    fn mark_skip(&mut self, w: u64) {
-        let idx = self.index_of(w);
-        self.skip[idx] = w + 1;
-    }
-
-    /// The skip target of `w`, if one is recorded (no materialization).
+    /// The skip target of `w`, if it is exhausted (no materialization).
     fn skip_of(&self, w: u64) -> Option<u64> {
         if self.win_base == u64::MAX || w < self.win_base {
             return None;
         }
-        match self.skip.get((w - self.win_base) as usize) {
-            Some(&nxt) if nxt != NO_SKIP => Some(nxt),
+        match self.windows.get((w - self.win_base) as usize) {
+            Some(&slot) if slot & EXHAUSTED != 0 => Some(slot & !EXHAUSTED),
             _ => None,
         }
     }
@@ -200,10 +304,9 @@ impl Hbm {
         // Path compression: point the whole chain at the open window.
         let mut c = start;
         while c != w {
-            let idx = (c - self.win_base) as usize;
-            let nxt = self.skip[idx];
-            self.skip[idx] = w;
-            c = nxt;
+            let slot = &mut self.windows[(c - self.win_base) as usize];
+            c = *slot & !EXHAUSTED;
+            *slot = EXHAUSTED | w;
         }
         w
     }
@@ -241,28 +344,25 @@ impl Hbm {
         let mut remaining = bytes;
         let mut done = start;
         loop {
-            let avail = self.window_mut(w);
-            if *avail == 0 {
-                self.mark_skip(w);
-                w = self.first_open(w + 1);
-                continue;
-            }
+            let idx = self.index_of(w);
+            let avail = &mut self.windows[idx];
+            // An open window holds capacity: an exhausted one is tagged
+            // the moment it runs dry.
+            debug_assert!(*avail != 0 && *avail & EXHAUSTED == 0);
             let take = remaining.min(*avail);
             *avail -= take;
             remaining -= take;
             // Completion within this window: proportional to the capacity
             // already handed out.
             let used = cap - *avail;
-            let exhausted = *avail == 0;
             let within = w * WINDOW + div_ceil_bpc(used);
             done = done.max(within.min((w + 1) * WINDOW));
+            if *avail == 0 {
+                *avail = EXHAUSTED | (w + 1);
+            }
             if remaining == 0 {
-                if exhausted {
-                    self.mark_skip(w);
-                }
                 break;
             }
-            self.mark_skip(w);
             w = self.first_open(w + 1);
         }
         done = done.max(start + div_ceil_bpc(bytes));
@@ -277,20 +377,6 @@ impl Hbm {
         self.accesses += 1;
         self.last_completion = self.last_completion.max(done);
         done
-    }
-
-    /// Commits a barrier batch of queued requests in deterministic
-    /// `(time, node, seq)` order, returning `(node, seq, completion)` per
-    /// request in that order.
-    pub fn service_batch(&mut self, batch: Vec<HbmRequest>) -> Vec<(u32, u64, u64)> {
-        sort_order(&batch)
-            .into_iter()
-            .map(|i| {
-                let r = batch[i as usize];
-                let done = self.access(r.addr, r.bytes, r.time, r.write);
-                (r.node, r.seq, done)
-            })
-            .collect()
     }
 
     /// Total bytes transferred.
@@ -339,155 +425,9 @@ impl Hbm {
     }
 }
 
-/// Sorts a barrier batch into `(time, node, seq)` order. Keys are unique
-/// per request (`(node, seq)` alone is), so any correct sort yields the
-/// one total order.
-///
-/// Issue times inside a barrier window are *dense* — the window bounds
-/// the time span while the batch grows with traffic, so large batches
-/// average a handful of requests per distinct cycle. When the span is
-/// comparable to the batch size this runs as a counting sort over time
-/// buckets (two linear passes) followed by tiny per-bucket `(node, seq)`
-/// sorts, instead of paying a full comparison sort on the largest
-/// transient allocation in the engine; sparse or small batches fall back
-/// to the comparison sort.
-fn sort_order(batch: &[HbmRequest]) -> Vec<u32> {
-    let n = batch.len();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let fallback = |order: &mut [u32]| {
-        order.sort_unstable_by_key(|&i| {
-            let r = &batch[i as usize];
-            (r.time, r.node, r.seq)
-        });
-    };
-    if n < 2048 {
-        fallback(&mut order);
-        return order;
-    }
-    let (mut lo, mut hi, mut max_node) = (u64::MAX, 0u64, 0u32);
-    for r in batch {
-        lo = lo.min(r.time);
-        hi = hi.max(r.time);
-        max_node = max_node.max(r.node);
-    }
-    let span = (hi - lo) as usize + 1;
-    let nodes = max_node as usize + 1;
-    if span > 4 * n || nodes > n {
-        fallback(&mut order);
-        return order;
-    }
-    // Producers append each node's requests in increasing `seq` order
-    // (`hbm_seq` is a per-node counter and every node lives on exactly one
-    // shard), so a stable counting sort by node alone yields (node, seq)
-    // order. Verify the invariant with a linear pass rather than trusting
-    // it: a violation downgrades to the comparison sort, never misorders.
-    let mut last = vec![u64::MAX; nodes];
-    for r in batch {
-        let l = &mut last[r.node as usize];
-        if *l != u64::MAX && r.seq <= *l {
-            fallback(&mut order);
-            return order;
-        }
-        *l = r.seq;
-    }
-    // Pass 1 — stable counting sort by node: `counts[k+1]` accumulates
-    // bucket sizes, the prefix sum turns them into scatter cursors.
-    let mut counts = vec![0u32; nodes + 1];
-    for r in batch {
-        counts[r.node as usize + 1] += 1;
-    }
-    for i in 1..=nodes {
-        counts[i] += counts[i - 1];
-    }
-    let mut by_node = vec![0u32; n];
-    for (i, r) in batch.iter().enumerate() {
-        let c = &mut counts[r.node as usize];
-        by_node[*c as usize] = i as u32;
-        *c += 1;
-    }
-    // Pass 2 — stable counting sort by time over the (node, seq)-ordered
-    // indices: equal-time ties keep their (node, seq) order, producing the
-    // full (time, node, seq) key without any comparison sort.
-    let mut counts = vec![0u32; span + 1];
-    for r in batch {
-        counts[(r.time - lo) as usize + 1] += 1;
-    }
-    for i in 1..=span {
-        counts[i] += counts[i - 1];
-    }
-    for &i in &by_node {
-        let c = &mut counts[(batch[i as usize].time - lo) as usize];
-        order[*c as usize] = i;
-        *c += 1;
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn radix_order_matches_comparison_sort() {
-        let mut s = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s >> 33
-        };
-        let sorted_by = |batch: &[HbmRequest]| {
-            let mut want: Vec<u32> = (0..batch.len() as u32).collect();
-            want.sort_unstable_by_key(|&i| {
-                let r = &batch[i as usize];
-                (r.time, r.node, r.seq)
-            });
-            want
-        };
-
-        // Dense times with globally increasing seq (hence per-node
-        // increasing): takes the two-pass radix path, with plenty of
-        // duplicate times to exercise the stability tie-break.
-        let dense: Vec<HbmRequest> = (0..4096)
-            .map(|i| HbmRequest {
-                time: 1000 + next() % 2048,
-                node: (next() % 37) as u32,
-                seq: i,
-                addr: next(),
-                bytes: 64,
-                write: i % 3 == 0,
-            })
-            .collect();
-        assert_eq!(sort_order(&dense), sorted_by(&dense));
-
-        // Sparse times overflow the span bound: comparison-sort fallback.
-        let sparse: Vec<HbmRequest> = (0..4096)
-            .map(|i| HbmRequest {
-                time: next() << 20,
-                node: (next() % 7) as u32,
-                seq: i,
-                addr: next(),
-                bytes: 64,
-                write: false,
-            })
-            .collect();
-        assert_eq!(sort_order(&sparse), sorted_by(&sparse));
-
-        // Scrambled (but unique) seq breaks the per-node monotonicity the
-        // radix path depends on: the verify pass must catch it and fall
-        // back rather than misorder.
-        let scrambled: Vec<HbmRequest> = (0..4096u64)
-            .map(|i| HbmRequest {
-                time: 500 + next() % 1024,
-                node: (next() % 5) as u32,
-                seq: (i * 2654435761) % 4096,
-                addr: next(),
-                bytes: 64,
-                write: false,
-            })
-            .collect();
-        assert_eq!(sort_order(&scrambled), sorted_by(&scrambled));
-    }
 
     fn hbm() -> Hbm {
         Hbm::new(HbmConfig {
@@ -578,51 +518,107 @@ mod tests {
         assert!(last <= 2 * (total_bytes / 64) + 200, "last={last}");
     }
 
+    /// A seeded LCG: the merge test's only randomness.
+    fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut s = seed;
+        move |below| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) % below
+        }
+    }
+
+    fn shuffle<T>(v: &mut [T], next: &mut impl FnMut(u64) -> u64) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, next(i as u64 + 1) as usize);
+        }
+    }
+
     #[test]
-    fn batch_service_is_order_independent() {
-        // The same request multiset in two different arrival orders must
-        // produce identical completion times per (node, seq).
-        let reqs = |shuffle: bool| {
-            let mut v = vec![
-                HbmRequest {
-                    time: 0,
-                    node: 2,
-                    seq: 0,
-                    addr: 0,
-                    bytes: 4096,
-                    write: false,
-                },
-                HbmRequest {
-                    time: 0,
-                    node: 1,
-                    seq: 0,
-                    addr: 8192,
-                    bytes: 4096,
-                    write: false,
-                },
-                HbmRequest {
-                    time: 5,
-                    node: 1,
-                    seq: 1,
-                    addr: 16384,
-                    bytes: 2048,
-                    write: true,
-                },
-            ];
-            if shuffle {
-                v.reverse();
+    fn merge_commits_exactly_the_sorted_request_order() {
+        let mut next = lcg(0x9e3779b97f4a7c15);
+        let (mut requests, mut queues, mut runs, mut ties) = (0, 0, 0, 0);
+        for _ in 0..64 {
+            // Global node ids spread over shards in shuffled order, so
+            // neither shard nor local index follows the id.
+            let shard_count = 1 + next(5) as usize;
+            let mut ids: Vec<u32> = (0..2 + next(24) as u32).collect();
+            shuffle(&mut ids, &mut next);
+            let mut shards: Vec<Vec<(u32, VecDeque<ReqRun>)>> = vec![Vec::new(); shard_count];
+            for id in ids {
+                shards[next(shard_count as u64) as usize].push((id, VecDeque::new()));
             }
-            v
-        };
-        let mut h1 = hbm();
-        let mut out1 = h1.service_batch(reqs(false));
-        let mut h2 = hbm();
-        let mut out2 = h2.service_batch(reqs(true));
-        out1.sort();
-        out2.sort();
-        assert_eq!(out1, out2);
-        assert_eq!(h1.total_bytes(), h2.total_bytes());
-        assert_eq!(h1.last_completion(), h2.last_completion());
+            // Per-node queues with monotone issue times that start close
+            // together (heads share times across nodes), broken now and
+            // then on bytes, direction, address stride or time stride.
+            let mut flat = Vec::new();
+            for (node, q) in shards.iter_mut().flatten() {
+                let (mut time, mut addr) = (next(8), next(4096) * 64);
+                let (mut bytes, mut write, mut stride, mut tstride) = (64, false, 64u64, 1);
+                for seq in 0..next(48) {
+                    match next(20) {
+                        0 => bytes = 32 << next(3),
+                        1 => write = !write,
+                        2 => stride = next(5).wrapping_sub(2).wrapping_mul(64),
+                        3 => tstride = next(3),
+                        _ => {}
+                    }
+                    push_request(q, seq, addr, bytes, time, write);
+                    flat.push((time, *node, seq, addr, bytes, write));
+                    addr = addr.wrapping_add(stride);
+                    time += tstride;
+                }
+                queues += usize::from(!q.is_empty());
+                runs += q.len();
+            }
+            requests += flat.len();
+
+            // The reference: expand, sort by (time, node, seq), service
+            // one by one.
+            flat.sort_unstable_by_key(|&(time, node, seq, ..)| (time, node, seq));
+            ties += flat
+                .windows(2)
+                .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+                .count();
+            let mut want_hbm = hbm();
+            let want: Vec<(u32, u64, u64)> = flat
+                .iter()
+                .map(|&(time, node, seq, addr, bytes, write)| {
+                    (node, seq, want_hbm.access(addr, bytes, time, write))
+                })
+                .collect();
+
+            let mut slots: Vec<(usize, usize)> = (0..shard_count)
+                .flat_map(|s| (0..shards[s].len()).map(move |l| (s, l)))
+                .collect();
+            shuffle(&mut slots, &mut next);
+            let mut merge = Merge::new();
+            for &(s, l) in &slots {
+                let (node, q) = &shards[s][l];
+                merge.add(*node, (s, l), q);
+            }
+            let mut got_hbm = hbm();
+            let mut got = Vec::new();
+            merge.commit(
+                &mut got_hbm,
+                &mut shards,
+                |sh, (s, l)| &mut sh[s][l].1,
+                |sh, (s, l), seq, done| got.push((sh[s][l].0, seq, done)),
+            );
+            assert_eq!(got, want);
+            assert!(shards.iter().flatten().all(|(_, q)| q.is_empty()));
+        }
+        // The cases must exercise what they claim: runs that coalesce and
+        // break, and equal-time heads from different nodes.
+        assert!(
+            runs * 3 < requests && runs > 2 * queues,
+            "{requests} requests in {runs} runs over {queues} queues"
+        );
+        assert!(
+            ties > 1000,
+            "{ties} equal-time neighbours from different nodes"
+        );
     }
 
     #[test]

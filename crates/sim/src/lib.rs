@@ -31,9 +31,9 @@
 //!   coordination barriers;
 //! - [`hbm::Hbm`] — a bank/row/bus DRAM timing model standing in for
 //!   Ramulator 2.0 (README "Substitutions" gives the argument). Sharded
-//!   runs issue [`hbm::HbmRequest`]s that the engine commits at each
-//!   barrier in `(time, node, seq)` order — a total order independent of
-//!   worker scheduling;
+//!   runs queue each node's requests as [`hbm::ReqRun`]s, which the
+//!   engine merges at each barrier and commits in `(time, node, seq)`
+//!   order — a total order independent of worker scheduling;
 //! - [`arena::Arena`] — the (shard-local) on-chip scratchpad backing
 //!   `Bufferize` / `Streamify`; sharded runs log timestamped alloc/free
 //!   events and the report merges them in simulated-time order, so the
@@ -90,8 +90,8 @@
 //!
 //!   At run time, each shard runs a wake-list wave scheduler over its
 //!   nodes, and shards synchronize at deterministic barriers that
-//!   exchange cross-shard tokens, commit the off-chip batch, and
-//!   advance the conservative execution horizon.
+//!   exchange cross-shard tokens, commit the queued off-chip requests,
+//!   and advance the conservative execution horizon.
 //!   `SimConfig::threads` maps shards onto worker threads.
 //!
 //!   The barrier protocol stays off the hot path. **Barrier elision**:

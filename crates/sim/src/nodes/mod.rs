@@ -23,7 +23,7 @@ pub use compiled::{CompiledNode, compiled_kind};
 use crate::arena::{Arena, SharedStore};
 use crate::channel::Channel;
 use crate::config::SimConfig;
-use crate::hbm::{Hbm, HbmRequest};
+use crate::hbm::{self, Hbm, ReqRun};
 use crate::run::TimeRun;
 use crate::stats::NodeStats;
 use std::collections::VecDeque;
@@ -80,14 +80,15 @@ impl<'a> Chans<'a> {
 }
 
 /// Where a node's off-chip requests commit: directly against the HBM
-/// ledger (monolithic runs — the legacy immediate path, batches of one)
-/// or into a queue the engine commits at the next barrier in
-/// deterministic `(time, node, seq)` order (sharded runs).
+/// ledger (monolithic runs and the solo-shard fast path) or into the
+/// node's request queue, which the engine merges with every other node's
+/// and commits at the next barrier in deterministic `(time, node, seq)`
+/// order (sharded runs).
 pub enum HbmSink<'a> {
     /// Service immediately; responses are available in the same fire.
     Immediate(&'a mut Hbm),
     /// Queue for the engine's next barrier commit.
-    Queued(&'a mut Vec<HbmRequest>),
+    Queued(&'a mut VecDeque<ReqRun>),
 }
 
 /// A run of serviced off-chip completions: requests `seq0..seq0 +
@@ -121,9 +122,6 @@ pub(crate) fn push_response(q: &mut VecDeque<RespRun>, seq: u64, done: u64) {
 /// up completions in issue order.
 pub struct HbmPort<'a> {
     sink: HbmSink<'a>,
-    /// The requesting node's global id (response routing, commit-order
-    /// tiebreak).
-    node: u32,
     /// Next request sequence number for this node.
     next_seq: &'a mut u64,
     /// Completion runs awaiting pickup, in issue order.
@@ -131,16 +129,14 @@ pub struct HbmPort<'a> {
 }
 
 impl<'a> HbmPort<'a> {
-    /// Creates the port handed to node `node` for one fire.
+    /// Creates the port handed to a node for one fire.
     pub fn new(
         sink: HbmSink<'a>,
-        node: u32,
         next_seq: &'a mut u64,
         responses: &'a mut VecDeque<RespRun>,
     ) -> HbmPort<'a> {
         HbmPort {
             sink,
-            node,
             next_seq,
             responses,
         }
@@ -150,6 +146,8 @@ impl<'a> HbmPort<'a> {
     /// returning its sequence number. The completion arrives via
     /// [`HbmPort::take_response`] — in the same fire under an immediate
     /// sink, after the engine's next commit barrier under a queued one.
+    /// A node's clock is monotone, so under a queued sink `time` never
+    /// precedes the node's last queued request (debug-asserted).
     pub fn request(&mut self, addr: u64, bytes: u64, time: u64, write: bool) -> u64 {
         let seq = *self.next_seq;
         *self.next_seq += 1;
@@ -158,14 +156,7 @@ impl<'a> HbmPort<'a> {
                 let done = hbm.access(addr, bytes, time, write);
                 push_response(self.responses, seq, done);
             }
-            HbmSink::Queued(q) => q.push(HbmRequest {
-                time,
-                node: self.node,
-                seq,
-                addr,
-                bytes,
-                write,
-            }),
+            HbmSink::Queued(q) => hbm::push_request(q, seq, addr, bytes, time, write),
         }
         seq
     }
@@ -733,7 +724,6 @@ mod tests {
                 chans: Chans::new(&mut self.channels),
                 hbm: HbmPort::new(
                     HbmSink::Immediate(&mut self.hbm),
-                    0,
                     &mut self.seq,
                     &mut self.responses,
                 ),

@@ -1,5 +1,5 @@
-//! Plan memory: a frozen [`SimPlan`] must cost about what its graph
-//! costs.
+//! Plan and run-state memory: a frozen [`SimPlan`] must cost about what
+//! its graph costs, and a pooled run must hold and park bounded state.
 //!
 //! A sweep service keeps every plan it freezes, so the tables a plan
 //! builds beside its graph must stay linear in the graph's size — never
@@ -8,19 +8,24 @@
 //! graph build retains and then the bytes [`SimPlan::new`] retains
 //! beyond that graph, and the test bounds their ratio. The graphs
 //! themselves have byte budgets too: a finished graph shares equal edge
-//! shapes and element kinds and keeps no spare vector capacity. Heap
-//! bytes are exact and host-independent, unlike RSS, so CI can gate on
-//! them.
+//! shapes and element kinds and keeps no spare vector capacity.
+//!
+//! Each sweep worker also keeps one [`RunPool`], whose parked run state
+//! (channel queues, off-chip request and response queues, the HBM
+//! ledger) stays alive between points, and a run's peak sets the
+//! worker's high-water mark. Both have byte budgets. Heap bytes are
+//! exact and host-independent, unlike RSS, so CI can gate on them.
 //!
 //! Counts are kept per thread: the test harness runs tests on parallel
-//! threads, and each test counts only what its own thread allocates.
+//! threads, and each test counts only what its own thread allocates
+//! (runs use one simulation thread, the calling one).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use step_core::Graph;
 use step_models::ModelConfig;
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
-use step_sim::{SimConfig, SimPlan};
+use step_sim::{RunBinding, RunPool, SimConfig, SimPlan};
 use step_traces::{RoutingConfig, expert_routing};
 
 /// The most a plan may retain beyond its graph, as a share of the
@@ -34,9 +39,25 @@ const MAX_PLAN_SHARE: f64 = 0.25;
 const QWEN3_GRAPH_BUDGET: isize = 1_300_000;
 const MIXTRAL_GRAPH_BUDGET: isize = 100_000;
 
+/// The most a pooled run of the Qwen3 plan below may hold beyond the
+/// plan at its peak, and park in its pool afterwards, in heap bytes: it
+/// peaks at 9,035,704 B and parks 8,738,080 B with off-chip requests
+/// queued per node as runs, against 24,009,424 B and 17,866,088 B with
+/// one 48-byte slot per request and a sorted copy of each barrier's
+/// batch.
+const QWEN3_RUN_PEAK_BUDGET: isize = 12_000_000;
+const QWEN3_RUN_PARKED_BUDGET: isize = 10_000_000;
+/// The most a pooled run of the monolithic Mixtral plan below may hold
+/// at its peak, and park: it peaks at 1,616,743 B and parks 1,598,671 B
+/// with the ledger's skip pointers held in its window slots, against
+/// 2,657,263 B and 2,639,191 B with a parallel skip vector.
+const MIXTRAL_RUN_BUDGET: isize = 2_000_000;
+
 thread_local! {
     /// Heap bytes this thread holds: allocated minus freed.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most [`LIVE`] has been since the last [`reset_peak`].
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// [`System`], counting each thread's live heap bytes in [`LIVE`].
@@ -45,7 +66,11 @@ struct Counting;
 fn count(delta: isize) {
     // `try_with` fails only during thread teardown; those bytes belong
     // to no measurement.
-    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -95,6 +120,10 @@ fn live() -> isize {
     LIVE.with(Cell::get)
 }
 
+fn reset_peak() {
+    PEAK.with(|peak| peak.set(live()));
+}
+
 /// Builds a graph, freezes it, and returns `(graph bytes, bytes the
 /// plan retains beyond its graph, shards)`.
 fn footprint(build: impl Fn() -> Graph, cfg: SimConfig) -> (isize, isize, usize) {
@@ -109,9 +138,18 @@ fn footprint(build: impl Fn() -> Graph, cfg: SimConfig) -> (isize, isize, usize)
     (with_graph - before, with_plan - with_graph, plan.shards())
 }
 
-/// A batch-64 static(32) MoE layer of `model`, routed with seed 7, as
-/// the figure sweeps freeze it.
-fn moe_b64_static32(model: ModelConfig, cfg: SimConfig) -> (isize, isize, usize) {
+/// The configuration the figure sweeps freeze MoE layers with.
+fn sweep_cfg() -> SimConfig {
+    SimConfig {
+        horizon_step: 512,
+        shards: 0,
+        ..SimConfig::default()
+    }
+}
+
+/// Builds a batch-64 static(32) MoE layer of `model`, routed with seed
+/// 7, as the figure sweeps build it.
+fn moe_b64_static32(model: ModelConfig) -> impl Fn() -> Graph {
     let trace = expert_routing(&RoutingConfig {
         experts: model.experts,
         top_k: model.top_k,
@@ -120,7 +158,28 @@ fn moe_b64_static32(model: ModelConfig, cfg: SimConfig) -> (isize, isize, usize)
         seed: 7,
     });
     let moe = MoeCfg::new(model, Tiling::Static { tile: 32 });
-    footprint(|| moe_graph(&moe, &trace).unwrap(), cfg)
+    move || moe_graph(&moe, &trace).unwrap()
+}
+
+/// Runs `plan` once on a fresh pool and checks the bytes held at the
+/// run's peak, and parked in the pool after it, against their budgets;
+/// both count only what the run added.
+fn assert_run_within(name: &str, plan: &SimPlan, peak_budget: isize, parked_budget: isize) {
+    let mut pool = RunPool::new();
+    let before = live();
+    reset_peak();
+    let report = plan
+        .run_with(&RunBinding::default(), Some(&mut pool))
+        .unwrap();
+    let peak = PEAK.with(Cell::get) - before;
+    drop(report);
+    let parked = live() - before;
+    println!("{name}: run peak {peak} B, parked {parked} B");
+    assert!(
+        peak <= peak_budget && parked <= parked_budget,
+        "{name}: the run peaks at {peak} B and parks {parked} B, over its \
+         {peak_budget} B and {parked_budget} B budgets"
+    );
 }
 
 fn assert_linear(name: &str, (graph, plan, _): (isize, isize, usize)) {
@@ -143,12 +202,7 @@ fn assert_graph_within(name: &str, (graph, _, _): (isize, isize, usize), budget:
 fn a_sharded_plan_costs_about_its_graph() {
     // Qwen3's 128 experts shard into over a hundred shards: a table per
     // shard over every graph edge would dwarf the graph here.
-    let cfg = SimConfig {
-        horizon_step: 512,
-        shards: 0,
-        ..SimConfig::default()
-    };
-    let fp = moe_b64_static32(ModelConfig::qwen3_30b_a3b(), cfg);
+    let fp = footprint(moe_b64_static32(ModelConfig::qwen3_30b_a3b()), sweep_cfg());
     assert!(fp.2 > 100, "expected a widely sharded plan, got {}", fp.2);
     assert_linear("qwen3 b64 static(32)", fp);
     assert_graph_within("qwen3 b64 static(32)", fp, QWEN3_GRAPH_BUDGET);
@@ -156,13 +210,34 @@ fn a_sharded_plan_costs_about_its_graph() {
 
 #[test]
 fn a_monolithic_plan_costs_about_its_graph() {
-    let cfg = SimConfig {
-        horizon_step: 512,
-        shards: 0,
-        ..SimConfig::default()
-    };
-    let fp = moe_b64_static32(ModelConfig::mixtral_8x7b(), cfg);
+    let fp = footprint(moe_b64_static32(ModelConfig::mixtral_8x7b()), sweep_cfg());
     assert_eq!(fp.2, 1, "expected a monolithic plan");
     assert_linear("mixtral b64 static(32)", fp);
     assert_graph_within("mixtral b64 static(32)", fp, MIXTRAL_GRAPH_BUDGET);
+}
+
+#[test]
+fn a_pooled_sharded_run_holds_bounded_state() {
+    let build = moe_b64_static32(ModelConfig::qwen3_30b_a3b());
+    let plan = SimPlan::new(build(), sweep_cfg()).unwrap();
+    assert!(plan.shards() > 100, "expected a widely sharded plan");
+    assert_run_within(
+        "qwen3 b64 static(32)",
+        &plan,
+        QWEN3_RUN_PEAK_BUDGET,
+        QWEN3_RUN_PARKED_BUDGET,
+    );
+}
+
+#[test]
+fn a_pooled_monolithic_run_holds_bounded_state() {
+    let build = moe_b64_static32(ModelConfig::mixtral_8x7b());
+    let plan = SimPlan::new(build(), sweep_cfg()).unwrap();
+    assert_eq!(plan.shards(), 1, "expected a monolithic plan");
+    assert_run_within(
+        "mixtral b64 static(32)",
+        &plan,
+        MIXTRAL_RUN_BUDGET,
+        MIXTRAL_RUN_BUDGET,
+    );
 }
