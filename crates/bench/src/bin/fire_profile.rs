@@ -1,8 +1,8 @@
 //! Engine-overhead profiler: per-operator fire and wall-clock breakdown,
 //! mono vs sharded, across horizon-step settings.
 //!
-//! The companion tool to `sched_bench` for *diagnosing* scheduler and
-//! transport overhead rather than guarding it: it attributes fires, idle
+//! A tool for *diagnosing* scheduler and transport overhead, which the
+//! `engine_budgets` test only guards: it attributes fires, idle
 //! fires, and — with `SimConfig::profile_fires` — host wall-clock to
 //! operator kinds, so a regression flagged by the fire or channel-op
 //! budget can be localized to the operator whose run-length rewrite

@@ -109,8 +109,9 @@
 //!   runnable shard runs on the coordinator with the monolithic
 //!   immediate-commit HBM sink — single-fire off-chip operators, no
 //!   barrier waits. [`stats::SchedCounters`] reports
-//!   sub-rounds, elided and solo runs, and absorbed wakes; `sched_bench
-//!   --json` asserts a fire budget on them in CI.
+//!   sub-rounds, elided and solo runs, and absorbed wakes; step-bench's
+//!   `engine_budgets` test holds the engine's fires and channel runs to
+//!   budgets on the Qwen3 MoE layer.
 //!
 //!   **Determinism contract:** every reported metric is a pure function
 //!   of `(graph, SimConfig minus threads, RunBinding)`. Shard sub-rounds

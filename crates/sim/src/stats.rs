@@ -3,9 +3,9 @@
 /// Counters for the sharded engine's coordination work: how many global
 /// barriers ran, how much of the schedule they carried, and how much work
 /// the barrier-elision / wake-dedup machinery saved. All are pure
-/// functions of `(graph, SimConfig minus threads)` — the perf-regression
-/// guard in `sched_bench --json` asserts on them because, unlike
-/// wall-clock, they can never flake.
+/// functions of `(graph, SimConfig minus threads)`, so whole-report
+/// comparisons across thread counts include them: unlike wall-clock,
+/// they can never flake.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// Coordination barriers executed (sub-rounds of the sharded engine;
