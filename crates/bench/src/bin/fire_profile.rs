@@ -11,10 +11,8 @@
 //! nearly flat).
 //!
 //! Run with: `cargo run --release -p step-bench --bin fire_profile`
-//! `--json` emits one JSON object per configuration (run summary plus
-//! the per-op table); `TOPK=n` bounds the table to the n operator kinds
-//! with the largest wall share (default 10, 0 = all). Each row carries
-//! a `dispatch` column: the compiled executor variant
+//! The table lists every operator kind, largest wall share first. Each
+//! row carries a `dispatch` column: the compiled executor variant
 //! ([`step_sim::nodes::CompiledNode`] kind) the operator lowers to, so
 //! wall time attributes to the static-dispatch arm that actually runs.
 //!
@@ -78,7 +76,7 @@ impl PhaseRow {
 /// The `--serve` mode: per-phase fire/wall attribution over a
 /// serving-shaped iteration stream, cold pass then warm rerun on one
 /// shared report cache.
-fn serve_profile(json: bool) {
+fn serve_profile() {
     let model = ModelConfig::qwen3_30b_a3b();
     let cfg = ServeCfg {
         slots: 4,
@@ -174,68 +172,31 @@ fn serve_profile(json: bool) {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        if json {
-            let cells: Vec<String> = phases
-                .iter()
-                .map(|p| {
-                    let r = &rows[p];
-                    format!(
-                        "{{\"phase\":\"{p}\",\"requests\":{},\"hits\":{},\
-                         \"engine_runs\":{},\"engine_fires\":{},\
-                         \"logical_fires\":{},\"wall_ms\":{:.2}}}",
-                        r.requests,
-                        r.hits,
-                        r.engine_runs,
-                        r.engine_fires,
-                        r.logical_fires,
-                        r.wall_ns as f64 / 1e6,
-                    )
-                })
-                .collect();
+        println!("== serve profile, {pass} pass ({} iterations)", iters.len());
+        println!(
+            "  {:>10} {:>9} {:>6} {:>12} {:>13} {:>14} {:>9}",
+            "phase", "requests", "hits", "engine_runs", "engine_fires", "logical_fires", "wall(ms)"
+        );
+        for p in phases {
+            let r = &rows[p];
             println!(
-                "{{\"mode\":\"serve_profile\",\"pass\":\"{pass}\",\"iterations\":{},\
-                 \"phases\":[{}]}}",
-                iters.len(),
-                cells.join(","),
+                "  {p:>10} {:>9} {:>6} {:>12} {:>13} {:>14} {:>9.2}",
+                r.requests,
+                r.hits,
+                r.engine_runs,
+                r.engine_fires,
+                r.logical_fires,
+                r.wall_ns as f64 / 1e6,
             );
-        } else {
-            println!("== serve profile, {pass} pass ({} iterations)", iters.len());
-            println!(
-                "  {:>10} {:>9} {:>6} {:>12} {:>13} {:>14} {:>9}",
-                "phase",
-                "requests",
-                "hits",
-                "engine_runs",
-                "engine_fires",
-                "logical_fires",
-                "wall(ms)"
-            );
-            for p in phases {
-                let r = &rows[p];
-                println!(
-                    "  {p:>10} {:>9} {:>6} {:>12} {:>13} {:>14} {:>9.2}",
-                    r.requests,
-                    r.hits,
-                    r.engine_runs,
-                    r.engine_fires,
-                    r.logical_fires,
-                    r.wall_ns as f64 / 1e6,
-                );
-            }
         }
     }
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
     if std::env::args().any(|a| a == "--serve") {
-        serve_profile(json);
+        serve_profile();
         return;
     }
-    let topk: usize = std::env::var("TOPK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
     let model = ModelConfig::qwen3_30b_a3b();
     let trace = expert_routing(&RoutingConfig {
         experts: model.experts,
@@ -280,76 +241,40 @@ fn main() {
             e.tokens += s.values_in;
         }
         let mut rows: Vec<_> = ops.into_iter().collect();
-        // Top K by wall: the measured cost, not the fire count, names the
+        // By wall: the measured cost, not the fire count, names the
         // operator to optimize.
         rows.sort_by_key(|(_, r)| std::cmp::Reverse(r.wall_ns));
-        let shown = if topk == 0 {
-            rows.len()
-        } else {
-            topk.min(rows.len())
-        };
-        if json {
-            let ops_json: Vec<String> = rows[..shown]
-                .iter()
-                .map(|(op, r)| {
-                    format!(
-                        "{{\"op\":\"{op}\",\"dispatch\":\"{}\",\"nodes\":{},\"fires\":{},\
-                         \"idle\":{},\"tokens_in\":{},\"wall_ms\":{:.2}}}",
-                        r.dispatch,
-                        r.nodes,
-                        r.fires,
-                        r.idle,
-                        r.tokens,
-                        r.wall_ns as f64 / 1e6,
-                    )
-                })
-                .collect();
+        println!(
+            "== shards={shards} hstep={horizon_step} -> {} shards, cycles {}, rounds {}, \
+             fires {}, idle {}, sub_rounds {}, solo {}, elided {}, dedup {}, \
+             chan {} tokens / {} runs ({:.1}x), wall {wall:.0}ms",
+            report.shards,
+            report.cycles,
+            report.rounds,
+            report.total_fires(),
+            report.idle_fires(),
+            report.sched.sub_rounds,
+            report.sched.solo_runs,
+            report.sched.elided_runs,
+            report.sched.wake_dedup,
+            report.chan_tokens,
+            report.chan_runs,
+            report.chan_tokens as f64 / report.chan_runs.max(1) as f64,
+        );
+        println!(
+            "  {:>22} {:>13} {:>6} {:>10} {:>10} {:>11} {:>9}",
+            "op (by wall)", "dispatch", "nodes", "fires", "idle", "tokens_in", "wall(ms)"
+        );
+        for (op, r) in &rows {
             println!(
-                "{{\"shards_cfg\":{shards},\"horizon_step\":{horizon_step},\"shards\":{},\
-                 \"cycles\":{},\"rounds\":{},\"fires\":{},\"idle_fires\":{},\
-                 \"chan_tokens\":{},\"chan_runs\":{},\"wall_ms\":{wall:.1},\"ops\":[{}]}}",
-                report.shards,
-                report.cycles,
-                report.rounds,
-                report.total_fires(),
-                report.idle_fires(),
-                report.chan_tokens,
-                report.chan_runs,
-                ops_json.join(","),
+                "  {op:>22} {:>13} {:>6} {:>10} {:>10} {:>11} {:>9.2}",
+                r.dispatch,
+                r.nodes,
+                r.fires,
+                r.idle,
+                r.tokens,
+                r.wall_ns as f64 / 1e6,
             );
-        } else {
-            println!(
-                "== shards={shards} hstep={horizon_step} -> {} shards, cycles {}, rounds {}, \
-                 fires {}, idle {}, sub_rounds {}, solo {}, elided {}, dedup {}, \
-                 chan {} tokens / {} runs ({:.1}x), wall {wall:.0}ms",
-                report.shards,
-                report.cycles,
-                report.rounds,
-                report.total_fires(),
-                report.idle_fires(),
-                report.sched.sub_rounds,
-                report.sched.solo_runs,
-                report.sched.elided_runs,
-                report.sched.wake_dedup,
-                report.chan_tokens,
-                report.chan_runs,
-                report.chan_tokens as f64 / report.chan_runs.max(1) as f64,
-            );
-            println!(
-                "  {:>22} {:>13} {:>6} {:>10} {:>10} {:>11} {:>9}",
-                "op (top-K by wall)", "dispatch", "nodes", "fires", "idle", "tokens_in", "wall(ms)"
-            );
-            for (op, r) in &rows[..shown] {
-                println!(
-                    "  {op:>22} {:>13} {:>6} {:>10} {:>10} {:>11} {:>9.2}",
-                    r.dispatch,
-                    r.nodes,
-                    r.fires,
-                    r.idle,
-                    r.tokens,
-                    r.wall_ns as f64 / 1e6,
-                );
-            }
         }
     }
 }

@@ -156,6 +156,10 @@ impl Graph {
     }
 }
 
+/// FIFO capacity of every new stream, in tokens
+/// ([`GraphBuilder::set_capacity`] overrides one stream).
+const DEFAULT_CAPACITY: usize = 16;
+
 /// Builds a [`Graph`] operator by operator, verifying shapes.
 ///
 /// See the crate-level example. Unconnected output streams are
@@ -166,7 +170,6 @@ pub struct GraphBuilder {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
     syms: SymbolTable,
-    default_capacity: usize,
     pending_feedback: Vec<NodeId>,
     /// Every distinct edge shape and element kind built so far, so equal
     /// ones share one allocation; dropped by `finish`.
@@ -217,18 +220,10 @@ impl GraphBuilder {
             nodes: Vec::new(),
             edges: Vec::new(),
             syms: SymbolTable::new(),
-            default_capacity: 16,
             pending_feedback: Vec::new(),
             shapes: HashSet::new(),
             kinds: HashSet::new(),
         }
-    }
-
-    /// Sets the default FIFO capacity for subsequently created streams.
-    pub fn set_default_capacity(&mut self, cap: usize) -> &mut Self {
-        assert!(cap > 0, "capacity must be positive");
-        self.default_capacity = cap;
-        self
     }
 
     /// Access to the symbol table (for minting dims in sources).
@@ -294,7 +289,7 @@ impl GraphBuilder {
             dst: None,
             shape: Arc::clone(&shape),
             kind: Arc::clone(&kind),
-            capacity: self.default_capacity,
+            capacity: DEFAULT_CAPACITY,
         });
         self.nodes[node.0 as usize].outputs.push(edge);
         StreamRef { edge, shape, kind }

@@ -274,16 +274,6 @@ impl StreamShape {
         dims.extend_from_slice(&self.dims[hi + 1..]);
         Ok(StreamShape { dims })
     }
-
-    /// Whether every dimension is static.
-    pub fn is_static(&self) -> bool {
-        self.dims.iter().all(|d| !d.is_dynamic())
-    }
-
-    /// Whether any dimension is ragged.
-    pub fn has_ragged(&self) -> bool {
-        self.dims.iter().any(Dim::is_ragged)
-    }
 }
 
 impl fmt::Display for StreamShape {

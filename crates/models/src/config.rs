@@ -64,12 +64,6 @@ impl ModelConfig {
     pub fn kv_bytes_per_token(&self) -> u64 {
         2 * self.kv_heads * self.head_dim * step_core::DTYPE_BYTES
     }
-
-    /// Activated parameter FLOPs per token in one MoE layer (2 FLOPs per
-    /// MAC over three matrices, times the activated experts).
-    pub fn moe_flops_per_token(&self) -> u64 {
-        2 * 3 * self.hidden * self.moe_intermediate * self.top_k as u64
-    }
 }
 
 #[cfg(test)]

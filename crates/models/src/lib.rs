@@ -36,14 +36,12 @@
 //! Steady-state iterations additionally memoize their QKV and MoE
 //! reports through a binding-keyed [`step_sim::ReportCache`] (reports
 //! are pure functions of `(plan, binding)`, so replay is exact):
-//! [`phases::qkv_fingerprint`] keys the bindingless QKV phase,
-//! [`phases::canonical_routing`] optionally canonicalizes MoE routings
-//! before binding ([`serving::ServeCfg::moe_canonical`]) so
-//! order-permuted routings share one exact entry, and
-//! [`serving::ServeReport::engine_fires`] reports the fires the engine
-//! actually executed versus the logical total. The differential proof
-//! (and the measured refutation of order-permuted *replay*) lives in
-//! `tests/report_memo_conformance.rs`.
+//! [`phases::qkv_fingerprint`] keys the bindingless QKV phase, the MoE
+//! phase is keyed by its routed-token binding in sampled token order,
+//! and [`serving::ServeReport::engine_fires`] reports the fires the
+//! engine actually executed versus the logical total.
+//! `tests/report_memo_conformance.rs` holds cached, uncached and
+//! differentially checked runs to the same report.
 
 pub mod attention;
 pub mod config;

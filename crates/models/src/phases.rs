@@ -9,13 +9,11 @@
 //!
 //! - [`bind_attention`] / [`bind_moe`] build the per-iteration
 //!   [`RunBinding`]s from a KV trace / routing trace;
-//! - [`qkv_fingerprint`] / [`canonical_routing`] are the
-//!   report-memoization machinery for the two memoizable phases: the
+//! - [`qkv_fingerprint`] keys the QKV phase in the report cache: the
 //!   QKV graph has no rebindable inputs (its report is a pure function
 //!   of `(model, tokens, SimConfig)`, so the graph identity *is* the
-//!   key), and MoE routings that are the same multiset of expert sets
-//!   can be **canonicalized** to one binding so they share one exact
-//!   cache entry. The serving driver routes both phases through one
+//!   key), while the MoE phase is keyed by its [`bind_moe`] binding.
+//!   The serving driver routes both phases through one
 //!   [`step_sim::ReportCache`];
 //! - [`debug_assert_steady`] pins the steady-state contract both drivers
 //!   rely on: after the warmup iteration materializes the pooled run
@@ -112,47 +110,6 @@ pub fn qkv_fingerprint(model: &ModelConfig, tokens: usize) -> u64 {
         .push_u64(model.head_dim)
         .push_u64(tokens as u64);
     fp.finish()
-}
-
-/// The canonical form of a routing trace: each per-token expert set
-/// sorted and deduped (exactly the normalization `Selector::multi`
-/// applies when the routing is bound, so this half changes nothing the
-/// engine sees), then the whole collection sorted — erasing token
-/// order. Two routings that are permutations of the same **multiset**
-/// of expert sets canonicalize to the identical trace, and therefore to
-/// the identical [`RunBinding`] and — by the determinism contract — the
-/// identical report.
-///
-/// This is how the serving driver's
-/// [`crate::serving::ServeCfg::moe_canonical`] mode makes order-permuted
-/// iterations share one *exact* report-cache entry. Canonicalizing the
-/// binding, rather than replaying one order's report for its
-/// permutations, is deliberate: differential measurement
-/// ([`step_sim::ReportCache::checked`]) refuted the folk invariance
-/// that token order cannot matter — permuting which token carries which
-/// expert set changes token adjacency, with it how the engine coalesces
-/// channel runs, and through scheduling even `cycles` and `rounds`
-/// drift (measured: 1979 vs 1981 cycles on a 4-expert plan), so an
-/// order-permuted replay is *not* aggregate-equivalent and may not be
-/// substituted. Re-simulating the canonical order is exact by
-/// construction; `crates/models/tests/report_memo_conformance.rs`
-/// carries both the proof and the refutation.
-pub fn canonical_routing(routing: &RoutingTrace) -> RoutingTrace {
-    let mut sets: Vec<Vec<u32>> = routing
-        .assignments
-        .iter()
-        .map(|set| {
-            let mut s = set.clone();
-            s.sort_unstable();
-            s.dedup();
-            s
-        })
-        .collect();
-    sets.sort_unstable();
-    RoutingTrace {
-        assignments: sets,
-        experts: routing.experts,
-    }
 }
 
 /// Pins the steady-state contract of the multi-iteration drivers: once

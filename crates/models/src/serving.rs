@@ -75,21 +75,16 @@
 //! excludes) is unchanged by caching —
 //! `crates/models/tests/report_memo_conformance.rs` holds cache-on,
 //! cache-off, and differential [`ReportCache::checked`] runs together.
-//! [`ServeCfg::moe_canonical`] additionally canonicalizes each
-//! iteration's routing to its multiset order
-//! ([`crate::phases::canonical_routing`]) before binding, so
-//! order-permuted routings collapse to one exact cache entry and the
-//! replays stay bit-identical — an opt-in modeling choice, because the
-//! engine schedules a token *stream* and erasing the sampled order
-//! perturbs the phase's cycle count slightly.
+//! The MoE key folds the sampled routing in token order: the engine
+//! schedules a token *stream*, so two order-permuted routings are
+//! different runs and never share an entry.
 
 use crate::attention::{AttentionCfg, AttentionPorts, attention_graph};
 use crate::config::ModelConfig;
 use crate::e2e::E2eVariant;
 use crate::moe::{MoeCfg, MoePorts, moe_graph};
 use crate::phases::{
-    bind_attention, bind_moe, canonical_routing, debug_assert_steady, moe_sim_config,
-    qkv_fingerprint, qkv_graph,
+    bind_attention, bind_moe, debug_assert_steady, moe_sim_config, qkv_fingerprint, qkv_graph,
 };
 use std::sync::Arc;
 use step_core::{Graph, Result, StepError};
@@ -123,33 +118,6 @@ pub struct ServeCfg {
     /// Safety cap on serving iterations; hitting it truncates the run
     /// (reported via [`ServeReport::truncated`]).
     pub max_iterations: u32,
-    /// TTFT service-level objective in cycles: a waiting request whose
-    /// queueing delay already exceeds this can no longer meet the SLO
-    /// and is **shed** at the admission boundary instead of occupying a
-    /// slot (counted in [`ServeReport::shed_total`]). `None` (the
-    /// default) admits everything. Deterministic: shedding depends only
-    /// on the serving clock and the trace.
-    pub ttft_slo: Option<u64>,
-    /// Canonicalize each iteration's MoE routing
-    /// ([`crate::phases::canonical_routing`]: the per-token expert sets
-    /// sorted into multiset order) before binding, so iterations whose
-    /// routings differ only in token order produce the *identical*
-    /// binding and share one exact report-cache entry — a bit-identical
-    /// replay by the determinism contract, not an approximate one.
-    ///
-    /// This is a modeling choice, which is why it is opt-in: token
-    /// order inside an MoE batch is an artifact of slot enumeration,
-    /// but the engine schedules a token *stream*, so erasing the order
-    /// perturbs run coalescing and with it the phase's cycle count
-    /// slightly (off-chip traffic, FLOPs, and token counts are exactly
-    /// order-invariant; replaying one order's report for another was
-    /// measured to drift even on cycles, which is why this knob rebinds
-    /// instead). Off by default: the default path simulates the sampled
-    /// order, and the bit-identity conformance contract applies as-is.
-    /// Worth switching on for low-routing-entropy regimes (high
-    /// [`ServeCfg::skew`], few live expert sets), where multiset
-    /// collisions across iterations actually occur.
-    pub moe_canonical: bool,
 }
 
 impl Default for ServeCfg {
@@ -162,8 +130,6 @@ impl Default for ServeCfg {
             seed: 7,
             threads: 1,
             max_iterations: 100_000,
-            ttft_slo: None,
-            moe_canonical: false,
         }
     }
 }
@@ -300,9 +266,6 @@ pub struct ServeReport {
     pub admitted_total: u32,
     /// Requests evicted after completing.
     pub evicted_total: u32,
-    /// Requests shed at the admission boundary for blowing
-    /// [`ServeCfg::ttft_slo`] while waiting (zero when no SLO is set).
-    pub shed_total: u32,
     /// Node fires summed over all phase runs — the *logical* total, as
     /// if every phase had simulated (replayed reports contribute their
     /// recorded fires), so it is cache-independent and comparable across
@@ -354,7 +317,6 @@ impl PartialEq for ServeReport {
             offchip_traffic,
             admitted_total,
             evicted_total,
-            shed_total,
             total_fires,
             chan_runs,
             engine_fires: _,
@@ -374,7 +336,6 @@ impl PartialEq for ServeReport {
             && *offchip_traffic == other.offchip_traffic
             && *admitted_total == other.admitted_total
             && *evicted_total == other.evicted_total
-            && *shed_total == other.shed_total
             && *total_fires == other.total_fires
             && *chan_runs == other.chan_runs
             && *ttft == other.ttft
@@ -672,7 +633,7 @@ impl ServeJob {
         let mut clock: u64 = 0;
         let mut iterations = Vec::new();
         let mut outcomes: Vec<ServeOutcome> = Vec::new();
-        let (mut admitted_total, mut evicted_total, mut shed_total) = (0u32, 0u32, 0u32);
+        let (mut admitted_total, mut evicted_total) = (0u32, 0u32);
         let (mut busy_cycles, mut offchip_traffic) = (0u64, 0u64);
         let (mut total_fires, mut chan_runs) = (0u64, 0u64);
         let mut truncated = false;
@@ -693,17 +654,6 @@ impl ServeJob {
             // arrival order (lowest free slot index first — deterministic).
             while arrivals.peek().is_some_and(|r| r.arrival <= clock) {
                 waiting.push_back(arrivals.next().expect("peeked"));
-            }
-            // SLO shedding: a waiting request whose queueing delay already
-            // exceeds the TTFT objective cannot meet it no matter what the
-            // batch does — drop it at the admission boundary instead of
-            // spending slots and tokens on a guaranteed SLO violation. The
-            // queue is in arrival order, so delays are maximal at the front.
-            if let Some(slo) = cfg.ttft_slo {
-                while waiting.front().is_some_and(|r| clock - r.arrival > slo) {
-                    waiting.pop_front();
-                    shed_total += 1;
-                }
             }
             let mut admitted_now = 0u32;
             for slot in slots.iter_mut() {
@@ -800,15 +750,7 @@ impl ServeJob {
             let attn_bind = bind_attention(&attn_cfg, &attn_ports, &kv);
             let attn = run_phase(&attn_plan, &attn_bind, &mut attn_pool, iter > 0)?;
             engine_fires += attn.total_fires();
-            let mut routing = iteration_routing(model, cfg, iter, tokens as usize);
-            if cfg.moe_canonical {
-                // Canonical rebinding: order-permuted routings collapse to
-                // one exact cache key (see `ServeCfg::moe_canonical`).
-                // Replaying one order's report for another was measured to
-                // drift cycles, so only re-simulation of the canonical order
-                // is exact.
-                routing = canonical_routing(&routing);
-            }
+            let routing = iteration_routing(model, cfg, iter, tokens as usize);
             let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
             let moe = {
                 let warmed = moe_warm;
@@ -933,7 +875,6 @@ impl ServeJob {
             offchip_traffic,
             admitted_total,
             evicted_total,
-            shed_total,
             total_fires,
             chan_runs,
             engine_fires,
@@ -1055,29 +996,6 @@ mod tests {
         assert_eq!(r.admitted_total, 16);
         assert_eq!(r.evicted_total, 16);
         assert_eq!(r.outcomes.len(), 16);
-    }
-
-    #[test]
-    fn ttft_slo_sheds_hopeless_waiters_deterministically() {
-        let trace = tiny_trace(16, 5_000.0, 2); // heavy load: queueing
-        let v = E2eVariant::static_schedule("s", 4);
-        let baseline = serve(&tiny(), &v, &trace, &cfg()).unwrap();
-        assert_eq!(baseline.shed_total, 0, "no SLO, nothing shed");
-        let c = ServeCfg {
-            ttft_slo: Some(0),
-            ..cfg()
-        };
-        let r = serve(&tiny(), &v, &trace, &c).unwrap();
-        assert!(r.shed_total > 0, "tight SLO under heavy load must shed");
-        assert_eq!(r.admitted_total + r.shed_total, 16);
-        assert_eq!(r.outcomes.len(), r.admitted_total as usize);
-        // Shedding happens before admission at the same clock, so every
-        // admitted request met the (zero) queueing bound.
-        for o in &r.outcomes {
-            assert_eq!(o.admitted, o.arrival, "queue delay within SLO");
-        }
-        let rerun = serve(&tiny(), &v, &trace, &c).unwrap();
-        assert_eq!(r, rerun);
     }
 
     #[test]

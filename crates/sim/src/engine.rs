@@ -81,8 +81,15 @@
 //!   runnable shard, that shard is the sole accessor of the HBM ledger in
 //!   the window. The coordinator runs it inline with the monolithic
 //!   engine's immediate-commit sink — request/response collapses back to
-//!   single-fire, and in threaded mode the two worker barrier waits are
-//!   skipped entirely (workers stay parked).
+//!   single-fire, and the two worker barrier waits are skipped entirely
+//!   (helper threads stay parked).
+//!
+//! Every sharded plan runs through one drive loop, at any
+//! `SimConfig::threads`: the calling thread coordinates and runs shards
+//! alongside `threads - 1` scoped helpers. At one thread it spawns
+//! nothing and waits on no barrier, running the active shards itself in
+//! the order the helpers' cursor would hand them out. A node panic
+//! surfaces as a typed [`StepError::Exec`] at every thread count.
 //!
 //! # Determinism contract
 //!
@@ -1349,8 +1356,9 @@ impl SimPlan {
     /// may run concurrently from many threads, each run with its own
     /// state and bit-identical results. Single-shard plans run the wave
     /// scheduler inline with immediate off-chip commitment. Sharded
-    /// plans run sub-rounds over the shards — on `SimConfig::threads`
-    /// workers when > 1 — separated by deterministic coordination
+    /// plans run sub-rounds over the shards on `SimConfig::threads`
+    /// workers — one drive loop for every thread count, the calling
+    /// thread alone at one — separated by deterministic coordination
     /// barriers; see the module docs for the determinism contract.
     ///
     /// With `Some(pool)`, the run reuses the state parked in `pool` when
@@ -1403,12 +1411,7 @@ impl SimPlan {
         if self.plans.len() == 1 {
             self.run_single(state, ctrl)
         } else {
-            let threads = self.cfg.threads.clamp(1, self.plans.len());
-            if threads == 1 {
-                self.run_sharded_inline(state, ctrl)
-            } else {
-                self.run_sharded_threaded(state, threads, ctrl)
-            }
+            self.run_sharded(state, self.cfg.threads.clamp(1, self.plans.len()), ctrl)
         }
     }
 
@@ -1593,74 +1596,23 @@ impl SimPlan {
         }
     }
 
-    /// Sharded execution on the calling thread: the reference schedule
-    /// every worker count reproduces.
-    fn run_sharded_inline(&self, state: &mut RunState, ctrl: &RunCtrl) -> Result<()> {
-        let mut horizon = self.cfg.horizon_step;
-        let mut active: Vec<u32> = (0..state.shards.len() as u32).collect();
-        state.counters.shard_runs += active.len() as u64;
-        let mut solo: Option<u32> = None;
-        loop {
-            if let Some(id) = solo {
-                // Off-chip fast path: the sole runnable shard commits
-                // against the ledger immediately, like the monolithic
-                // engine.
-                let mut shard = lock(&state.shards[id as usize]);
-                let eff = shard.eff;
-                shard.run_to_quiescence(
-                    &self.plans[id as usize],
-                    eff,
-                    &self.cfg,
-                    &state.store,
-                    &self.graph,
-                    Some(&mut state.hbm),
-                    ctrl,
-                )?;
-            } else {
-                for &id in &active {
-                    let mut shard = lock(&state.shards[id as usize]);
-                    let eff = shard.eff;
-                    shard.run_to_quiescence(
-                        &self.plans[id as usize],
-                        eff,
-                        &self.cfg,
-                        &state.store,
-                        &self.graph,
-                        None,
-                        ctrl,
-                    )?;
-                }
-            }
-            match coordinate(
-                self,
-                &state.shards,
-                &mut state.hbm,
-                &mut horizon,
-                &mut active,
-                &mut state.counters,
-                ctrl,
-            )? {
-                CoordStep::Done => return Ok(()),
-                CoordStep::Run => solo = None,
-                CoordStep::Solo(id) => solo = Some(id),
-            }
-        }
-    }
-
-    /// Sharded execution on `threads` workers. Workers steal quiescence
-    /// runs of whole shards between two barriers per sub-round; worker 0
-    /// coordinates in the exclusive window between sub-rounds, and runs
-    /// solo-shard sub-rounds itself without waking the workers (barrier
-    /// waits elided). Which worker runs a shard can never affect the
-    /// result, so this is bit-identical to
-    /// [`SimPlan::run_sharded_inline`].
-    fn run_sharded_threaded(
-        &self,
-        state: &mut RunState,
-        threads: usize,
-        ctrl: &RunCtrl,
-    ) -> Result<()> {
+    /// Sharded execution on `threads` workers: the calling thread (the
+    /// coordinator) and `threads - 1` scoped helpers take quiescence runs
+    /// of whole shards off a shared cursor between two barriers per
+    /// sub-round. The coordinator coordinates in the exclusive window
+    /// between sub-rounds, and runs solo-shard sub-rounds itself without
+    /// waking the helpers. With one worker it runs every active shard
+    /// itself in cursor order, spawns no thread and waits on no barrier.
+    /// Which worker runs a shard can never affect the result, so every
+    /// `threads` value yields the same report.
+    fn run_sharded(&self, state: &mut RunState, threads: usize, ctrl: &RunCtrl) -> Result<()> {
         let barrier = Barrier::new(threads);
+        // The coordinator's barrier wait; alone, it has nobody to meet.
+        let sync = || {
+            if threads > 1 {
+                barrier.wait();
+            }
+        };
         let stop = AtomicBool::new(false);
         let cursor = AtomicUsize::new(0);
         let active: Mutex<Vec<u32>> = Mutex::new((0..state.shards.len() as u32).collect());
@@ -1678,7 +1630,8 @@ impl SimPlan {
 
         // Every fallible step — including panics, which would otherwise
         // leave the other threads waiting at a barrier forever — funnels
-        // into `failure`, so a crash surfaces as an error, not a hang.
+        // into `failure`, so a crash surfaces as the same typed error at
+        // every thread count, never a hang or an unwind.
         let work = || {
             let body = || -> Result<()> {
                 loop {
@@ -1732,9 +1685,9 @@ impl SimPlan {
                 });
             }
             // Coordinator loop on this thread. Between the second barrier
-            // of one sub-round and the first barrier of the next, workers
+            // of one sub-round and the first barrier of the next, helpers
             // are parked, so coordination has exclusive access. Solo
-            // sub-rounds never touch the barrier at all — the workers
+            // sub-rounds never touch the barrier at all — the helpers
             // stay parked and the coordinator runs the shard with the
             // immediate-commit sink.
             let mut horizon = self.cfg.horizon_step;
@@ -1768,9 +1721,9 @@ impl SimPlan {
                     }
                     CoordStep::Run => {
                         cursor.store(0, Ordering::Relaxed);
-                        barrier.wait();
+                        sync();
                         work();
-                        barrier.wait();
+                        sync();
                         if let Some(e) = lock(&failure).take() {
                             break Err(e);
                         }
@@ -1792,7 +1745,7 @@ impl SimPlan {
                 }
             };
             stop.store(true, Ordering::Release);
-            barrier.wait();
+            sync();
             outcome = run;
         });
         outcome

@@ -91,14 +91,6 @@ impl Fingerprint {
         self
     }
 
-    /// Folds one `f64` by bit pattern (`-0.0` and `0.0` differ; NaNs
-    /// with different payloads differ — keys are byte-level identities,
-    /// not numeric ones).
-    pub fn push_f64(&mut self, x: f64) -> &mut Self {
-        self.fold(&x.to_bits().to_le_bytes());
-        self
-    }
-
     /// Folds a string (length-prefixed).
     pub fn push_str(&mut self, s: &str) -> &mut Self {
         self.push_bytes(s.as_bytes())

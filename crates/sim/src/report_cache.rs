@@ -23,8 +23,8 @@
 //! *refuted* replaying one MoE routing's report for an order-permuted
 //! routing with equal expert-set multisets (run coalescing drifts with
 //! token adjacency, and through scheduling even `cycles` and `rounds`
-//! move), which is why the serving driver canonicalizes such routings
-//! before binding, so they share one key.
+//! move), which is why binding keys are order-sensitive: a permuted
+//! stream is a different run and gets its own key.
 //!
 //! The plan half of the key is **content**, not identity:
 //! [`plan_content_key`] folds the builder fingerprint with

@@ -6,7 +6,7 @@ use step_core::StepError;
 use step_core::elem::{Elem, ElemKind, Selector};
 use step_core::func::{AccumFn, EwOp, FlatMapFn, MapFn};
 use step_core::graph::GraphBuilder;
-use step_core::ops::{LinearLoadCfg, StreamifyCfg};
+use step_core::ops::{LinearLoadCfg, RandomAccessCfg, StreamifyCfg};
 use step_core::shape::{Dim, StreamShape};
 use step_core::tile::Tile;
 use step_core::token::{self, Token};
@@ -549,6 +549,113 @@ fn zip_misalignment_is_an_error() {
         .unwrap()
         .run();
     assert!(err.is_err());
+}
+
+/// A `RandomOffChipStore` graph: rank-1 `addrs` and `data` sources into
+/// the store, its acks into a sink. Both sources declare the address
+/// stream's shape, so a shorter data stream passes the builder and
+/// misaligns at run time.
+fn random_store_graph(
+    cfg: &RandomAccessCfg,
+    addrs: &[Vec<Elem>],
+    data: &[Vec<Elem>],
+) -> (step_core::Graph, step_core::graph::NodeId) {
+    let shape = StreamShape::fixed(&[addrs.len() as u64, addrs[0].len() as u64]);
+    let (tr, tc) = cfg.tile_shape;
+    let mut g = GraphBuilder::new();
+    let a = g
+        .source(
+            token::rank1_from_groups(addrs),
+            shape.clone(),
+            ElemKind::Addr,
+        )
+        .unwrap();
+    let d = g
+        .source(
+            token::rank1_from_groups(data),
+            shape,
+            ElemKind::tile(tr, tc),
+        )
+        .unwrap();
+    let acks = g.random_offchip_store(&a, &d, cfg.clone()).unwrap();
+    let sink = g.sink(&acks).unwrap();
+    (g.finish(), sink)
+}
+
+#[test]
+fn random_store_acks_every_tile_and_counts_its_writes() {
+    let cfg = RandomAccessCfg::new(0x4000, (2, 2));
+    // Three groups of two tiles, written out of address order.
+    let slots = [[3u64, 0], [2, 5], [1, 4]];
+    let addrs: Vec<Vec<Elem>> = slots
+        .iter()
+        .map(|g| {
+            g.iter()
+                .map(|&i| Elem::Addr(cfg.base_addr + i * cfg.tile_bytes()))
+                .collect()
+        })
+        .collect();
+    let data: Vec<Vec<Elem>> = slots
+        .iter()
+        .map(|g| {
+            g.iter()
+                .map(|&i| Elem::Tile(Tile::splat(2, 2, i as f32)))
+                .collect()
+        })
+        .collect();
+    let run = |shards: usize, threads: usize| {
+        let (graph, sink) = random_store_graph(&cfg, &addrs, &data);
+        let cfg = SimConfig {
+            shards,
+            threads,
+            ..SimConfig::default()
+        };
+        let report = SimPlan::new(graph, cfg).unwrap().run().unwrap();
+        (report, sink)
+    };
+    let (mono, sink) = run(1, 1);
+    // One `Bool(true)` per written tile, in order, with the address
+    // stream's stops kept.
+    let acks = mono.sink_tokens(sink).unwrap();
+    token::validate(acks, 1).unwrap();
+    let expected: Vec<Token> = token::rank1_from_groups(&vec![vec![Elem::Bool(true); 2]; 3]);
+    assert_eq!(acks, expected.as_slice());
+    assert_eq!(mono.offchip_write, 6 * cfg.tile_bytes());
+    assert_eq!(mono.offchip_read, 0);
+    assert_eq!(mono.offchip_traffic, mono.offchip_write);
+    // A sharded plan writes and acknowledges the same, and the thread
+    // count changes nothing in its report.
+    let (sharded, _) = run(2, 1);
+    assert_eq!(sharded.shards, 2, "the store graph did not shard");
+    assert_eq!(sharded.sink_tokens(sink).unwrap(), acks);
+    assert_eq!(
+        (sharded.offchip_write, sharded.offchip_read),
+        (mono.offchip_write, mono.offchip_read)
+    );
+    assert_eq!(run(1, 2).0, mono);
+    assert_eq!(run(2, 2).0, sharded);
+}
+
+#[test]
+fn random_store_misaligned_streams_are_an_error() {
+    let cfg = RandomAccessCfg::new(0, (1, 1));
+    let addrs = vec![(0..3).map(|i| Elem::Addr(i * cfg.tile_bytes())).collect()];
+    let data = vec![vec![tile1(1.0), tile1(2.0)]];
+    for (shards, threads) in [(1, 1), (2, 1), (2, 2)] {
+        let (graph, _) = random_store_graph(&cfg, &addrs, &data);
+        let cfg = SimConfig {
+            shards,
+            threads,
+            ..SimConfig::default()
+        };
+        match SimPlan::new(graph, cfg).unwrap().run() {
+            Err(StepError::Exec(msg)) => assert!(
+                msg.contains("misalignment"),
+                "shards={shards} threads={threads}: {msg}"
+            ),
+            other => panic!("shards={shards} threads={threads}: {other:?}"),
+        }
+    }
 }
 
 #[test]

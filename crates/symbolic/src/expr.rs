@@ -119,11 +119,6 @@ impl Expr {
         Expr::Mul(items.into_iter().collect()).simplify()
     }
 
-    /// Whether this expression is the literal constant `c`.
-    pub fn is_const(&self, c: i64) -> bool {
-        matches!(self, Expr::Const(k) if *k == c)
-    }
-
     /// Returns the constant value if this expression is fully constant.
     pub fn as_const(&self) -> Option<i64> {
         match self {
