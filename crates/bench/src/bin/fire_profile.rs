@@ -23,7 +23,8 @@
 //! attributing engine fires, cache resolutions, and host wall-clock to
 //! each phase. This is the diagnostic view behind the serving memo
 //! numbers: it shows where the fire work lives (MoE dominates), which
-//! phase the report cache elides (QKV within a pass, QKV + MoE across
+//! phase the report cache elides (QKV within a pass, with any short
+//! MoE iteration whose routing sample repeats; QKV + MoE across
 //! passes), and what attention — never cached, its slot-context vector
 //! is effectively unique — costs per iteration.
 
@@ -33,10 +34,10 @@ use step_models::ModelConfig;
 use step_models::attention::{AttentionCfg, ParallelStrategy, attention_graph_with_ports};
 use step_models::moe::{MoeCfg, Tiling, moe_graph, moe_graph_with_ports};
 use step_models::phases::{bind_attention, bind_moe, moe_sim_config, qkv_fingerprint, qkv_graph};
-use step_models::serving::{ServeCfg, iteration_routing};
+use step_models::serving::{ServeCfg, iteration_routing, moe_report_key};
 use step_sim::nodes::compiled_kind;
 use step_sim::{ReportCache, Resolution, RunBinding, SimConfig, SimPlan, plan_content_key};
-use step_traces::{KvTrace, RoutingConfig, RoutingTrace, expert_routing};
+use step_traces::{KvTrace, RoutingConfig, expert_routing};
 
 #[derive(Default)]
 struct OpRow {
@@ -88,8 +89,9 @@ fn serve_profile() {
     // The iteration stream: a chunked-prefill ramp (full token budget),
     // then steady-state decode (one token per slot). Token counts
     // repeat, so QKV memoizes within a pass; routings re-seed per
-    // iteration, so MoE memoizes only across passes — exactly the
-    // serving driver's hit profile.
+    // iteration and top-8-of-128 samples do not coincide, so MoE
+    // memoizes only across passes — the serving driver's hit profile
+    // for this model.
     let iters: Vec<u32> = (0..16u32)
         .map(|i| {
             if i < 4 {
@@ -122,7 +124,7 @@ fn serve_profile() {
     let (moe_graph, moe_ports) = moe_graph_with_ports(&moe_cfg, &build).expect("moe graph");
     let moe_sim_cfg = moe_sim_config();
     let moe_plan = SimPlan::new(moe_graph, moe_sim_cfg.clone()).expect("moe plan");
-    let moe_key = plan_content_key(0xF19E_5E9F, &moe_sim_cfg);
+    let moe_plan_key = plan_content_key(0xF19E_5E9F, &moe_sim_cfg);
 
     let reports = ReportCache::new();
     let phases = ["qkv", "attention", "moe"];
@@ -157,14 +159,19 @@ fn serve_profile() {
                 Resolution::Simulated,
                 t0.elapsed().as_nanos() as u64,
             );
-            // MoE: per-iteration routing through the report cache.
+            // MoE: per-iteration routing through the report cache, keyed
+            // as the serving driver keys it, so a hit builds no binding.
             let t0 = Instant::now();
-            let routing: RoutingTrace = iteration_routing(&model, &cfg, i as u32, tokens as usize);
-            let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
+            let routing = iteration_routing(&model, &cfg, i as u32, tokens as usize);
             let moe = reports
-                .replay_or_run(moe_key, &moe_bind, &mut || {
-                    moe_plan.run_with(&moe_bind, None)
-                })
+                .replay_or_run(
+                    moe_report_key(moe_plan_key, &routing),
+                    &RunBinding::new(),
+                    &mut || {
+                        let bind = bind_moe(&moe_ports, model.hidden, &expert_routing(&routing));
+                        moe_plan.run_with(&bind, None)
+                    },
+                )
                 .expect("moe phase");
             rows.entry("moe").or_default().absorb(
                 moe.report.total_fires(),

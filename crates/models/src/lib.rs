@@ -34,12 +34,15 @@
 //! to a fresh run of the same plan and binding.
 //!
 //! Steady-state iterations additionally memoize their QKV and MoE
-//! reports through a binding-keyed [`step_sim::ReportCache`] (reports
-//! are pure functions of `(plan, binding)`, so replay is exact):
-//! [`phases::qkv_fingerprint`] keys the bindingless QKV phase, the MoE
-//! phase is keyed by its routed-token binding in sampled token order,
-//! and [`serving::ServeReport::engine_fires`] reports the fires the
-//! engine actually executed versus the logical total.
+//! reports through a [`step_sim::ReportCache`] (reports are pure
+//! functions of `(plan, binding)`, so replay is exact), each keyed by
+//! what determines its run: [`phases::qkv_fingerprint`] keys the
+//! bindingless QKV phase by its token count,
+//! [`serving::moe_report_key`] keys the MoE phase by the iteration's
+//! routing sample (iterations of a few tokens) or its inputs (any
+//! other), so a hit builds no binding, and
+//! [`serving::ServeReport::engine_fires`] reports the fires the engine
+//! actually executed versus the logical total.
 //! `tests/report_memo_conformance.rs` holds cached, uncached and
 //! differentially checked runs to the same report.
 

@@ -12,7 +12,10 @@
 //! - [`qkv_fingerprint`] keys the QKV phase in the report cache: the
 //!   QKV graph has no rebindable inputs (its report is a pure function
 //!   of `(model, tokens, SimConfig)`, so the graph identity *is* the
-//!   key), while the MoE phase is keyed by its [`bind_moe`] binding.
+//!   key). The MoE phase is keyed the same way, by what determines its
+//!   [`bind_moe`] binding: the serving driver folds the iteration's
+//!   routing sample, or that sample's inputs, into the plan key
+//!   ([`crate::serving::moe_report_key`]), so a hit builds no binding.
 //!   The serving driver routes both phases through one
 //!   [`step_sim::ReportCache`];
 //! - [`debug_assert_steady`] pins the steady-state contract both drivers

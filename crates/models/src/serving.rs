@@ -63,21 +63,27 @@
 //! **Report memoization.** Determinism also means an iteration whose
 //! phase signature repeats need not run the engine at all:
 //! [`ServeJob::run_memo`] routes the QKV and MoE phases through a
-//! [`ReportCache`] keyed by `(plan content key, binding fingerprint)` —
-//! QKV under the empty binding per token count (the direct
-//! generalization of the per-count memo the drivers used before), MoE
-//! under the iteration's routed-token binding. Attention always
-//! simulates (every slot-context vector under a churning batch is
-//! effectively unique). Cache replays are bit-identical by the
-//! determinism contract, so the report minus the host-side cache
-//! telemetry ([`ServeReport::report_cache`],
+//! [`ReportCache`], each keyed by what determines its run and resolved
+//! under the empty binding: QKV by its plan content key per token count
+//! (the direct generalization of the per-count memo the drivers used
+//! before), MoE by its plan content key folded with the iteration's
+//! routing ([`moe_report_key`]): an iteration with few possible
+//! routings (up to three Mixtral tokens) folds its routing sample, so
+//! iterations whose samples coincide share a report, and any other
+//! folds the sample's inputs, so its hit draws no sample. No hit builds a binding; only a
+//! miss does. Attention always simulates (every slot-context vector
+//! under a churning batch is effectively unique). Cache replays are
+//! bit-identical by the determinism contract, so the report minus the
+//! host-side cache telemetry ([`ServeReport::report_cache`],
 //! [`ServeReport::engine_fires`], which [`ServeReport`]'s `PartialEq`
 //! excludes) is unchanged by caching —
 //! `crates/models/tests/report_memo_conformance.rs` holds cache-on,
-//! cache-off, and differential [`ReportCache::checked`] runs together.
-//! The MoE key folds the sampled routing in token order: the engine
-//! schedules a token *stream*, so two order-permuted routings are
-//! different runs and never share an entry.
+//! cache-off, and differential [`ReportCache::checked`] runs together,
+//! and checks that the keys group iterations exactly as the bindings'
+//! fingerprints do. Both folds keep the token order of the sample, so
+//! the key stays order-sensitive: the engine schedules a token
+//! *stream*, and two order-permuted routings are different runs that
+//! never share an entry.
 
 use crate::attention::{AttentionCfg, AttentionPorts, attention_graph};
 use crate::config::ModelConfig;
@@ -92,7 +98,7 @@ use step_sim::{
     Fingerprint, ReportCache, ReportCacheStats, Resolution, RunBinding, RunPool, SimConfig,
     SimPlan, SimReport, plan_content_key,
 };
-use step_traces::{KvTrace, RequestTrace, RoutingConfig, RoutingTrace, expert_routing};
+use step_traces::{KvTrace, RequestTrace, RoutingConfig, expert_routing};
 
 /// Configuration of the continuous-batching serving driver.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,8 +289,13 @@ pub struct ServeReport {
     /// This run's report-cache requests by resolution (request-scoped:
     /// counts this run's phase requests even when the cache is shared
     /// with other jobs). `hits + misses` equals the QKV + MoE phase
-    /// requests made; attention never consults the cache. Host-side
-    /// execution telemetry — excluded from equality.
+    /// requests made; attention never consults the cache. QKV is keyed
+    /// by its token count and MoE by its routing ([`moe_report_key`]),
+    /// so within one pass a MoE hit is a short iteration whose sample
+    /// repeats an earlier one (common when a request decodes alone), and
+    /// across passes every MoE request of a warm rerun over a shared
+    /// cache hits. Host-side execution telemetry — excluded
+    /// from equality.
     pub report_cache: ReportCacheStats,
     /// TTFT percentiles, cycles (`None` when no request completed).
     pub ttft: Option<Percentiles>,
@@ -348,35 +359,115 @@ impl PartialEq for ServeReport {
     }
 }
 
-/// The deterministic per-iteration routing re-sample: iteration `iter`
-/// routes its `tokens` tokens with this trace. Public so the offline
-/// conformance replay can rebuild exactly what the driver bound.
+/// The inputs of the deterministic per-iteration routing re-sample:
+/// iteration `iter` routes its `tokens` tokens with
+/// [`expert_routing`] of this config, and [`moe_report_key`] keys the
+/// MoE phase by it. Public so the offline conformance replay can
+/// rebuild exactly what the driver bound.
 pub fn iteration_routing(
     model: &ModelConfig,
     cfg: &ServeCfg,
     iter: u32,
     tokens: usize,
-) -> RoutingTrace {
-    expert_routing(&RoutingConfig {
+) -> RoutingConfig {
+    RoutingConfig {
         experts: model.experts,
         top_k: model.top_k,
         batch: tokens,
         skew: cfg.skew,
         seed: cfg.seed ^ 0x5e21 ^ u64::from(iter).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    })
+    }
 }
 
-/// The build-time MoE routing trace: `token_budget` tokens under a
-/// dedicated salt (every iteration rebinds over it, so only its batch
+/// The inputs of the build-time MoE routing: `token_budget` tokens under
+/// a dedicated salt (every iteration rebinds over it, so only its batch
 /// width matters). Public for the offline conformance replay.
-pub fn moe_build_trace(model: &ModelConfig, cfg: &ServeCfg) -> RoutingTrace {
-    expert_routing(&RoutingConfig {
+pub fn moe_build_routing(model: &ModelConfig, cfg: &ServeCfg) -> RoutingConfig {
+    RoutingConfig {
         experts: model.experts,
         top_k: model.top_k,
         batch: cfg.token_budget,
         skew: cfg.skew,
         seed: cfg.seed ^ 0xb111d,
+    }
+}
+
+/// Folds every field [`expert_routing`] reads, the skew by its bits, so
+/// two configs fold equal only if they sample the same routing.
+fn push_routing(fp: &mut Fingerprint, routing: &RoutingConfig) {
+    let RoutingConfig {
+        experts,
+        top_k,
+        batch,
+        skew,
+        seed,
+    } = routing;
+    fp.push_u32(*experts)
+        .push_u32(*top_k)
+        .push_u64(*batch as u64)
+        .push_u64(skew.to_bits())
+        .push_u64(*seed);
+}
+
+/// The most routings an iteration's sample space may hold for
+/// [`moe_report_key`] to key the iteration by its sample. Samples drawn
+/// from different seeds coincide only in small spaces: in the full
+/// serving sweep, 63% of the one-token Mixtral iterations (28 possible
+/// routings) and 4% of the two-token ones (784) repeat an earlier
+/// iteration's routing, and none of the three- or four-token ones
+/// (21,952 and 614,656) do; a Qwen3 token alone has 1.4e12.
+const SAMPLE_KEYED_ROUTINGS: u64 = 1 << 16;
+
+/// Whether `routing` can sample at most [`SAMPLE_KEYED_ROUTINGS`]
+/// routings: `C(experts, top_k)` expert sets per token, to the power of
+/// its tokens.
+fn small_routing_space(routing: &RoutingConfig) -> bool {
+    let (experts, top_k) = (u64::from(routing.experts), u64::from(routing.top_k));
+    // C(experts, top_k), built up so that every division is exact.
+    let sets = (0..top_k).try_fold(1u64, |c, i| {
+        Some(c.checked_mul(experts.checked_sub(i)?)? / (i + 1))
+    });
+    let Some(sets) = sets else { return false };
+    let mut space = 1u64;
+    (0..routing.batch).all(|_| {
+        space = space.saturating_mul(sets);
+        space <= SAMPLE_KEYED_ROUTINGS
     })
+}
+
+/// The MoE phase's report-cache key for an iteration that routes
+/// `routing`: the MoE plan's content key ([`plan_content_key`]) folded
+/// with what determines the iteration's [`bind_moe`] binding, resolved
+/// under the empty binding like the QKV key. The binding is a pure
+/// function of the plan's ports and the model (both in the plan key)
+/// and of the routing sample, so either fold below determines it
+/// without building it:
+///
+/// - an iteration with a small sample space (at most 2^16 possible
+///   routings: up to three Mixtral tokens, no Qwen3 token) folds the
+///   sample's expert sets in token order, so iterations whose
+///   samples coincide share one report whatever seeds drew them.
+///   Drawing a sample that short costs about a microsecond;
+/// - any other iteration folds the sample's inputs and draws nothing:
+///   its samples coincide only when its inputs do, and drawing them
+///   would cost about 0.4 µs per Mixtral token on every hit.
+pub fn moe_report_key(plan: u64, routing: &RoutingConfig) -> u64 {
+    if small_routing_space(routing) {
+        let mut fp = Fingerprint::new("serve.moe.routed");
+        fp.push_u64(plan).push_u64(routing.batch as u64);
+        for experts in expert_routing(routing).assignments {
+            fp.push_u64(experts.len() as u64);
+            for expert in experts {
+                fp.push_u32(expert);
+            }
+        }
+        fp.finish()
+    } else {
+        let mut fp = Fingerprint::new("serve.moe.routing");
+        fp.push_u64(plan);
+        push_routing(&mut fp, routing);
+        fp.finish()
+    }
 }
 
 /// The build-time attention KV trace: every slot provisioned for the
@@ -444,18 +535,19 @@ pub fn attn_plan_fingerprint(model: &ModelConfig, variant: &E2eVariant, envelope
 
 /// The MoE plan's builder fingerprint: everything
 /// [`moe_graph`] consumes for a serving run — the model, the
-/// tiling schedule (with optional time-share regions), and the
-/// build-time routing trace that sizes the batch.
+/// tiling schedule (with optional time-share regions), and the inputs
+/// of the build-time routing sample that sizes the batch
+/// ([`moe_build_routing`]), so a plan hit samples nothing.
 pub fn moe_plan_fingerprint(
     model: &ModelConfig,
     variant: &E2eVariant,
-    build_routing: &RoutingTrace,
+    build_routing: &RoutingConfig,
 ) -> u64 {
     let mut fp = Fingerprint::new("serve.moe");
     fp.push_debug(model)
         .push_debug(&variant.tiling)
-        .push_debug(&variant.moe_regions)
-        .push_debug(build_routing);
+        .push_debug(&variant.moe_regions);
+    push_routing(&mut fp, build_routing);
     fp.finish()
 }
 
@@ -584,20 +676,20 @@ impl ServeJob {
         if let Some(r) = variant.moe_regions {
             moe_cfg = moe_cfg.with_regions(r);
         }
-        let moe_build = moe_build_trace(model, cfg);
+        let moe_build = moe_build_routing(model, cfg);
         let moe_fingerprint = moe_plan_fingerprint(model, variant, &moe_build);
         let moe_sim_cfg = SimConfig {
             threads: cfg.threads,
             ..moe_sim_config()
         };
         let moe_plan = plans.plan(moe_fingerprint, &moe_sim_cfg, &mut || {
-            moe_graph(&moe_cfg, &moe_build)
+            moe_graph(&moe_cfg, &expert_routing(&moe_build))
         })?;
         let moe_ports = MoePorts::of(moe_plan.graph())?;
         // The report-cache keys' plan halves: *content* keys (builder
         // fingerprint × config fingerprint, threads excluded), so replays
         // hit across plan rebuilds, shared plan caches, and thread counts.
-        let moe_report_key = plan_content_key(moe_fingerprint, &moe_sim_cfg);
+        let moe_plan_key = plan_content_key(moe_fingerprint, &moe_sim_cfg);
         // `hbm_bytes_per_cycle` sums QKV + attention + MoE traffic, so the
         // utilization denominator must be a peak the three phases *share* —
         // taking any single phase's peak silently misreports the moment a
@@ -750,12 +842,18 @@ impl ServeJob {
             let attn_bind = bind_attention(&attn_cfg, &attn_ports, &kv);
             let attn = run_phase(&attn_plan, &attn_bind, &mut attn_pool, iter > 0)?;
             engine_fires += attn.total_fires();
-            let routing = iteration_routing(model, cfg, iter, tokens as usize);
-            let moe_bind = bind_moe(&moe_ports, model.hidden, &routing);
             let moe = {
+                // Only a miss (or a checked-mode re-run) builds the
+                // binding the key stands for.
+                let routing = iteration_routing(model, cfg, iter, tokens as usize);
+                let key = moe_report_key(moe_plan_key, &routing);
                 let warmed = moe_warm;
-                let replay = reports.replay_or_run(moe_report_key, &moe_bind, &mut || {
-                    run_phase(&moe_plan, &moe_bind, &mut moe_pool, warmed)
+                let replay = reports.replay_or_run(key, &RunBinding::new(), &mut || {
+                    let bind = bind_moe(&moe_ports, model.hidden, &expert_routing(&routing));
+                    // The cache checks the binding it is handed, the empty
+                    // one; this is the binding that runs.
+                    debug_assert!(bind.cache_safe());
+                    run_phase(&moe_plan, &bind, &mut moe_pool, warmed)
                 })?;
                 cache_stats.absorb(replay.resolution);
                 if replay.resolution == Resolution::Simulated {
@@ -906,6 +1004,27 @@ mod tests {
             kv_heads: 2,
             head_dim: 32,
             layers: 2,
+        }
+    }
+
+    #[test]
+    fn only_small_routing_spaces_are_keyed_by_their_sample() {
+        // (experts, top_k, the most tokens whose space stays within 2^16)
+        for (experts, top_k, most) in [(8, 2, 3), (4, 2, 6), (4, 4, 64), (128, 8, 0)] {
+            for batch in 1..=64 {
+                let routing = RoutingConfig {
+                    experts,
+                    top_k,
+                    batch,
+                    skew: 0.8,
+                    seed: 1,
+                };
+                assert_eq!(
+                    small_routing_space(&routing),
+                    batch <= most,
+                    "{experts} experts, top-{top_k}, {batch} tokens"
+                );
+            }
         }
     }
 

@@ -7,12 +7,30 @@
 //! reruns over a shared cache all compare equal (the report's
 //! `PartialEq` covers everything the simulation computed; only the
 //! host-side cache telemetry is excluded), across thread counts.
+//!
+//! **MoE keys**: the driver keys each MoE iteration by what determines
+//! its binding ([`moe_report_key`]) without building the binding: an
+//! iteration with few possible routings (a few tokens) by its routing
+//! sample, any other by the sample's inputs. On the Mixtral serving
+//! cell the keys group iterations exactly as the binding fingerprints
+//! do; decode iterations whose samples coincide share one report within
+//! a cold pass; and serve jobs that differ in any routing or plan input
+//! never share a report, even back to back on one checked cache.
 
+use std::collections::{HashMap, HashSet};
 use step_models::ModelConfig;
 use step_models::e2e::E2eVariant;
-use step_models::serving::{FreshPlans, ServeCfg, ServeJob};
-use step_sim::ReportCache;
-use step_traces::{ArrivalConfig, ArrivalPattern, LenDist, RequestTrace, arrival_trace};
+use step_models::moe::{MoeCfg, moe_graph_with_ports};
+use step_models::phases::{bind_moe, moe_sim_config};
+use step_models::serving::{
+    FreshPlans, ServeCfg, ServeJob, ServeReport, iteration_routing, moe_build_routing,
+    moe_plan_fingerprint, moe_report_key,
+};
+use step_sim::{ReportCache, plan_content_key};
+use step_traces::{
+    ArrivalConfig, ArrivalPattern, LenDist, RequestTrace, RoutingConfig, arrival_trace,
+    expert_routing,
+};
 
 fn tiny() -> ModelConfig {
     ModelConfig {
@@ -111,4 +129,215 @@ fn cache_modes_and_thread_counts_are_report_identical() {
             cold.engine_fires
         );
     }
+}
+
+/// The serving sweep's quick cell, as the `replay` benchmark serves it:
+/// Mixtral-8x7B under static(32) tiling, 4 slots, a 64-token budget,
+/// prefill chunked at 16, eight Poisson arrivals at a 300 Mcycle mean.
+fn replay_cell(seed: u64) -> ServeJob {
+    let t = arrival_trace(&ArrivalConfig {
+        requests: 8,
+        mean_interarrival: 300_000_000.0,
+        pattern: ArrivalPattern::Poisson,
+        prompt: LenDist::new(192.0, 0.5, 32, 512),
+        output: LenDist::new(4.0, 0.5, 2, 24),
+        seed: 7,
+    });
+    let c = ServeCfg {
+        slots: 4,
+        token_budget: 64,
+        prefill_chunk: Some(16),
+        skew: 0.8,
+        seed,
+        ..ServeCfg::default()
+    };
+    let v = E2eVariant::static_schedule("Static (Perf-matched)", 32);
+    job(&ModelConfig::mixtral_8x7b(), &v, &t, &c)
+}
+
+/// Each iteration's MoE report key, computed as the driver computes it,
+/// beside the fingerprint of the `bind_moe` binding the key stands for.
+fn moe_keys_and_bindings(job: &ServeJob, report: &ServeReport) -> Vec<(u64, u64)> {
+    let (model, cfg) = (&job.model, &job.cfg);
+    let build = moe_build_routing(model, cfg);
+    let (_, ports) = moe_graph_with_ports(
+        &MoeCfg::new(model.clone(), job.variant.tiling),
+        &expert_routing(&build),
+    )
+    .unwrap();
+    let plan = plan_content_key(
+        moe_plan_fingerprint(model, &job.variant, &build),
+        &moe_sim_config(),
+    );
+    report
+        .iterations
+        .iter()
+        .map(|it| {
+            let routing = iteration_routing(model, cfg, it.iter, it.tokens as usize);
+            let key = moe_report_key(plan, &routing);
+            let binding = bind_moe(&ports, model.hidden, &expert_routing(&routing)).fingerprint();
+            (key, binding)
+        })
+        .collect()
+}
+
+/// Within each cold pass of the replay cell, two MoE iterations share a
+/// key exactly when their `bind_moe` bindings share a fingerprint, so
+/// keying without the binding moves no hit or miss.
+#[test]
+fn moe_keys_group_iterations_as_binding_fingerprints_do() {
+    let mut iterations = 0;
+    for seed in 1..=10 {
+        let cell = replay_cell(seed);
+        let report = cell.run().unwrap();
+        let (mut by_key, mut by_binding) = (HashMap::new(), HashMap::new());
+        for (it, (key, binding)) in report
+            .iterations
+            .iter()
+            .zip(moe_keys_and_bindings(&cell, &report))
+        {
+            assert_eq!(
+                *by_key.entry(key).or_insert(binding),
+                binding,
+                "seed {seed} iter {}: one key, two bindings",
+                it.iter
+            );
+            assert_eq!(
+                *by_binding.entry(binding).or_insert(key),
+                key,
+                "seed {seed} iter {}: one binding, two keys",
+                it.iter
+            );
+        }
+        iterations += report.iterations.len();
+    }
+    assert!(
+        iterations >= 10 * 50,
+        "only {iterations} iterations checked"
+    );
+}
+
+/// Requests far apart decode alone, one token per iteration, and a
+/// one-token routing is one of six expert pairs on the tiny model, so
+/// samples drawn from different seeds coincide. A cold pass on a
+/// checked cache (every hit re-simulated and compared) must replay each
+/// repeated binding: its hits are exactly those that keying QKV by
+/// token count and MoE by binding fingerprint would give.
+#[test]
+fn decode_iterations_whose_routings_coincide_share_one_moe_report() {
+    let t = arrival_trace(&ArrivalConfig {
+        requests: 3,
+        mean_interarrival: 1e12,
+        pattern: ArrivalPattern::Poisson,
+        prompt: LenDist::new(12.0, 0.5, 4, 16),
+        output: LenDist::new(12.0, 0.3, 8, 16),
+        seed: 5,
+    });
+    let j = job(&tiny(), &E2eVariant::static_schedule("s", 4), &t, &cfg(1));
+    let cold = j.run_memo(&FreshPlans, &ReportCache::checked()).unwrap();
+    assert_eq!(cold, j.run().unwrap());
+    let distinct = |xs: Vec<u64>| xs.into_iter().collect::<HashSet<_>>().len() as u64;
+    let iters = cold.iterations.len() as u64;
+    let qkv_hits = iters
+        - distinct(
+            cold.iterations
+                .iter()
+                .map(|i| u64::from(i.tokens))
+                .collect(),
+        );
+    let bindings = moe_keys_and_bindings(&j, &cold);
+    let moe_hits = iters - distinct(bindings.iter().map(|&(_, b)| b).collect());
+    assert!(
+        moe_hits >= 10,
+        "only {moe_hits} repeated routings in {iters} iterations"
+    );
+    assert_eq!(
+        (cold.report_cache.hits, cold.report_cache.misses),
+        (qkv_hits + moe_hits, 2 * iters - qkv_hits - moe_hits),
+        "a repeated MoE routing missed the cache"
+    );
+}
+
+/// Serve jobs that differ only in routing skew, routing seed, token
+/// budget or MoE tiling, served back to back on one checked cache (which
+/// re-simulates every hit and asserts it equals the stored report),
+/// each equal their own fresh run: no MoE key is shared across them.
+#[test]
+fn jobs_differing_in_one_routing_or_plan_input_share_no_moe_report() {
+    let model = tiny();
+    let t = trace(8, 3);
+    let base = cfg(1);
+    let static4 = E2eVariant::static_schedule("s", 4);
+    let jobs = [
+        job(&model, &static4, &t, &base),
+        job(
+            &model,
+            &static4,
+            &t,
+            &ServeCfg {
+                skew: 0.3,
+                ..base.clone()
+            },
+        ),
+        job(
+            &model,
+            &static4,
+            &t,
+            &ServeCfg {
+                seed: 12,
+                ..base.clone()
+            },
+        ),
+        job(
+            &model,
+            &static4,
+            &t,
+            &ServeCfg {
+                token_budget: 24,
+                ..base.clone()
+            },
+        ),
+        job(&model, &E2eVariant::static_schedule("s", 8), &t, &base),
+    ];
+    let shared = ReportCache::checked();
+    for (i, j) in jobs.iter().enumerate() {
+        let got = j.run_memo(&FreshPlans, &shared).unwrap();
+        assert_eq!(
+            got,
+            j.run().unwrap(),
+            "job {i} replayed another job's report"
+        );
+    }
+    // Under one plan key (the driver's folds the job's skew and seed
+    // too; `fire_profile --serve` uses a constant one), an 8-token
+    // iteration's key separates each sampler input on its own, and a 1-
+    // or 2-token iteration's key is its sample (6 or 36 possible
+    // routings on this model): equal exactly when the samples are,
+    // whatever seeds drew them.
+    let key = |r: &RoutingConfig| moe_report_key(0, r);
+    let prefill = iteration_routing(&model, &base, 3, 8);
+    let perturbations: [fn(&mut RoutingConfig); 5] = [
+        |c| c.skew = 0.3,
+        |c| c.seed ^= 1,
+        |c| c.batch += 1,
+        |c| c.top_k -= 1,
+        |c| c.experts += 1,
+    ];
+    for perturb in perturbations {
+        let mut other = prefill.clone();
+        perturb(&mut other);
+        assert_ne!(key(&other), key(&prefill), "{other:?}");
+    }
+    let decodes: Vec<RoutingConfig> = (0..24)
+        .map(|i| iteration_routing(&model, &base, i, 1 + i as usize % 2))
+        .collect();
+    let mut shared = 0;
+    for (i, a) in decodes.iter().enumerate() {
+        for b in &decodes[i + 1..] {
+            let same = expert_routing(a) == expert_routing(b);
+            assert_eq!(key(a) == key(b), same, "{a:?} vs {b:?}");
+            shared += usize::from(same);
+        }
+    }
+    assert!(shared > 0, "no two short samples coincided");
 }

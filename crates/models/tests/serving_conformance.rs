@@ -34,10 +34,12 @@ use step_models::moe::{MoeCfg, MoePorts, Tiling, moe_graph, moe_graph_with_ports
 use step_models::phases::{bind_attention, bind_moe, moe_sim_config, qkv_graph};
 use step_models::serving::{
     PlanSource, ServeCfg, ServeJob, ServeReport, attn_plan_fingerprint, envelope_kv,
-    iteration_routing, moe_build_trace, moe_plan_fingerprint,
+    iteration_routing, moe_build_routing, moe_plan_fingerprint,
 };
 use step_sim::{ReportCache, SimConfig, SimPlan};
-use step_traces::{ArrivalConfig, ArrivalPattern, KvTrace, LenDist, RequestTrace, arrival_trace};
+use step_traces::{
+    ArrivalConfig, ArrivalPattern, KvTrace, LenDist, RequestTrace, arrival_trace, expert_routing,
+};
 
 fn tiny_model() -> ModelConfig {
     ModelConfig {
@@ -116,7 +118,7 @@ fn replay_offline(
         moe_cfg = moe_cfg.with_regions(r);
     }
     let (moe_graph, moe_ports) =
-        moe_graph_with_ports(&moe_cfg, &moe_build_trace(model, cfg)).unwrap();
+        moe_graph_with_ports(&moe_cfg, &expert_routing(&moe_build_routing(model, cfg))).unwrap();
 
     for it in &report.iterations {
         // Fresh plans every iteration: no pools, no reuse, no shared
@@ -135,7 +137,7 @@ fn replay_offline(
         );
 
         let moe_plan = SimPlan::new(moe_graph.clone(), moe_sim_config()).unwrap();
-        let routing = iteration_routing(model, cfg, it.iter, it.tokens as usize);
+        let routing = expert_routing(&iteration_routing(model, cfg, it.iter, it.tokens as usize));
         let moe = moe_plan
             .run_with(&bind_moe(&moe_ports, model.hidden, &routing), None)
             .unwrap();
@@ -320,7 +322,8 @@ fn ports_read_by_label_from_cached_plans_match_the_builders() {
     let model = tiny_model();
     let (tr, cfg) = (trace(8, 20_000.0, 9), serve_cfg());
     let envelope = envelope_kv(&tr, &cfg);
-    let moe_build = moe_build_trace(&model, &cfg);
+    let moe_build = moe_build_routing(&model, &cfg);
+    let moe_trace = expert_routing(&moe_build);
     let plans = CachedPlans::default();
     let variants = all_variants();
     for v in &variants {
@@ -330,7 +333,7 @@ fn ports_read_by_label_from_cached_plans_match_the_builders() {
         if let Some(r) = v.moe_regions {
             moe_cfg = moe_cfg.with_regions(r);
         }
-        let (_, moe_built) = moe_graph_with_ports(&moe_cfg, &moe_build).unwrap();
+        let (_, moe_built) = moe_graph_with_ports(&moe_cfg, &moe_trace).unwrap();
         for _ in 0..2 {
             let plan = plans
                 .plan(
@@ -349,7 +352,7 @@ fn ports_read_by_label_from_cached_plans_match_the_builders() {
                 .plan(
                     moe_plan_fingerprint(&model, v, &moe_build),
                     &moe_sim_config(),
-                    &mut || moe_graph(&moe_cfg, &moe_build),
+                    &mut || moe_graph(&moe_cfg, &moe_trace),
                 )
                 .unwrap();
             assert_eq!(MoePorts::of(plan.graph()).unwrap(), moe_built, "{}", v.name);

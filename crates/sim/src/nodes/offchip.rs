@@ -405,6 +405,22 @@ impl LinearStoreNode {
 
 impl_simnode_common!(LinearStoreNode);
 
+/// The tile `addr` names in a random-access tensor: its offset from the
+/// tensor's base in whole tiles. An address below the base or between
+/// two tiles names no tile; it is an error, not a read or write of the
+/// tile it would truncate to.
+fn tile_index(cfg: &RandomAccessCfg, addr: u64) -> Result<u64> {
+    let bytes = cfg.tile_bytes().max(1);
+    match addr.checked_sub(cfg.base_addr) {
+        Some(offset) if offset % bytes == 0 => Ok(offset / bytes),
+        _ => Err(StepError::Exec(format!(
+            "random access address {addr:#x} names no tile of the tensor at base {:#x} \
+             with {bytes}-byte tiles",
+            cfg.base_addr
+        ))),
+    }
+}
+
 /// `RandomOffChipLoad`: one tile per byte address.
 pub struct RandomLoadNode {
     io: Io,
@@ -463,13 +479,13 @@ impl RandomLoadNode {
         match self.io.pop(ctx, 0) {
             Token::Val(e) => {
                 let addr = e.as_addr()?;
+                let tile_idx = tile_index(&self.cfg, addr)?;
                 let bytes = self.cfg.tile_bytes();
                 // Issue immediately (the pop above already rate-limits to
                 // one address per cycle); the token carries the completion
                 // time, and the bounded output channel caps requests in
                 // flight.
                 let seq = ctx.hbm.request(addr, bytes, self.io.time, false);
-                let tile_idx = addr.saturating_sub(self.cfg.base_addr) / bytes.max(1);
                 self.pending.push_back(PendingEmit::Tiles {
                     seq0: seq,
                     count: 1,
@@ -543,11 +559,10 @@ impl RandomStoreNode {
             (Token::Val(a), Token::Val(d)) => {
                 let addr = a.as_addr()?;
                 let tile = d.as_tile()?;
+                let tile_idx = tile_index(&self.cfg, addr)?;
                 let bytes = tile.bytes();
                 let seq = ctx.hbm.request(addr, bytes, self.io.time, true);
                 let (tr, _) = self.cfg.tile_shape;
-                let tile_idx =
-                    addr.saturating_sub(self.cfg.base_addr) / self.cfg.tile_bytes().max(1);
                 ctx.store
                     .write_tile(self.cfg.base_addr, (tile_idx * tr) as usize, 0, tile);
                 self.pending.push_back(PendingEmit::Tiles {

@@ -26,6 +26,15 @@
 //! move), which is why binding keys are order-sensitive: a permuted
 //! stream is a different run and gets its own key.
 //!
+//! A caller may instead fold into the plan half whatever determines
+//! the binding it will run, and pass the empty binding: the serving
+//! driver keys its bindingless QKV phase so, and its MoE phase by the
+//! routing sample (or the sample's inputs) that its binding is built
+//! from, so that a hit builds no binding. The key is then exact only
+//! as far as that fold determines the run's binding, and checking
+//! [`RunBinding::cache_safe`] for the binding `run` uses is the
+//! caller's job: the cache sees only the empty one.
+//!
 //! The plan half of the key is **content**, not identity:
 //! [`plan_content_key`] folds the builder fingerprint with
 //! [`SimConfig::fingerprint`] (which excludes `threads`), so replays hit
@@ -183,7 +192,10 @@ impl ReportCache {
     /// Resolves one `(plan, binding)` request: replays a cached report
     /// when the cache holds one, otherwise runs `run` (which must
     /// simulate exactly this pair — pooled or fresh, both are
-    /// bit-identical) and stores the result.
+    /// bit-identical) and stores the result. With the empty binding,
+    /// `run` may bind anything `plan` determines (see the module's key
+    /// contract); the caller then vouches that its binding is
+    /// cache-safe.
     ///
     /// `plan` is the plan's **content** key ([`plan_content_key`]).
     /// Concurrent requests for one exact key share one `run`, under

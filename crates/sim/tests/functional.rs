@@ -658,6 +658,80 @@ fn random_store_misaligned_streams_are_an_error() {
     }
 }
 
+/// A `RandomOffChipLoad` graph: one rank-1 group of addresses into the
+/// load, its tiles into a sink.
+fn random_load_graph(
+    cfg: &RandomAccessCfg,
+    addrs: &[u64],
+) -> (step_core::Graph, step_core::graph::NodeId) {
+    let mut g = GraphBuilder::new();
+    let a = g
+        .source(
+            token::rank1_from_groups(&[addrs.iter().map(|&a| Elem::Addr(a)).collect()]),
+            StreamShape::fixed(&[1, addrs.len() as u64]),
+            ElemKind::Addr,
+        )
+        .unwrap();
+    let tiles = g.random_offchip_load(&a, cfg.clone()).unwrap();
+    let sink = g.sink(&tiles).unwrap();
+    (g.finish(), sink)
+}
+
+/// A random-access address must name a tile: an address below the
+/// tensor's base, or one between two tiles, is a typed error naming the
+/// address, the base and the tile size, for the load and the store, at
+/// every shard and thread count.
+#[test]
+fn random_access_addresses_that_name_no_tile_are_errors() {
+    // A 2×1 tensor of 1×1 tiles at 0x1000. Elements are 2 bytes, so its
+    // tiles start at 0x1000 and 0x1002.
+    let cfg = RandomAccessCfg::new(0x1000, (1, 1));
+    assert_eq!(cfg.tile_bytes(), 2);
+    let mut tensor = RunBinding::new();
+    tensor.preload(0x1000, 2, 1, vec![7.0, 9.0]);
+    let bad_addrs = [0x0, 0x1001, 0x1003];
+    let expect_error =
+        |result: step_core::Result<step_sim::SimReport>, addr: u64, what: &str| match result {
+            Err(StepError::Exec(msg)) => assert!(
+                msg.contains(&format!("address {addr:#x} names no tile"))
+                    && msg.contains("base 0x1000")
+                    && msg.contains("2-byte tiles"),
+                "{what}: {msg}"
+            ),
+            other => panic!("{what}: {other:?}"),
+        };
+    for (shards, threads) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+        let sim = SimConfig {
+            shards,
+            threads,
+            ..SimConfig::default()
+        };
+        let plan = |graph| SimPlan::new(graph, sim.clone()).unwrap();
+        let (graph, sink) = random_load_graph(&cfg, &[0x1002, 0x1000]);
+        let report = plan(graph).run_with(&tensor, None).unwrap();
+        assert_eq!(report.shards, shards);
+        assert_eq!(
+            values_of(report.sink_tokens(sink).unwrap()),
+            vec![9.0, 7.0],
+            "shards={shards} threads={threads}"
+        );
+        let (graph, _) = random_store_graph(&cfg, &[vec![Elem::Addr(0x1002)]], &[vec![tile1(1.0)]]);
+        plan(graph).run_with(&tensor, None).unwrap();
+        for addr in bad_addrs {
+            let what = format!("load at {addr:#x}, shards={shards} threads={threads}");
+            let (graph, _) = random_load_graph(&cfg, &[0x1000, addr]);
+            expect_error(plan(graph).run_with(&tensor, None), addr, &what);
+            let what = format!("store at {addr:#x}, shards={shards} threads={threads}");
+            let (graph, _) = random_store_graph(
+                &cfg,
+                &[vec![Elem::Addr(0x1000), Elem::Addr(addr)]],
+                &[vec![tile1(1.0), tile1(2.0)]],
+            );
+            expect_error(plan(graph).run_with(&tensor, None), addr, &what);
+        }
+    }
+}
+
 #[test]
 fn streamify_starved_of_buffers_fails() {
     let mut g = GraphBuilder::new();
