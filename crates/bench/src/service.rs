@@ -17,8 +17,7 @@
 //!   point — Fig 13 re-plots Fig 12's static(32) column — replays the
 //!   first run's [`SimReport`] instead of running the engine. Serve jobs
 //!   memoize their QKV and MoE phase reports in the same cache
-//!   ([`step_models::serving::ServeJob::run_memo`]). Bindings with a
-//!   wall deadline or cancel token always run and are never stored;
+//!   ([`step_models::serving::ServeJob::run_memo`]);
 //! - a `std::thread` worker pool (no external deps, per the workspace
 //!   convention). Each worker keeps one private [`RunPool`]: a run on
 //!   the plan the worker ran last resets the parked run state in place
@@ -61,9 +60,7 @@
 //!   `Result<PointResult, UnitFailure>`: every error carries its unit's
 //!   label and a [`UnitError`] taxonomy
 //!   (`Panicked`/`Build`/`Run`/`DeadlineExceeded`/`Shutdown`).
-//! - **Bounded queue + graceful drain** —
-//!   [`SweepService::with_queue_depth`] makes `submit` backpressure past
-//!   a configurable depth; [`SweepService::shutdown`] drains queued
+//! - **Graceful drain** — [`SweepService::shutdown`] drains queued
 //!   units, rejects new submissions with [`UnitError::Shutdown`], and
 //!   joins the workers (as does `Drop`).
 
@@ -263,8 +260,7 @@ pub enum UnitError {
     /// [`StepError::RoundLimit`] budget blow (non-retryable: the same
     /// inputs deterministically blow the same budget).
     Run(StepError),
-    /// A per-unit deadline expired ([`StepError::Deadline`]) or the
-    /// unit was cancelled ([`StepError::Cancelled`]).
+    /// A per-unit deadline expired ([`StepError::Deadline`]).
     DeadlineExceeded(StepError),
     /// The service was shut down before the unit could run.
     Shutdown,
@@ -311,7 +307,7 @@ fn classify_build(e: StepError) -> UnitError {
 /// Classifies a run-path error.
 fn classify_run(e: StepError) -> UnitError {
     match e {
-        StepError::Deadline { .. } | StepError::Cancelled => UnitError::DeadlineExceeded(e),
+        StepError::Deadline { .. } => UnitError::DeadlineExceeded(e),
         StepError::Panicked(m) => UnitError::Panicked(m),
         e => UnitError::Run(e),
     }
@@ -345,11 +341,6 @@ struct ServiceInner {
     reports: ReportCache,
     queue: Mutex<QueueState>,
     work_ready: Condvar,
-    /// Wakes submitters blocked on a full queue (bounded-depth mode).
-    space: Condvar,
-    /// Queue depth `submit` backpressures past. `usize::MAX` =
-    /// unbounded (the default).
-    depth: usize,
 }
 
 /// The long-lived sweep service: a plan cache and a report cache shared
@@ -368,14 +359,6 @@ impl SweepService {
     /// A service with `workers` worker threads (at least one) and an
     /// unbounded queue.
     pub fn new(workers: usize) -> SweepService {
-        SweepService::with_queue_depth(workers, usize::MAX)
-    }
-
-    /// A service whose queue holds at most `depth` waiting units
-    /// (clamped to at least one): [`SweepService::submit`] blocks per
-    /// unit until a worker makes room — backpressure for producers that
-    /// enumerate sweeps faster than they simulate.
-    pub fn with_queue_depth(workers: usize, depth: usize) -> SweepService {
         let inner = Arc::new(ServiceInner {
             cache: PlanCache::new(),
             reports: ReportCache::new(),
@@ -384,8 +367,6 @@ impl SweepService {
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            space: Condvar::new(),
-            depth: depth.max(1),
         });
         let workers = (0..workers.max(1))
             .map(|i| {
@@ -430,7 +411,7 @@ impl SweepService {
     /// The shared report cache every unit resolves through: sim points
     /// under `(plan content key, binding)`, serve jobs per QKV and MoE
     /// phase (cumulative counters for CI pins). It never evicts, so it
-    /// retains one report per distinct cache-safe point.
+    /// retains one report per distinct point.
     pub fn reports(&self) -> &ReportCache {
         &self.inner.reports
     }
@@ -438,10 +419,8 @@ impl SweepService {
     /// Enqueues `units` and returns a stream yielding one result per
     /// unit **in submission order**, however the workers interleave.
     ///
-    /// With a bounded queue ([`SweepService::with_queue_depth`]) this
-    /// blocks per unit while the queue is full. After
-    /// [`SweepService::shutdown`] every unit is rejected — the stream
-    /// still yields all N results, each a typed
+    /// Never blocks. After [`SweepService::shutdown`] every unit is
+    /// rejected — the stream still yields all N results, each a typed
     /// [`UnitError::Shutdown`] failure under the unit's real label.
     pub fn submit(&self, units: Vec<SweepUnit>) -> ResultStream {
         let (tx, rx) = mpsc::channel();
@@ -450,9 +429,6 @@ impl SweepService {
             let mut q = lock(&self.inner.queue);
             for (seq, unit) in units.into_iter().enumerate() {
                 let seq = seq as u64;
-                while !q.shutdown && q.tasks.len() >= self.inner.depth {
-                    q = wait(&self.inner.space, q);
-                }
                 if q.shutdown {
                     // Typed rejection straight onto the stream: the
                     // batch still resolves all N slots.
@@ -502,7 +478,6 @@ impl SweepService {
             q.shutdown = true;
         }
         self.inner.work_ready.notify_all();
-        self.inner.space.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -587,8 +562,6 @@ fn worker_loop(inner: &ServiceInner) {
             let mut q = lock(&inner.queue);
             loop {
                 if let Some(t) = q.tasks.pop_front() {
-                    // Wake one backpressured submitter per slot freed.
-                    inner.space.notify_one();
                     break t;
                 }
                 if q.shutdown {
@@ -852,41 +825,6 @@ mod tests {
         assert_eq!(svc.cache().stats().hits, 2);
     }
 
-    /// Bindings whose outcome depends on the host — a wall deadline or a
-    /// cancel token — run every time and are never replayed.
-    #[test]
-    fn host_dependent_bindings_always_run() {
-        let svc = SweepService::new(1);
-        let wall = || {
-            let mut b = RunBinding::new();
-            b.wall_deadline_ms(60_000);
-            b
-        };
-        let cancel = || {
-            let mut b = RunBinding::new();
-            b.cancel_token(step_sim::CancelToken::new());
-            b
-        };
-        let results = svc
-            .run_all(vec![
-                bound("wall", 3, wall()),
-                bound("wall again", 3, wall()),
-                bound("cancel", 3, cancel()),
-                bound("cancel again", 3, cancel()),
-            ])
-            .unwrap();
-        for pair in results.chunks(2) {
-            assert!(!Arc::ptr_eq(shared(&pair[0]), shared(&pair[1])));
-            // The repeat really ran: it reset the worker's parked state.
-            assert_eq!(pair[1].report.sim().unwrap().pool_resets, 1);
-        }
-        assert_eq!(
-            svc.reports().stats(),
-            ReportCacheStats { hits: 0, misses: 4 }
-        );
-        assert!(svc.reports().is_empty(), "impure runs are never stored");
-    }
-
     /// A failed run is retaken by the next identical point, never
     /// replayed: that point fails again, on its own run.
     #[test]
@@ -1078,17 +1016,6 @@ mod tests {
                 Ok(_) => panic!("post-shutdown submission must be rejected"),
             }
         }
-    }
-
-    #[test]
-    fn bounded_queue_backpressures_without_losing_order() {
-        let svc = SweepService::with_queue_depth(1, 1);
-        let units: Vec<SweepUnit> = (1..=4).map(|t| point(&format!("t{t}"), t)).collect();
-        // submit() blocks per unit until the single-slot queue drains;
-        // the batch must still complete in submission order.
-        let results = svc.run_all(units).unwrap();
-        let labels: Vec<&str> = results.iter().map(|r| r.label.as_str()).collect();
-        assert_eq!(labels, ["t1", "t2", "t3", "t4"]);
     }
 
     /// Satellite: concurrent same-key checkouts against a builder that

@@ -269,20 +269,6 @@ fn same_key_builder_panics_never_strand_waiters() {
     }
 }
 
-/// Faults must not wedge a bounded queue: a depth-1 queue with panicking
-/// and failing units still drains the whole batch in order.
-#[test]
-fn bounded_queue_stays_live_under_faults() {
-    let plan = FaultPlan::seeded(SEED ^ 1, 8, 3);
-    let svc = SweepService::with_queue_depth(2, 1);
-    let units: Vec<SweepUnit> = (0..8).map(|i| unit_for(i, plan.fault_for(i))).collect();
-    let results: Vec<_> = svc.submit(units).collect();
-    assert_eq!(results.len(), 8);
-    for (i, res) in results.iter().enumerate() {
-        assert_outcome(i, plan.fault_for(i), res);
-    }
-}
-
 /// Graceful drain under chaos: shutdown after a faulted batch completes
 /// cleanly, is idempotent, and later submissions resolve — with the
 /// typed `Shutdown` error and their real labels — instead of hanging.

@@ -7,19 +7,14 @@ pub type Result<T> = std::result::Result<T, StepError>;
 
 /// The unit a run deadline is denominated in.
 ///
-/// `Cycles` and `Rounds` are simulated quantities: a deadline expressed
-/// in them fails at exactly the same point of the schedule at any thread
-/// or worker count, so they are the only kinds CI may assert on.
-/// `WallMs` is host wall-clock — opt-in, inherently nondeterministic,
-/// never used by any conformance check.
+/// Both are simulated quantities: a deadline expressed in them fails at
+/// exactly the same point of the schedule at any thread or worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineKind {
     /// Simulated cycles (the conservative execution horizon).
     Cycles,
     /// Scheduler rounds (coordination barriers / waves).
     Rounds,
-    /// Host wall-clock milliseconds. Nondeterministic; never in CI.
-    WallMs,
 }
 
 impl fmt::Display for DeadlineKind {
@@ -27,7 +22,6 @@ impl fmt::Display for DeadlineKind {
         match self {
             DeadlineKind::Cycles => write!(f, "cycles"),
             DeadlineKind::Rounds => write!(f, "rounds"),
-            DeadlineKind::WallMs => write!(f, "wall-ms"),
         }
     }
 }
@@ -73,8 +67,6 @@ pub enum StepError {
         /// The observed value that tripped the deadline.
         at: u64,
     },
-    /// The run was cancelled through a cooperative `CancelToken`.
-    Cancelled,
 }
 
 impl fmt::Display for StepError {
@@ -98,7 +90,6 @@ impl fmt::Display for StepError {
             StepError::Deadline { kind, limit, at } => {
                 write!(f, "deadline exceeded: {at} {kind} (limit {limit})")
             }
-            StepError::Cancelled => write!(f, "cancelled"),
         }
     }
 }
@@ -134,7 +125,6 @@ mod tests {
             at: 128,
         };
         assert_eq!(e.to_string(), "deadline exceeded: 128 cycles (limit 100)");
-        assert_eq!(StepError::Cancelled.to_string(), "cancelled");
         assert_eq!(
             StepError::Panicked("boom".into()).to_string(),
             "panicked: boom"

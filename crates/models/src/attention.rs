@@ -60,14 +60,6 @@ pub struct AttentionCfg {
     pub compute_bw: u64,
     /// Dispatch strategy.
     pub strategy: ParallelStrategy,
-    /// Extra KV tokens per request the dispatch queues are provisioned
-    /// for beyond the build-time trace. A decode loop grows every
-    /// request by one token per iteration; provisioning the region
-    /// queues for the final lengths lets one `SimPlan` serve every
-    /// iteration through source rebinding instead of rebuilding the
-    /// graph. Zero (the default) sizes queues exactly for the
-    /// build-time trace.
-    pub kv_headroom: u32,
 }
 
 impl AttentionCfg {
@@ -83,15 +75,7 @@ impl AttentionCfg {
             // the roofline turns into bytes/64 cycles per tile.
             compute_bw: 128,
             strategy,
-            kv_headroom: 0,
         }
-    }
-
-    /// Provisions the dispatch queues for requests up to `extra` KV
-    /// tokens longer than the build-time trace (decode-loop reuse).
-    pub fn with_kv_headroom(mut self, extra: u32) -> AttentionCfg {
-        self.kv_headroom = extra;
-        self
     }
 
     /// Bytes per loaded KV tile.
@@ -146,8 +130,9 @@ impl AttentionPorts {
 
 /// The token stream played by the `attn.requests` source for `kv`:
 /// request `i` is a rank-1 group of its KV tile addresses. Build the
-/// graph once (with enough [`AttentionCfg::kv_headroom`]), then bind
-/// this stream per decode iteration as the caches grow.
+/// graph once from a trace at least as long as every later one (its
+/// dispatch queues are sized for the build trace), then bind this
+/// stream per decode iteration as the caches grow.
 pub fn attention_request_tokens(cfg: &AttentionCfg, kv: &KvTrace) -> Vec<token::Token> {
     let tile_bytes = cfg.kv_tile_bytes();
     let groups: Vec<Vec<Elem>> = kv
@@ -254,12 +239,13 @@ pub fn build_attention(
     // (addresses are 8 bytes — a KB-scale FIFO), so the dispatcher
     // streams a request in at port rate and moves on. Load imbalance —
     // not dispatch blocking — is then what separates the strategies, as
-    // in Fig 14. Queues are provisioned for `kv_headroom` extra tokens
-    // per request so a reused plan can serve later decode iterations.
+    // in Fig 14. Queues are sized for the build trace's longest
+    // request, so a plan reused across decode iterations is built from
+    // the longest iteration's trace.
     let max_tiles = kv
         .lengths
         .iter()
-        .map(|&l| cfg.tiles_for(l + cfg.kv_headroom))
+        .map(|&l| cfg.tiles_for(l))
         .max()
         .unwrap_or(1);
     for region in &routed {
@@ -315,7 +301,6 @@ mod tests {
             // the roofline turns into bytes/64 cycles per tile.
             compute_bw: 128,
             strategy,
-            kv_headroom: 0,
         }
     }
 

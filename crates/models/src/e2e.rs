@@ -207,8 +207,8 @@ pub struct DecodeReport {
 ///   plan's `attn.requests` source is rebound with the iteration's
 ///   longer tile-address stream
 ///   ([`crate::attention::attention_request_tokens`]; the plan
-///   is built with [`AttentionCfg::kv_headroom`] so its dispatch queues
-///   already fit the final iteration);
+///   is built from the final iteration's trace so its dispatch queues
+///   already fit every iteration);
 /// - expert routing is re-sampled, so the MoE plan's `moe.router`
 ///   selector source is rebound with the fresh sample
 ///   ([`crate::moe::moe_router_tokens`]);
@@ -262,9 +262,9 @@ pub fn run_decode(
     };
 
     // Build each phase's plan exactly once.
-    let attn_cfg =
-        AttentionCfg::new(model.clone(), variant.attention).with_kv_headroom(cfg.iterations - 1);
-    let (attn_graph, attn_ports) = attention_graph_with_ports(&attn_cfg, &kv_at(0))?;
+    let attn_cfg = AttentionCfg::new(model.clone(), variant.attention);
+    let (attn_graph, attn_ports) =
+        attention_graph_with_ports(&attn_cfg, &kv_at(cfg.iterations - 1))?;
     let attn_plan = SimPlan::new(attn_graph, SimConfig::default())?;
     let mut moe_cfg = MoeCfg::new(model.clone(), variant.tiling);
     if let Some(r) = variant.moe_regions {

@@ -35,9 +35,10 @@ use step_traces::{KvTrace, RoutingTrace};
 
 /// The per-iteration attention binding: the `attn.requests` source
 /// replays the iteration's KV tile-address stream (one rank-1 group per
-/// batch slot). The plan must have been built with queue provisioning
-/// ([`AttentionCfg::kv_headroom`] or an envelope-length build trace)
-/// covering every bound length.
+/// batch slot). The plan's dispatch queues are sized for its build
+/// trace, so build it from a trace whose longest request is at least as
+/// long as any bound one (`run_decode` builds from its final
+/// iteration, `ServeJob` from `envelope_kv`).
 pub fn bind_attention(cfg: &AttentionCfg, ports: &AttentionPorts, kv: &KvTrace) -> RunBinding {
     let mut b = RunBinding::new();
     b.bind_source(ports.requests, attention_request_tokens(cfg, kv));

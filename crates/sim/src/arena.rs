@@ -254,6 +254,12 @@ impl BackingStore {
         }
     }
 
+    /// The `(rows, cols)` of the tensor registered at `base_addr`, if
+    /// any.
+    pub fn extent(&self, base_addr: u64) -> Option<(usize, usize)> {
+        self.tensors.get(&base_addr).map(|t| (t.rows, t.cols))
+    }
+
     /// Reads back a registered tensor's dense contents, if present.
     pub fn tensor(&self, base_addr: u64) -> Option<(usize, usize, &[f32])> {
         self.tensors
@@ -360,6 +366,14 @@ impl SharedStore {
             .write()
             .expect("store lock")
             .write_tile(base_addr, r0, c0, tile);
+    }
+
+    /// See [`BackingStore::extent`]. Timing-only runs take no lock.
+    pub fn extent(&self, base_addr: u64) -> Option<(usize, usize)> {
+        if !self.backed() {
+            return None;
+        }
+        self.inner.read().expect("store lock").extent(base_addr)
     }
 
     /// Reads back a registered tensor's dense contents, if present.

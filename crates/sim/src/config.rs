@@ -30,13 +30,15 @@ impl Default for HbmConfig {
     }
 }
 
+/// Transit latency of every FIFO, in cycles: a token sent at cycle `t`
+/// is visible to its reader at `t + CHANNEL_LATENCY`.
+pub const CHANNEL_LATENCY: u64 = 1;
+
 /// Global simulation configuration (§5.1 defaults).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
     /// On-chip memory unit bandwidth in bytes/cycle (64 B/cycle in §5.1).
     pub onchip_bytes_per_cycle: u64,
-    /// Transit latency of every FIFO, in cycles.
-    pub channel_latency: u64,
     /// HBM timing model.
     pub hbm: HbmConfig,
     /// Scheduler wave limit (guards against runaway programs). A wave is
@@ -72,7 +74,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             onchip_bytes_per_cycle: 64,
-            channel_latency: 1,
             hbm: HbmConfig::default(),
             max_rounds: 50_000_000,
             horizon_step: 64,

@@ -29,7 +29,8 @@
 //! [`RunBinding`] supplies the per-run inputs: replacement token streams
 //! for `Source` nodes (**source rebinding** — drive one plan with many
 //! trace iterations without re-partitioning), dense off-chip preloads
-//! for functional runs, and run limits.
+//! for functional runs, and [`RunLimits`] (deterministic cycle and round
+//! deadlines).
 //!
 //! # Execution model
 //!
@@ -108,9 +109,8 @@
 //! immediate-commitment path, which the sharded path generalizes.
 
 use crate::arena::{Arena, ArenaEvent, SharedStore, peak_of_events};
-use crate::cancel::CancelToken;
 use crate::channel::{Channel, event};
-use crate::config::SimConfig;
+use crate::config::{CHANNEL_LATENCY, SimConfig};
 use crate::fingerprint::Fingerprint;
 use crate::hbm::{Hbm, Merge, ReqRun};
 use crate::nodes::{self, Chans, CompiledNode, Ctx, HbmPort, HbmSink, SimNode};
@@ -120,7 +120,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
-use std::time::Instant;
 use step_core::error::{DeadlineKind, Result, StepError};
 use step_core::graph::{EdgeId, Graph, NodeId};
 use step_core::ops::OpKind;
@@ -675,7 +674,6 @@ impl Shard {
     /// `hbm` is the immediate ledger for single-shard plans and the
     /// solo-shard fast path; otherwise requests queue for the barrier
     /// commit.
-    #[allow(clippy::too_many_arguments)]
     fn run_to_quiescence(
         &mut self,
         plan: &ShardPlan,
@@ -684,7 +682,6 @@ impl Shard {
         store: &SharedStore,
         graph: &Graph,
         hbm: Option<&mut Hbm>,
-        ctrl: &RunCtrl,
     ) -> Result<()> {
         let mut sched = std::mem::take(&mut self.sched);
         let result = match &mut sched {
@@ -695,7 +692,7 @@ impl Shard {
                 next,
                 in_next,
             } => self.run_legacy(
-                plan, bits, ready, cursor, next, in_next, eff, cfg, store, graph, hbm, ctrl,
+                plan, bits, ready, cursor, next, in_next, eff, cfg, store, graph, hbm,
             ),
             Sched::Dedup {
                 cur,
@@ -704,7 +701,7 @@ impl Shard {
                 wave_gen,
                 dedup_hits,
             } => self.run_dedup(
-                plan, cur, nxt, stamp, wave_gen, dedup_hits, eff, cfg, store, graph, hbm, ctrl,
+                plan, cur, nxt, stamp, wave_gen, dedup_hits, eff, cfg, store, graph, hbm,
             ),
         };
         self.sched = sched;
@@ -730,7 +727,6 @@ impl Shard {
         store: &SharedStore,
         graph: &Graph,
         mut hbm: Option<&mut Hbm>,
-        ctrl: &RunCtrl,
     ) -> Result<()> {
         let mut wakes: Vec<u32> = Vec::new();
         while self.undone > 0 && *ready > 0 {
@@ -738,7 +734,6 @@ impl Shard {
             if self.rounds > cfg.max_rounds {
                 return Err(self.round_limit_error(cfg));
             }
-            ctrl.check_wave()?;
             while let Some(i) = bits_next(bits, *cursor) {
                 bits[i / 64] &= !(1 << (i % 64));
                 *ready -= 1;
@@ -814,7 +809,6 @@ impl Shard {
         store: &SharedStore,
         graph: &Graph,
         mut hbm: Option<&mut Hbm>,
-        ctrl: &RunCtrl,
     ) -> Result<()> {
         let mut wakes: Vec<u32> = Vec::new();
         while self.undone > 0 && !nxt.is_empty() {
@@ -822,7 +816,6 @@ impl Shard {
             if self.rounds > cfg.max_rounds {
                 return Err(self.round_limit_error(cfg));
             }
-            ctrl.check_wave()?;
             std::mem::swap(cur, nxt);
             *wave_gen += 1;
             cur.sort_unstable();
@@ -901,74 +894,24 @@ pub struct RunBinding {
     limits: RunLimits,
 }
 
-/// Per-run execution limits carried by a [`RunBinding`]: deadlines and
-/// a cooperative cancellation token.
+/// Per-run execution limits carried by a [`RunBinding`]: a cycle and a
+/// round deadline.
 ///
-/// Cycle- and round-denominated deadlines are **deterministic**: they
-/// are checked only at points the determinism contract already orders
-/// (the monolithic window advance and the coordinator's exclusive
-/// barrier window), so a run that blows a simulated deadline fails with
-/// the identical [`StepError::Deadline`] at any thread or worker count.
-/// The wall-clock deadline and the [`CancelToken`] are polled per
-/// scheduler wave — inherently host-dependent, opt-in escape hatches
-/// that no conformance check ever uses.
+/// Both are **deterministic**: they are checked only at points the
+/// determinism contract already orders (the monolithic window advance
+/// and the coordinator's exclusive barrier window), so a run that blows
+/// a deadline fails with the identical [`StepError::Deadline`] at any
+/// thread or worker count, and its outcome stays a pure function of
+/// `(plan, binding)`.
 #[derive(Debug, Clone, Default)]
 pub struct RunLimits {
     deadline_cycles: Option<u64>,
     deadline_rounds: Option<u64>,
-    wall_deadline_ms: Option<u64>,
-    cancel: Option<CancelToken>,
 }
 
 impl RunLimits {
     fn is_empty(&self) -> bool {
-        self.deadline_cycles.is_none()
-            && self.deadline_rounds.is_none()
-            && self.wall_deadline_ms.is_none()
-            && self.cancel.is_none()
-    }
-}
-
-/// The resolved limit state for one run: wall deadlines become an
-/// [`Instant`] at run start so waves compare against a fixed point.
-struct RunCtrl {
-    deadline_cycles: Option<u64>,
-    deadline_rounds: Option<u64>,
-    wall: Option<(Instant, u64)>,
-    cancel: Option<CancelToken>,
-}
-
-impl RunCtrl {
-    fn new(limits: &RunLimits) -> RunCtrl {
-        RunCtrl {
-            deadline_cycles: limits.deadline_cycles,
-            deadline_rounds: limits.deadline_rounds,
-            wall: limits.wall_deadline_ms.map(|ms| (Instant::now(), ms)),
-            cancel: limits.cancel.clone(),
-        }
-    }
-
-    /// The nondeterministic per-wave checks: cancellation and the
-    /// wall-clock deadline. Cheap when no limit is armed.
-    fn check_wave(&self) -> Result<()> {
-        if let Some(tok) = &self.cancel
-            && tok.is_cancelled()
-        {
-            return Err(StepError::Cancelled);
-        }
-        if let Some((start, ms)) = &self.wall {
-            // Compare durations, not truncated milliseconds: a sub-ms
-            // elapsed would floor to 0 and sail past a 0 ms limit.
-            let elapsed = start.elapsed();
-            if elapsed > std::time::Duration::from_millis(*ms) {
-                return Err(StepError::Deadline {
-                    kind: DeadlineKind::WallMs,
-                    limit: *ms,
-                    at: elapsed.as_millis() as u64,
-                });
-            }
-        }
-        Ok(())
+        self.deadline_cycles.is_none() && self.deadline_rounds.is_none()
     }
 
     /// The deterministic round-deadline check, run where `rounds` is a
@@ -1061,22 +1004,6 @@ impl RunBinding {
         self
     }
 
-    /// Fails the run with [`StepError::Deadline`] (`WallMs`) once more
-    /// than `limit` host milliseconds elapse. **Nondeterministic** — an
-    /// operational guard for untrusted workloads, never used by any
-    /// conformance check.
-    pub fn wall_deadline_ms(&mut self, limit: u64) -> &mut Self {
-        self.limits.wall_deadline_ms = Some(limit);
-        self
-    }
-
-    /// Attaches a cooperative [`CancelToken`]: raising it fails the run
-    /// with [`StepError::Cancelled`] at the next scheduler wave.
-    pub fn cancel_token(&mut self, token: CancelToken) -> &mut Self {
-        self.limits.cancel = Some(token);
-        self
-    }
-
     /// Whether the binding carries no overrides.
     pub fn is_empty(&self) -> bool {
         self.sources.is_empty() && self.preloads.is_empty() && self.limits.is_empty()
@@ -1086,12 +1013,9 @@ impl RunBinding {
     /// seeded [`crate::Fingerprint`] folding every bound source's node
     /// id and token stream (in node-id order — `sources` is a
     /// `BTreeMap`, so insertion order cannot leak in), every preload
-    /// (address, shape, and data bits), and the **deterministic** limits
-    /// (cycle and round deadlines change a run's outcome, so they are
-    /// part of its identity). The host-dependent limits — wall deadline
-    /// and cancellation — are deliberately *not* folded: they make the
-    /// outcome impure, which [`RunBinding::cache_safe`] reports so
-    /// caches can bypass such bindings entirely.
+    /// (address, shape, and data bits), and the limits (cycle and round
+    /// deadlines change a run's outcome, so they are part of its
+    /// identity).
     ///
     /// Tokens fold structurally ([`crate::Fingerprint::push_token`]):
     /// a tag per token and element variant, then the stop level, tile
@@ -1129,15 +1053,6 @@ impl RunBinding {
             fp.push_bool(limit.is_some()).push_u64(limit.unwrap_or(0));
         }
         fp.finish()
-    }
-
-    /// Whether a run of this binding is a pure function of
-    /// `(plan, binding)`: true unless a host-dependent limit is armed
-    /// (wall-clock deadline or cancellation token), whose firing depends
-    /// on the host scheduler. [`crate::ReportCache`] refuses to store or
-    /// serve bindings that are not cache-safe.
-    pub fn cache_safe(&self) -> bool {
-        self.limits.wall_deadline_ms.is_none() && self.limits.cancel.is_none()
     }
 }
 
@@ -1375,14 +1290,13 @@ impl SimPlan {
     /// Returns [`StepError::Config`] for a binding that targets a
     /// non-`Source` node, violates the source's stream rank, or preloads
     /// a tensor whose data length is not `rows * cols`;
-    /// [`StepError::Deadline`] or [`StepError::Cancelled`] when a limit
-    /// trips; plus the run errors of [`SimPlan::run`]. A failed run
-    /// drops its state instead of parking it.
+    /// [`StepError::Deadline`] when a limit trips; plus the run errors
+    /// of [`SimPlan::run`]. A failed run drops its state instead of
+    /// parking it.
     pub fn run_with(&self, binding: &RunBinding, pool: Option<&mut RunPool>) -> Result<SimReport> {
         // Validate before taking the parked state: a rejected binding
         // must not cost the pool its buffers.
         self.validate_binding(binding)?;
-        let ctrl = RunCtrl::new(&binding.limits);
         let mut scratch = RunPool::new();
         let pool = pool.unwrap_or(&mut scratch);
         // Another plan's parked state is released before the rebuild, so
@@ -1396,22 +1310,22 @@ impl SimPlan {
             }
             None => self.build_state(binding),
         };
-        self.drive(&mut state, &ctrl)?;
+        self.drive(&mut state, &binding.limits)?;
         let report = self.build_report(&mut state, reused);
         // A deadline blow is a failed run: state drops instead of
         // parking, like every other error path.
-        ctrl.check_final(&report)?;
+        binding.limits.check_final(&report)?;
         pool.plan_id = self.id;
         pool.state = Some(state);
         Ok(report)
     }
 
     /// Drives a materialized run state to completion.
-    fn drive(&self, state: &mut RunState, ctrl: &RunCtrl) -> Result<()> {
+    fn drive(&self, state: &mut RunState, limits: &RunLimits) -> Result<()> {
         if self.plans.len() == 1 {
-            self.run_single(state, ctrl)
+            self.run_single(state, limits)
         } else {
-            self.run_sharded(state, self.cfg.threads.clamp(1, self.plans.len()), ctrl)
+            self.run_sharded(state, self.cfg.threads.clamp(1, self.plans.len()), limits)
         }
     }
 
@@ -1471,11 +1385,10 @@ impl SimPlan {
                 nodes.push(node);
             }
             let m = sp.node_ids.len();
-            let latency = self.cfg.channel_latency;
             let channels = (0..sp.edge_of.len())
                 .map(|c| match sp.chan_spec(&self.graph, c) {
-                    (capacity, true) => Channel::cross_reader(capacity, latency),
-                    (capacity, false) => Channel::new(capacity, latency),
+                    (capacity, true) => Channel::cross_reader(capacity, CHANNEL_LATENCY),
+                    (capacity, false) => Channel::new(capacity, CHANNEL_LATENCY),
                 })
                 .collect();
             let undone = nodes.iter().filter(|nd| !nd.done()).count();
@@ -1560,7 +1473,7 @@ impl SimPlan {
     }
 
     /// Monolithic execution: one shard, immediate HBM commitment.
-    fn run_single(&self, state: &mut RunState, ctrl: &RunCtrl) -> Result<()> {
+    fn run_single(&self, state: &mut RunState, limits: &RunLimits) -> Result<()> {
         let mut horizon = self.cfg.horizon_step;
         let plan = &self.plans[0];
         let shard = get_mut(&mut state.shards[0]);
@@ -1572,7 +1485,6 @@ impl SimPlan {
                 &state.store,
                 &self.graph,
                 Some(&mut state.hbm),
-                ctrl,
             )?;
             if shard.undone == 0 {
                 return Ok(());
@@ -1580,7 +1492,7 @@ impl SimPlan {
             // Deterministic deadline checks sit at the window boundary:
             // a finished run never trips them, and `rounds` here is a
             // pure function of the schedule.
-            ctrl.check_rounds(shard.rounds)?;
+            limits.check_rounds(shard.rounds)?;
             // Quiescent within the current window: advance the horizon to
             // the next pending channel event and wake the readers whose
             // heads became visible.
@@ -1589,7 +1501,7 @@ impl SimPlan {
                 shard.blocked_lines(plan, &self.graph, &mut lines);
                 return Err(deadlock_error(lines));
             };
-            ctrl.check_cycles(t0)?;
+            limits.check_cycles(t0)?;
             let new_horizon = t0 + self.cfg.horizon_step;
             shard.wake_visible(plan, horizon, new_horizon);
             horizon = new_horizon;
@@ -1605,7 +1517,7 @@ impl SimPlan {
     /// itself in cursor order, spawns no thread and waits on no barrier.
     /// Which worker runs a shard can never affect the result, so every
     /// `threads` value yields the same report.
-    fn run_sharded(&self, state: &mut RunState, threads: usize, ctrl: &RunCtrl) -> Result<()> {
+    fn run_sharded(&self, state: &mut RunState, threads: usize, limits: &RunLimits) -> Result<()> {
         let barrier = Barrier::new(threads);
         // The coordinator's barrier wait; alone, it has nobody to meet.
         let sync = || {
@@ -1652,7 +1564,6 @@ impl SimPlan {
                         store,
                         &self.graph,
                         None,
-                        ctrl,
                     )?;
                 }
             };
@@ -1706,7 +1617,6 @@ impl SimPlan {
                                 store,
                                 &self.graph,
                                 Some(hbm),
-                                ctrl,
                             )
                         }))
                         .unwrap_or_else(|p| {
@@ -1731,7 +1641,7 @@ impl SimPlan {
                 }
                 let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut a = lock(&active);
-                    coordinate(self, shards, hbm, &mut horizon, &mut a, counters, ctrl)
+                    coordinate(self, shards, hbm, &mut horizon, &mut a, counters, limits)
                 }))
                 .unwrap_or_else(|p| {
                     Err(StepError::Exec(format!(
@@ -1848,7 +1758,7 @@ fn coordinate(
     horizon: &mut u64,
     active: &mut Vec<u32>,
     counters: &mut SchedCounters,
-    ctrl: &RunCtrl,
+    limits: &RunLimits,
 ) -> Result<CoordStep> {
     counters.sub_rounds += 1;
     let mut gs: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
@@ -1958,7 +1868,7 @@ fn coordinate(
     // function of the schedule, and the coordinator's exclusive window
     // is ordered identically at every worker count. A finished run
     // (checked above) never trips this.
-    ctrl.check_rounds(gs.iter().map(|s| s.rounds).sum())?;
+    limits.check_rounds(gs.iter().map(|s| s.rounds).sum())?;
 
     // Barrier elision: raise each shard's effective horizon to its
     // cut-slack allowance, waking readers of newly visible heads.
@@ -1997,7 +1907,7 @@ fn coordinate(
         // advances (under barrier elision shards may run ahead of it
         // within their slack allowance, so the check is coarse — but
         // t0 is a pure function of shard states, hence reproducible).
-        ctrl.check_cycles(t0)?;
+        limits.check_cycles(t0)?;
         *horizon = t0 + plan.cfg.horizon_step;
         for (sp, s) in plan.plans.iter().zip(gs.iter_mut()) {
             s.raise_eff(sp, *horizon);

@@ -198,7 +198,6 @@ impl SimConfig {
         // configs that differ in it collide in plan caches.
         let SimConfig {
             onchip_bytes_per_cycle,
-            channel_latency,
             hbm,
             max_rounds,
             horizon_step,
@@ -207,7 +206,6 @@ impl SimConfig {
             profile_fires,
         } = self;
         fp.push_u64(*onchip_bytes_per_cycle)
-            .push_u64(*channel_latency)
             .push_u64(hbm.bytes_per_cycle)
             .push_u64(hbm.banks)
             .push_u64(hbm.row_bytes)

@@ -178,7 +178,6 @@
 //! ```
 
 pub mod arena;
-pub mod cancel;
 pub mod channel;
 pub mod config;
 pub mod engine;
@@ -189,7 +188,6 @@ pub mod report_cache;
 pub mod run;
 pub mod stats;
 
-pub use cancel::CancelToken;
 pub use config::{HbmConfig, SimConfig};
 pub use engine::{RunBinding, RunLimits, RunPool, SimPlan, SimReport};
 pub use fingerprint::Fingerprint;

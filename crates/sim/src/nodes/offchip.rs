@@ -15,6 +15,7 @@
 
 use super::basic::impl_simnode_common;
 use super::{BUDGET, Blocked, Ctx, Io, SimNode};
+use crate::arena::SharedStore;
 use crate::stats::NodeStats;
 use std::collections::VecDeque;
 use step_core::Elem;
@@ -406,13 +407,19 @@ impl LinearStoreNode {
 impl_simnode_common!(LinearStoreNode);
 
 /// The tile `addr` names in a random-access tensor: its offset from the
-/// tensor's base in whole tiles. An address below the base or between
-/// two tiles names no tile; it is an error, not a read or write of the
-/// tile it would truncate to.
-fn tile_index(cfg: &RandomAccessCfg, addr: u64) -> Result<u64> {
+/// tensor's base in whole tiles. An address below the base, between two
+/// tiles, or at a tile whose first row lies past the rows of the tensor
+/// the run's store holds at the base names no tile; it is an error, not
+/// a read or write of the tile it would truncate or pad to.
+fn tile_index(cfg: &RandomAccessCfg, addr: u64, store: &SharedStore) -> Result<u64> {
     let bytes = cfg.tile_bytes().max(1);
+    let in_tensor = |idx: u64| {
+        store
+            .extent(cfg.base_addr)
+            .is_none_or(|(rows, _)| idx.saturating_mul(cfg.tile_shape.0) < rows as u64)
+    };
     match addr.checked_sub(cfg.base_addr) {
-        Some(offset) if offset % bytes == 0 => Ok(offset / bytes),
+        Some(offset) if offset % bytes == 0 && in_tensor(offset / bytes) => Ok(offset / bytes),
         _ => Err(StepError::Exec(format!(
             "random access address {addr:#x} names no tile of the tensor at base {:#x} \
              with {bytes}-byte tiles",
@@ -479,7 +486,7 @@ impl RandomLoadNode {
         match self.io.pop(ctx, 0) {
             Token::Val(e) => {
                 let addr = e.as_addr()?;
-                let tile_idx = tile_index(&self.cfg, addr)?;
+                let tile_idx = tile_index(&self.cfg, addr, ctx.store)?;
                 let bytes = self.cfg.tile_bytes();
                 // Issue immediately (the pop above already rate-limits to
                 // one address per cycle); the token carries the completion
@@ -559,7 +566,7 @@ impl RandomStoreNode {
             (Token::Val(a), Token::Val(d)) => {
                 let addr = a.as_addr()?;
                 let tile = d.as_tile()?;
-                let tile_idx = tile_index(&self.cfg, addr)?;
+                let tile_idx = tile_index(&self.cfg, addr, ctx.store)?;
                 let bytes = tile.bytes();
                 let seq = ctx.hbm.request(addr, bytes, self.io.time, true);
                 let (tr, _) = self.cfg.tile_shape;

@@ -31,9 +31,7 @@
 //! driver keys its bindingless QKV phase so, and its MoE phase by the
 //! routing sample (or the sample's inputs) that its binding is built
 //! from, so that a hit builds no binding. The key is then exact only
-//! as far as that fold determines the run's binding, and checking
-//! [`RunBinding::cache_safe`] for the binding `run` uses is the
-//! caller's job: the cache sees only the empty one.
+//! as far as that fold determines the run's binding.
 //!
 //! The plan half of the key is **content**, not identity:
 //! [`plan_content_key`] folds the builder fingerprint with
@@ -42,23 +40,16 @@
 //! counts — the same normalization the sweep service's `PlanCache` key
 //! uses.
 //!
-//! Bindings that arm a host-dependent limit (wall deadline,
-//! cancellation) are not pure functions of `(plan, binding)`;
-//! [`RunBinding::cache_safe`] reports them and the cache bypasses such
-//! runs — simulated, counted as misses, never stored or served.
-//!
 //! # Counter semantics
 //!
 //! The cache is a [`SingleFlight`], so [`ReportCacheStats`] counts by
-//! its rule; a bypassed non-cache-safe request is a miss too.
-//! [`ReportCache::checked`]'s re-simulations change no counter — the
-//! stats are mode-independent.
+//! its rule. [`ReportCache::checked`]'s re-simulations change no
+//! counter — the stats are mode-independent.
 
 use crate::config::SimConfig;
 use crate::engine::{RunBinding, SimReport};
 use crate::fingerprint::Fingerprint;
 use std::sync::Arc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use step_core::error::Result;
 use step_core::sync::{CacheStats, SingleFlight};
 
@@ -79,8 +70,7 @@ pub enum Resolution {
     /// Served from the cache: bit-identical replay of this very
     /// `(plan, binding)` pair.
     Exact,
-    /// The engine actually ran (cache miss, disabled mode, or a
-    /// non-cache-safe binding).
+    /// The engine actually ran (cache miss or disabled mode).
     Simulated,
 }
 
@@ -94,13 +84,12 @@ pub struct Replay {
 }
 
 /// Cumulative [`ReportCache`] counters: its [`SingleFlight`]'s hits and
-/// misses, plus bypassed non-cache-safe requests as misses.
+/// misses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReportCacheStats {
     /// Requests served without simulating.
     pub hits: u64,
-    /// Requests that simulated: cache misses, plus bypassed
-    /// non-cache-safe bindings.
+    /// Requests that simulated.
     pub misses: u64,
 }
 
@@ -147,9 +136,6 @@ enum Mode {
 pub struct ReportCache {
     mode: Mode,
     reports: SingleFlight<(u64, u64), Arc<SimReport>>,
-    /// Non-cache-safe requests: simulated and counted as misses, never
-    /// stored.
-    bypassed: AtomicU64,
 }
 
 impl Default for ReportCache {
@@ -163,7 +149,6 @@ impl ReportCache {
         ReportCache {
             mode,
             reports: SingleFlight::new(),
-            bypassed: AtomicU64::new(0),
         }
     }
 
@@ -194,8 +179,7 @@ impl ReportCache {
     /// simulate exactly this pair — pooled or fresh, both are
     /// bit-identical) and stores the result. With the empty binding,
     /// `run` may bind anything `plan` determines (see the module's key
-    /// contract); the caller then vouches that its binding is
-    /// cache-safe.
+    /// contract).
     ///
     /// `plan` is the plan's **content** key ([`plan_content_key`]).
     /// Concurrent requests for one exact key share one `run`, under
@@ -214,16 +198,6 @@ impl ReportCache {
         run: &mut dyn FnMut() -> Result<SimReport>,
     ) -> Result<Replay> {
         if self.mode == Mode::Disabled {
-            return Ok(Replay {
-                report: Arc::new(run()?),
-                resolution: Resolution::Simulated,
-            });
-        }
-        if !binding.cache_safe() {
-            // A wall deadline or cancel token makes the outcome depend
-            // on the host: simulate (counted as a miss — the engine
-            // really ran), but never store or serve such a run.
-            self.bypassed.fetch_add(1, Ordering::Relaxed);
             return Ok(Replay {
                 report: Arc::new(run()?),
                 resolution: Resolution::Simulated,
@@ -268,10 +242,7 @@ impl ReportCache {
     /// Cumulative counters since construction.
     pub fn stats(&self) -> ReportCacheStats {
         let CacheStats { hits, misses, .. } = self.reports.stats();
-        ReportCacheStats {
-            hits,
-            misses: misses + self.bypassed.load(Ordering::Relaxed),
-        }
+        ReportCacheStats { hits, misses }
     }
 
     /// Distinct exact keys currently held (ready, in flight, or failed).

@@ -678,18 +678,19 @@ fn random_load_graph(
 }
 
 /// A random-access address must name a tile: an address below the
-/// tensor's base, or one between two tiles, is a typed error naming the
-/// address, the base and the tile size, for the load and the store, at
-/// every shard and thread count.
+/// tensor's base, one between two tiles, or one past the preloaded
+/// tensor's last tile is a typed error naming the address, the base and
+/// the tile size, for the load and the store, at every shard and thread
+/// count.
 #[test]
 fn random_access_addresses_that_name_no_tile_are_errors() {
     // A 2×1 tensor of 1×1 tiles at 0x1000. Elements are 2 bytes, so its
-    // tiles start at 0x1000 and 0x1002.
+    // tiles start at 0x1000 and 0x1002, and 0x1004 is past its end.
     let cfg = RandomAccessCfg::new(0x1000, (1, 1));
     assert_eq!(cfg.tile_bytes(), 2);
     let mut tensor = RunBinding::new();
     tensor.preload(0x1000, 2, 1, vec![7.0, 9.0]);
-    let bad_addrs = [0x0, 0x1001, 0x1003];
+    let bad_addrs = [0x0, 0x1001, 0x1003, 0x1004];
     let expect_error =
         |result: step_core::Result<step_sim::SimReport>, addr: u64, what: &str| match result {
             Err(StepError::Exec(msg)) => assert!(

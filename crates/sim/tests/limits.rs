@@ -1,18 +1,16 @@
-//! Run limits: deterministic cycle/round deadlines, cancellation, and
-//! the opt-in wall-clock deadline.
+//! Run limits: deterministic cycle and round deadlines and the round
+//! budget.
 //!
 //! The contract under test (see README "Failure semantics"): deadlines
 //! denominated in simulated quantities (`cycles`, `rounds`) produce the
 //! **identical** [`StepError::Deadline`] on every rerun and at every
 //! thread count mapping the same shard plan — they are pure functions
-//! of the schedule, so CI can match on them exactly. Wall-clock
-//! deadlines and [`CancelToken`] are host-dependent escape hatches and
-//! are only asserted for their *kind*, never their payload.
+//! of the schedule, so CI can match on them exactly.
 
 use step_core::graph::GraphBuilder;
 use step_core::ops::LinearLoadCfg;
 use step_core::{DeadlineKind, StepError};
-use step_sim::{CancelToken, RunBinding, RunPool, SimConfig, SimPlan};
+use step_sim::{RunBinding, RunPool, SimConfig, SimPlan};
 
 fn cfg(threads: usize, shards: usize) -> SimConfig {
     SimConfig {
@@ -117,10 +115,7 @@ fn unarmed_and_unreachable_limits_change_nothing() {
         .run()
         .unwrap();
     let mut binding = RunBinding::new();
-    binding
-        .deadline_cycles(u64::MAX)
-        .deadline_rounds(u64::MAX)
-        .cancel_token(CancelToken::new());
+    binding.deadline_cycles(u64::MAX).deadline_rounds(u64::MAX);
     let bounded = SimPlan::new(fanout_graph(2, 512), cfg(1, 2))
         .unwrap()
         .run_with(&binding, None)
@@ -130,25 +125,6 @@ fn unarmed_and_unreachable_limits_change_nothing() {
         (bounded.cycles, bounded.offchip_traffic, bounded.rounds),
         "an unreachable limit must not perturb the run"
     );
-}
-
-#[test]
-fn pre_cancelled_token_stops_the_run_at_any_thread_count() {
-    let token = CancelToken::new();
-    token.cancel();
-    let mut binding = RunBinding::new();
-    binding.cancel_token(token);
-    for (threads, shards) in [(1usize, 1usize), (1, 4), (4, 4)] {
-        let err = SimPlan::new(fanout_graph(4, 256), cfg(threads, shards))
-            .unwrap()
-            .run_with(&binding, None)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            StepError::Cancelled,
-            "threads={threads} shards={shards}"
-        );
-    }
 }
 
 #[test]
@@ -173,32 +149,6 @@ fn round_budget_overrun_is_a_typed_error_with_counters() {
         }
         other => panic!("expected RoundLimit, got: {other}"),
     }
-}
-
-#[test]
-fn wall_deadline_zero_blows_on_a_long_run() {
-    // Wall deadlines are nondeterministic by nature; only the kind is
-    // asserted. A 0 ms limit trips at the first mid-run checkpoint on
-    // any host (elapsed durations are compared exactly, not floored to
-    // whole milliseconds), so the graph only needs enough rounds to
-    // reach one.
-    let mut binding = RunBinding::new();
-    binding.wall_deadline_ms(0);
-    let err = SimPlan::new(fanout_graph(4, 4096), cfg(1, 1))
-        .unwrap()
-        .run_with(&binding, None)
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            StepError::Deadline {
-                kind: DeadlineKind::WallMs,
-                limit: 0,
-                ..
-            }
-        ),
-        "got: {err}"
-    );
 }
 
 #[test]

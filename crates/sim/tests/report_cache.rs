@@ -7,18 +7,16 @@
 //!    order — sources live in a `BTreeMap`), and any perturbation that
 //!    can change a run's outcome — a token's value, a stream's order or
 //!    length, a stop level, any one field of any element variant, a
-//!    preload's address/shape/data, a deterministic deadline — changes
-//!    the fingerprint. Host-dependent limits (wall deadline,
-//!    cancellation) are deliberately *not* part of the identity; they
-//!    make the binding non-cache-safe instead.
+//!    preload's address/shape/data, a deadline — changes the
+//!    fingerprint.
 //! 2. **Cache semantics** ([`ReportCache`]): exact hits are
 //!    bit-identical `Arc` replays, concurrent misses on one key
 //!    coalesce onto a single engine run, failed and panicked runs
 //!    resolve their slot (waiters observe the error, the next request
-//!    retries), disabled mode is a pure passthrough, non-cache-safe
-//!    bindings bypass storage, and [`ReportCache::checked`] actually
-//!    enforces the replay guarantee — a hit whose key does not identify
-//!    what the run simulates panics instead of serving a wrong replay.
+//!    retries), disabled mode is a pure passthrough, and
+//!    [`ReportCache::checked`] actually enforces the replay guarantee —
+//!    a hit whose key does not identify what the run simulates panics
+//!    instead of serving a wrong replay.
 
 use std::panic::{AssertUnwindSafe, catch_unwind};
 use std::sync::Arc;
@@ -31,8 +29,7 @@ use step_core::shape::StreamShape;
 use step_core::tile::Tile;
 use step_core::token::{self, Token};
 use step_sim::{
-    CancelToken, ReportCache, ReportCacheStats, Resolution, RunBinding, SimConfig, SimPlan,
-    SimReport,
+    ReportCache, ReportCacheStats, Resolution, RunBinding, SimConfig, SimPlan, SimReport,
 };
 
 /// A tiny rebindable workload: `source -> map(relu) -> sink` over 1x1
@@ -170,27 +167,13 @@ fn any_outcome_relevant_perturbation_changes_the_fingerprint() {
             b.preload(addr, rows, cols, pd);
             assert_ne!(b.fingerprint(), fp, "seed {seed}: preload perturbation");
         }
-        // Deterministic limits are identity; host-dependent ones are not.
+        // Limits are identity.
         let mut b = base.clone();
         b.deadline_cycles(10);
         assert_ne!(b.fingerprint(), fp, "seed {seed}: cycle deadline ignored");
         let mut b = base.clone();
         b.deadline_rounds(10);
         assert_ne!(b.fingerprint(), fp, "seed {seed}: round deadline ignored");
-        let mut b = base.clone();
-        b.wall_deadline_ms(5);
-        assert_eq!(
-            b.fingerprint(),
-            fp,
-            "seed {seed}: wall deadline folded into the identity — it is \
-             host-dependent and must gate caching via cache_safe instead"
-        );
-        assert!(!b.cache_safe());
-        let mut b = base.clone();
-        b.cancel_token(CancelToken::new());
-        assert_eq!(b.fingerprint(), fp);
-        assert!(!b.cache_safe());
-        assert!(base.cache_safe());
         every_element_field_is_identity(seed, &mut rng);
     }
 }
@@ -514,23 +497,6 @@ fn disabled_mode_is_a_pure_passthrough() {
     }
     assert_eq!(cache.stats(), ReportCacheStats::default());
     assert!(cache.is_empty());
-}
-
-#[test]
-fn non_cache_safe_bindings_bypass_storage() {
-    let (graph, src) = bindable_graph(&[1.0]);
-    let plan = SimPlan::new(graph, SimConfig::default()).unwrap();
-    let cache = ReportCache::new();
-    let mut binding = bind(src, &[2.0]);
-    binding.wall_deadline_ms(60_000);
-    for _ in 0..2 {
-        let got = cache
-            .replay_or_run(0xD, &binding, &mut || plan.run_with(&binding, None))
-            .unwrap();
-        assert_eq!(got.resolution, Resolution::Simulated);
-    }
-    assert!(cache.is_empty(), "host-dependent binding was stored");
-    assert_eq!(cache.stats(), ReportCacheStats { hits: 0, misses: 2 });
 }
 
 #[test]
