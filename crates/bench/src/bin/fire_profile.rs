@@ -25,8 +25,10 @@
 //! numbers: it shows where the fire work lives (MoE dominates), which
 //! phase the report cache elides (QKV within a pass, with any short
 //! MoE iteration whose routing sample repeats; QKV + MoE across
-//! passes), and what attention — never cached, its slot-context vector
-//! is effectively unique — costs per iteration.
+//! passes), and what attention costs per iteration. Attention is never
+//! cached: its slot-context vectors do repeat (16.5% of the full
+//! serving sweep's iterations within a cell), but it is only 0.09–0.17%
+//! of a cold serving cell's engine fires.
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -6,9 +6,11 @@
 //! hit costs on top of that is the driver's own work per iteration: a
 //! QKV hit folds the token count into its key, and a MoE hit folds the
 //! inputs of the iteration's routing sample, or for an iteration of a
-//! few tokens the sample (never the binding either would produce). A
-//! counting global allocator gates that work by its allocation count,
-//! which is exact and host-independent, unlike wall time.
+//! few tokens the sample (never the binding either would produce). The
+//! attention runs themselves reuse their pooled state and allocate
+//! only their reports and bindings. A counting global allocator gates
+//! the whole pass by its allocation count, which is exact and
+//! host-independent, unlike wall time.
 //!
 //! Counts are kept per thread, and the pass runs on one simulation
 //! thread, the calling one.
@@ -23,10 +25,14 @@ use step_models::serving::ServeJob;
 use step_sim::ReportCache;
 
 /// The most allocator calls a warm pass may make: alloc, alloc_zeroed
-/// and realloc each count one. A pass makes 6,171 with the MoE phase
-/// keyed without its binding, and 13,730 when every MoE hit sampled its
-/// routing, built its binding and folded it into a key.
-const WARM_PASS_ALLOC_BUDGET: u64 = 6_400;
+/// and realloc each count one. A pass makes 624 now that its 56 pooled
+/// attention runs allocate only their reports and bindings; it
+/// made 6,171 while the drive loop rebuilt its wake vector per window,
+/// `Partition` cloned its targets per value run and the attention
+/// binding built a vector per request, and 13,730 when every MoE hit
+/// also sampled its routing, built its binding and folded it into a
+/// key.
+const WARM_PASS_ALLOC_BUDGET: u64 = 680;
 
 thread_local! {
     /// Allocator calls this thread has made.

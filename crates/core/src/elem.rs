@@ -12,9 +12,14 @@ use crate::error::{Result, StepError};
 use crate::shape::{Dim, StreamShape};
 use crate::tile::Tile;
 use std::fmt;
+use std::sync::Arc;
 use step_symbolic::Expr;
 
 /// A multi-hot selector choosing one or more targets (§3.2.3).
+///
+/// The targets are shared, so cloning a selector (as every stream that
+/// replays one does) never allocates. `Debug`, `Hash` and equality see
+/// the target list exactly as a `Vec<u32>` would.
 ///
 /// # Examples
 ///
@@ -26,14 +31,14 @@ use step_symbolic::Expr;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Selector {
-    targets: Vec<u32>,
+    targets: Arc<[u32]>,
 }
 
 impl Selector {
     /// A one-hot selector.
     pub fn one(target: u32) -> Selector {
         Selector {
-            targets: vec![target],
+            targets: Arc::new([target]),
         }
     }
 
@@ -43,7 +48,7 @@ impl Selector {
         let mut t = targets.to_vec();
         t.sort_unstable();
         t.dedup();
-        Selector { targets: t }
+        Selector { targets: t.into() }
     }
 
     /// Selected target indices, ascending.
@@ -363,6 +368,19 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(0));
         assert!(!s.contains(3));
+    }
+
+    #[test]
+    fn selector_debug_and_hash_match_a_target_vec() {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        // Plan and binding keys fold selectors through `Debug` and
+        // `Hash`: both must read exactly as they did over a `Vec<u32>`.
+        let s = Selector::multi(&[7, 0]);
+        assert_eq!(format!("{s:?}"), "Selector { targets: [0, 7] }");
+        assert_eq!(s.to_string(), "sel[0, 7]");
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        assert_eq!(hasher.hash_one(&s), hasher.hash_one(vec![0u32, 7]));
+        assert_eq!(s.clone(), Selector::multi(&[0, 7]));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use step_core::func::{AccumFn, EwOp, MapFn};
 use step_core::graph::{GraphBuilder, StreamRef};
 use step_core::ops::RandomAccessCfg;
 use step_core::shape::{Dim, StreamShape};
-use step_core::token;
+use step_core::token::Token;
 use step_core::{Result, StepError};
 use step_traces::KvTrace;
 
@@ -133,20 +133,19 @@ impl AttentionPorts {
 /// graph once from a trace at least as long as every later one (its
 /// dispatch queues are sized for the build trace), then bind this
 /// stream per decode iteration as the caches grow.
-pub fn attention_request_tokens(cfg: &AttentionCfg, kv: &KvTrace) -> Vec<token::Token> {
+pub fn attention_request_tokens(cfg: &AttentionCfg, kv: &KvTrace) -> Vec<Token> {
     let tile_bytes = cfg.kv_tile_bytes();
-    let groups: Vec<Vec<Elem>> = kv
-        .lengths
-        .iter()
-        .enumerate()
-        .map(|(i, &len)| {
-            let base = layout::KV + (i as u64) * layout::KV_STRIDE;
-            (0..cfg.tiles_for(len))
-                .map(|j| Elem::Addr(base + j * tile_bytes))
-                .collect()
-        })
-        .collect();
-    token::rank1_from_groups(&groups)
+    // Every request's tiles and closing stop, then `Done`: one vector,
+    // sized up front.
+    let tiles: u64 = kv.lengths.iter().map(|&len| cfg.tiles_for(len)).sum();
+    let mut out = Vec::with_capacity(tiles as usize + kv.lengths.len() + 1);
+    for (i, &len) in kv.lengths.iter().enumerate() {
+        let base = layout::KV + (i as u64) * layout::KV_STRIDE;
+        out.extend((0..cfg.tiles_for(len)).map(|j| Token::Val(Elem::Addr(base + j * tile_bytes))));
+        out.push(Token::Stop(1));
+    }
+    out.push(Token::Done);
+    out
 }
 
 /// Builds the attention graph for a batch with the given KV lengths.
@@ -320,6 +319,28 @@ mod tests {
             .unwrap()
             .run()
             .unwrap()
+    }
+
+    #[test]
+    fn request_tokens_are_one_rank1_group_per_request() {
+        let cfg = small_cfg(ParallelStrategy::Dynamic);
+        let kv = KvTrace {
+            lengths: vec![1, 16, 17, 600],
+        };
+        let groups: Vec<Vec<Elem>> = kv
+            .lengths
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let base = layout::KV + (i as u64) * layout::KV_STRIDE;
+                (0..cfg.tiles_for(len))
+                    .map(|j| Elem::Addr(base + j * cfg.kv_tile_bytes()))
+                    .collect()
+            })
+            .collect();
+        let tokens = attention_request_tokens(&cfg, &kv);
+        assert_eq!(tokens, step_core::token::rank1_from_groups(&groups));
+        assert_eq!(tokens.len(), tokens.capacity(), "sized up front");
     }
 
     #[test]

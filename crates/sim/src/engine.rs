@@ -29,8 +29,8 @@
 //! [`RunBinding`] supplies the per-run inputs: replacement token streams
 //! for `Source` nodes (**source rebinding** — drive one plan with many
 //! trace iterations without re-partitioning), dense off-chip preloads
-//! for functional runs, and [`RunLimits`] (deterministic cycle and round
-//! deadlines).
+//! for functional runs, and deterministic cycle and round deadlines
+//! ([`RunBinding::deadline_cycles`], [`RunBinding::deadline_rounds`]).
 //!
 //! # Execution model
 //!
@@ -448,6 +448,11 @@ struct Shard {
     /// Local nodes whose request queue filled since the last barrier
     /// commit, which empties every queue.
     hbm_queued: Vec<u32>,
+    /// The last fired node's wakes: the local nodes its channel events
+    /// woke (`u32::MAX` for remote endpoints), in event order. Kept
+    /// across fires, windows and pooled runs, so the wave loops
+    /// allocate nothing.
+    wakes: Vec<u32>,
 }
 
 impl Shard {
@@ -581,9 +586,9 @@ impl Shard {
     }
 
     /// Fires local node `i` under horizon `eff`, raises the floors of its
-    /// outputs on progress, and drains its channel events into `wakes`
-    /// (local node indices, `u32::MAX` for remote endpoints, in event
-    /// order). Returns whether the node made progress.
+    /// outputs on progress, and drains its channel events into
+    /// `self.wakes`, replacing the last fire's. Returns whether the node
+    /// made progress.
     #[allow(clippy::too_many_arguments)]
     fn fire_node(
         &mut self,
@@ -594,7 +599,6 @@ impl Shard {
         store: &SharedStore,
         graph: &Graph,
         hbm: &mut Option<&mut Hbm>,
-        wakes: &mut Vec<u32>,
     ) -> Result<bool> {
         let was_empty = self.hbm_reqs[i].is_empty();
         let sink = match hbm {
@@ -639,6 +643,7 @@ impl Shard {
         }
         // Drain this node's channel events into wakes. Remote endpoints
         // (u32::MAX) are handled by the barrier coordinator.
+        self.wakes.clear();
         for &c in plan.ports(i) {
             let idx = c as usize;
             let ev = self.channels[idx].take_events();
@@ -646,10 +651,10 @@ impl Shard {
                 continue;
             }
             if ev & (event::FREED | event::CLOSED) != 0 {
-                wakes.push(plan.writer_of[idx]);
+                self.wakes.push(plan.writer_of[idx]);
             }
             if ev & event::SRC_FINISHED != 0 {
-                wakes.push(plan.reader_of[idx]);
+                self.wakes.push(plan.reader_of[idx]);
             }
             if ev & (event::ENQUEUED | event::FREED) != 0 {
                 // A new head may have appeared (token enqueued on an
@@ -659,7 +664,7 @@ impl Shard {
                 if let Some((ready, _)) = self.channels[idx].peek() {
                     if ready <= eff {
                         if ev & event::ENQUEUED != 0 {
-                            wakes.push(plan.reader_of[idx]);
+                            self.wakes.push(plan.reader_of[idx]);
                         }
                     } else {
                         self.calendar.push(Reverse((ready, idx)));
@@ -728,7 +733,6 @@ impl Shard {
         graph: &Graph,
         mut hbm: Option<&mut Hbm>,
     ) -> Result<()> {
-        let mut wakes: Vec<u32> = Vec::new();
         while self.undone > 0 && *ready > 0 {
             self.rounds += 1;
             if self.rounds > cfg.max_rounds {
@@ -741,9 +745,8 @@ impl Shard {
                 if self.nodes[i].done() {
                     continue;
                 }
-                wakes.clear();
-                let p = self.fire_node(plan, i, eff, cfg, store, graph, &mut hbm, &mut wakes)?;
-                for &j in &wakes {
+                let p = self.fire_node(plan, i, eff, cfg, store, graph, &mut hbm)?;
+                for &j in &self.wakes {
                     let j = j as usize;
                     if j == u32::MAX as usize {
                         continue;
@@ -810,7 +813,6 @@ impl Shard {
         graph: &Graph,
         mut hbm: Option<&mut Hbm>,
     ) -> Result<()> {
-        let mut wakes: Vec<u32> = Vec::new();
         while self.undone > 0 && !nxt.is_empty() {
             self.rounds += 1;
             if self.rounds > cfg.max_rounds {
@@ -823,8 +825,7 @@ impl Shard {
                 if self.nodes[i].done() {
                     continue;
                 }
-                wakes.clear();
-                let p = self.fire_node(plan, i, eff, cfg, store, graph, &mut hbm, &mut wakes)?;
+                let p = self.fire_node(plan, i, eff, cfg, store, graph, &mut hbm)?;
                 let mut enqueue = |j: usize| {
                     if stamp[j] == *wave_gen {
                         *dedup_hits += 1;
@@ -833,7 +834,7 @@ impl Shard {
                         nxt.push(j);
                     }
                 };
-                for &j in &wakes {
+                for &j in &self.wakes {
                     let j = j as usize;
                     if j != u32::MAX as usize && !self.nodes[j].done() {
                         enqueue(j);
@@ -878,7 +879,9 @@ struct CrossEdge {
 }
 
 /// Per-run inputs for [`SimPlan::run_with`]: replacement token streams
-/// for `Source` nodes, dense off-chip preloads, and [`RunLimits`].
+/// for `Source` nodes, dense off-chip preloads, and cycle and round
+/// deadlines ([`RunBinding::deadline_cycles`],
+/// [`RunBinding::deadline_rounds`]).
 ///
 /// Source rebinding is what makes one plan serve many trace iterations:
 /// a decode loop binds each iteration's grown KV-request stream and
@@ -904,7 +907,7 @@ pub struct RunBinding {
 /// thread or worker count, and its outcome stays a pure function of
 /// `(plan, binding)`.
 #[derive(Debug, Clone, Default)]
-pub struct RunLimits {
+pub(crate) struct RunLimits {
     deadline_cycles: Option<u64>,
     deadline_rounds: Option<u64>,
 }
@@ -1414,6 +1417,7 @@ impl SimPlan {
                 hbm_reqs: vec![VecDeque::new(); m],
                 hbm_resp: vec![VecDeque::new(); m],
                 hbm_queued: Vec::new(),
+                wakes: Vec::new(),
             }));
         }
         let store = SharedStore::new();

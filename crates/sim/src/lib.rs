@@ -189,7 +189,7 @@ pub mod run;
 pub mod stats;
 
 pub use config::{HbmConfig, SimConfig};
-pub use engine::{RunBinding, RunLimits, RunPool, SimPlan, SimReport};
+pub use engine::{RunBinding, RunPool, SimPlan, SimReport};
 pub use fingerprint::Fingerprint;
 pub use report_cache::{Replay, ReportCache, ReportCacheStats, Resolution, plan_content_key};
 pub use stats::NodeStats;

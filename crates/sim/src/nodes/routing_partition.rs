@@ -19,11 +19,25 @@ pub struct PartitionNode {
     io: Io,
     rank: u8,
     num_consumers: u32,
-    targets: Option<Vec<u32>>,
-    /// Targets owed a chunk-closing `Stop(rank)` pending lookahead.
-    closing: Option<Vec<u32>>,
+    /// The current chunk's selected outputs, meaningful while `chunk` is
+    /// `Open` or `Closing`. Refilled in place from each selector, so a
+    /// steady-state run allocates nothing here.
+    targets: Vec<u32>,
+    chunk: Chunk,
     /// Outputs that produced content since the last outer boundary.
     had_content: Vec<bool>,
+}
+
+/// Where a [`PartitionNode`] stands in its current chunk.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Chunk {
+    /// No selector read for the chunk yet.
+    Unselected,
+    /// The chunk's selector is read; its values go to `targets`.
+    Open,
+    /// The chunk ended: `targets` are owed a chunk-closing `Stop(rank)`
+    /// pending lookahead.
+    Closing,
 }
 
 impl PartitionNode {
@@ -32,35 +46,36 @@ impl PartitionNode {
             io: Io::new(node),
             rank,
             num_consumers,
-            targets: None,
-            closing: None,
+            targets: Vec::new(),
+            chunk: Chunk::Unselected,
             had_content: vec![false; num_consumers as usize],
         }
     }
 
     pub(crate) fn reset(&mut self) {
         self.io.reset();
-        self.targets = None;
-        self.closing = None;
+        self.chunk = Chunk::Unselected;
         self.had_content.iter_mut().for_each(|h| *h = false);
     }
 
     fn need_selector(&mut self, ctx: &mut Ctx<'_>) -> Result<bool> {
-        if self.targets.is_some() {
+        if self.chunk == Chunk::Open {
             return Ok(true);
         }
         match self.io.peek(ctx, 1) {
             None => Ok(false),
             Some((_, Token::Val(_))) => {
                 let sel = self.io.pop(ctx, 1).into_val()?;
-                let sel = sel.as_sel()?.clone();
+                let sel = sel.as_sel()?;
                 if sel.targets().iter().any(|&t| t >= self.num_consumers) {
                     return Err(StepError::Exec(format!(
                         "partition selector {sel} exceeds {} consumers",
                         self.num_consumers
                     )));
                 }
-                self.targets = Some(sel.targets().to_vec());
+                self.targets.clear();
+                self.targets.extend_from_slice(sel.targets());
+                self.chunk = Chunk::Open;
                 Ok(true)
             }
             Some((_, other)) => Err(StepError::Exec(format!(
@@ -81,6 +96,14 @@ impl PartitionNode {
         }
     }
 
+    /// Emits the chunk-closing `Stop(rank)` owed to every target.
+    fn close_chunk(&mut self) {
+        for &t in &self.targets {
+            self.io.push(t as usize, Token::Stop(self.rank));
+        }
+        self.chunk = Chunk::Unselected;
+    }
+
     fn emit_outer_stop(&mut self, level: u8) {
         for i in 0..self.had_content.len() {
             if std::mem::take(&mut self.had_content[i]) {
@@ -92,14 +115,11 @@ impl PartitionNode {
     fn step(&mut self, ctx: &mut Ctx<'_>, budget: u64) -> Result<u64> {
         // A chunk just ended: look ahead to decide between an eager
         // Stop(rank) and an absorbed higher-level stop.
-        if let Some(closing) = self.closing.clone() {
+        if self.chunk == Chunk::Closing {
             match self.io.peek(ctx, 0) {
                 None => return Ok(0),
                 Some((_, Token::Val(_))) => {
-                    for t in closing {
-                        self.io.push(t as usize, Token::Stop(self.rank));
-                    }
-                    self.closing = None;
+                    self.close_chunk();
                     return Ok(1);
                 }
                 Some((_, &Token::Stop(s))) => {
@@ -107,15 +127,12 @@ impl PartitionNode {
                     let _ = self.io.pop(ctx, 0);
                     self.emit_outer_stop(s);
                     self.consume_selector_stop(ctx, s - self.rank)?;
-                    self.closing = None;
+                    self.chunk = Chunk::Unselected;
                     return Ok(1);
                 }
                 Some((_, Token::Done)) => {
                     let _ = self.io.pop(ctx, 0);
-                    for t in closing {
-                        self.io.push(t as usize, Token::Stop(self.rank));
-                    }
-                    self.closing = None;
+                    self.close_chunk();
                     self.io.push_done_all();
                     return Ok(1);
                 }
@@ -129,13 +146,12 @@ impl PartitionNode {
             if !self.need_selector(ctx)? {
                 return Ok(0);
             }
-            let targets = self.targets.clone().expect("selected above");
             let mut allow = budget;
-            for &t in &targets {
+            for &t in &self.targets {
                 allow = allow.min(self.io.out_allowance(ctx, t as usize));
             }
             let (tok, k) = self.io.pop_run(ctx, 0, 0, allow).expect("visible head");
-            for &t in &targets {
+            for &t in &self.targets {
                 self.had_content[t as usize] = true;
                 for pi in 0..self.io.popped.len() {
                     let piece = self.io.popped[pi];
@@ -148,17 +164,21 @@ impl PartitionNode {
             Token::Val(_) => unreachable!("head checked above"),
             Token::Stop(s) => {
                 if s < self.rank {
-                    let targets = self.targets.clone().ok_or_else(|| {
-                        StepError::Exec("partition: chunk-internal stop before selector".into())
-                    })?;
-                    for t in targets {
+                    if self.chunk != Chunk::Open {
+                        return Err(StepError::Exec(
+                            "partition: chunk-internal stop before selector".into(),
+                        ));
+                    }
+                    for &t in &self.targets {
                         self.io.push(t as usize, Token::Stop(s));
                     }
                 } else if s == self.rank {
-                    self.closing = self.targets.take();
+                    if self.chunk == Chunk::Open {
+                        self.chunk = Chunk::Closing;
+                    }
                 } else {
                     // The chunk's close was absorbed into this outer stop.
-                    self.targets = None;
+                    self.chunk = Chunk::Unselected;
                     self.emit_outer_stop(s);
                     self.consume_selector_stop(ctx, s - self.rank)?;
                 }

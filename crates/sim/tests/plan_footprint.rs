@@ -16,6 +16,15 @@
 //! worker's high-water mark. Both have byte budgets. Heap bytes are
 //! exact and host-independent, unlike RSS, so CI can gate on them.
 //!
+//! A pooled rerun of a monolithic attention plan allocates its report,
+//! its copy of the bound request stream and, under dynamic dispatch,
+//! the one-hot selectors its merges build, but nothing per window,
+//! chunk or KV tile. So the serving driver's attention runs, rebound
+//! every iteration to the batch's KV contexts, make the same number of
+//! allocator calls at every context length. The allocator counts its
+//! calls too, and a test holds that count constant across short, long
+//! and mixed batches for each dispatch strategy.
+//!
 //! Counts are kept per thread: the test harness runs tests on parallel
 //! threads, and each test counts only what its own thread allocates
 //! (runs use one simulation thread, the calling one).
@@ -24,9 +33,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use step_core::Graph;
 use step_models::ModelConfig;
+use step_models::attention::{AttentionCfg, AttentionPorts, ParallelStrategy, attention_graph};
 use step_models::moe::{MoeCfg, Tiling, moe_graph};
+use step_models::phases::bind_attention;
 use step_sim::{RunBinding, RunPool, SimConfig, SimPlan};
-use step_traces::{RoutingConfig, expert_routing};
+use step_traces::{KvTrace, RoutingConfig, expert_routing};
 
 /// The most a plan may retain beyond its graph, as a share of the
 /// graph's own bytes.
@@ -58,10 +69,18 @@ thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     /// The most [`LIVE`] has been since the last [`reset_peak`].
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Allocator calls: alloc, alloc_zeroed and realloc each count one.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// [`System`], counting each thread's live heap bytes in [`LIVE`].
+/// [`System`], counting each thread's live heap bytes in [`LIVE`] and
+/// its allocator calls in [`CALLS`].
 struct Counting;
+
+fn call() {
+    // As in `count`: a teardown call belongs to no measurement.
+    let _ = CALLS.try_with(|n| n.set(n.get() + 1));
+}
 
 fn count(delta: isize) {
     // `try_with` fails only during thread teardown; those bytes belong
@@ -74,10 +93,11 @@ fn count(delta: isize) {
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// so `System`'s guarantees hold; the counting touches only a
-// destructor-free const thread-local and never allocates.
+// so `System`'s guarantees hold; the counting touches only
+// destructor-free const thread-locals and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        call();
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
@@ -87,6 +107,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        call();
         // SAFETY: the caller upholds `alloc_zeroed`'s contract.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
@@ -103,6 +124,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        call();
         // SAFETY: as for `dealloc`; the caller upholds `realloc`'s
         // contract for `new_size`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
@@ -118,6 +140,10 @@ static COUNTING: Counting = Counting;
 
 fn live() -> isize {
     LIVE.with(Cell::get)
+}
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
 }
 
 fn reset_peak() {
@@ -240,4 +266,65 @@ fn a_pooled_monolithic_run_holds_bounded_state() {
         MIXTRAL_RUN_BUDGET,
         MIXTRAL_RUN_BUDGET,
     );
+}
+
+#[test]
+fn a_pooled_attention_rerun_allocates_the_same_at_every_kv_length() {
+    // The serving driver's shape: one Mixtral plan provisioned for 8
+    // slots of 600 tokens, rebound per iteration to the batch's contexts.
+    let envelope = KvTrace {
+        lengths: vec![600; 8],
+    };
+    let batches = [
+        vec![1; 8],
+        vec![64; 8],
+        vec![1, 600, 37, 300, 64, 5, 450, 128],
+    ];
+    for strategy in [
+        ParallelStrategy::StaticCoarse { quota: 2 },
+        ParallelStrategy::StaticInterleaved,
+        ParallelStrategy::Dynamic,
+    ] {
+        let cfg = AttentionCfg::new(ModelConfig::mixtral_8x7b(), strategy);
+        let plan = SimPlan::new(
+            attention_graph(&cfg, &envelope).unwrap(),
+            SimConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(plan.shards(), 1, "expected a monolithic plan");
+        let ports = AttentionPorts::of(plan.graph()).unwrap();
+        let bind = |lengths: &[u32]| {
+            let kv = KvTrace {
+                lengths: lengths.to_vec(),
+            };
+            bind_attention(&cfg, &ports, &kv)
+        };
+        // A first pass over every batch grows the parked queues to the
+        // widest any of them needs; the second pass counts.
+        let mut pool = RunPool::new();
+        for lengths in &batches {
+            plan.run_with(&bind(lengths), Some(&mut pool)).unwrap();
+        }
+        let counts: Vec<u64> = batches
+            .iter()
+            .map(|lengths| {
+                let binding = bind(lengths);
+                let before = calls();
+                let report = plan.run_with(&binding, Some(&mut pool)).unwrap();
+                let n = calls() - before;
+                assert_eq!(
+                    report.pool_resets, 1,
+                    "{strategy}: the rerun was not pooled"
+                );
+                n
+            })
+            .collect();
+        println!(
+            "{strategy}: pooled reruns at all-1, all-64 and mixed contexts: {counts:?} allocator calls"
+        );
+        assert!(
+            counts.iter().all(|&n| n == counts[0]),
+            "{strategy}: a pooled rerun's allocator calls vary with KV length: {counts:?}"
+        );
+    }
 }
